@@ -200,8 +200,7 @@ def _cmd_psclass(args) -> int:
     if args.sharp:
         w = is_in_ps_sharp(f, jobs=args.jobs, resume=args.resume)
     else:
-        inner = is_partial_spread(f)
-        w = None if inner is None else inner
+        w = is_partial_spread(f)
     _emit(None if w is None else w.as_dict())
     return 0
 

@@ -6,16 +6,23 @@ support vertices, every n/2-dimensional subspace U is tested for f = 1 on
 U \\ {0} (provably the same set of candidates, since a clique that forms a
 vector space is exactly such a subspace).  The full PS# sweep additionally
 moves to the dual side: U is a candidate for g(x) = f(x+b)+a.x+c exactly
-when f*(t) + t.b is near-constant on the coset a + U-perp, which turns the
-per-(b, a) subspace scan into one vectorized coset-count pass per b.
+when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
+r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
+the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
+sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
+shift b only selects the cells whose u matches it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import uuid
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +32,11 @@ from .gf2 import Subspace, enumerate_subspaces, orthogonal_complement, span
 
 CACHE_ENV = "BENTFORGE_CACHE_DIR"
 _CHECKPOINT_PAIRS = 1 << 12
+# Written into every checkpoint; records of another version are recomputed.
+# Bump it whenever the sweep algorithm changes.
+_SWEEP_VERSION = 2
+# Coset-table rows gathered at a time by the cell pass (2 MB at n = 8).
+_CELL_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,15 @@ class PsSharpWitness:
 
 _MASKS: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
 _COSET: dict[int, np.ndarray] = {}
+_WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _nonzero_mask(U: Subspace) -> int:
+    """Bitmask of the nonzero elements of U."""
+    mask = 0
+    for e in U.elements():
+        mask |= 1 << e
+    return mask & ~1
 
 
 def _midspace_masks(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -80,11 +101,8 @@ def _midspace_masks(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
         bases = []
         masks = []
         for U in enumerate_subspaces(n, n // 2):
-            mask = 0
-            for e in U.elements():
-                mask |= 1 << e
             bases.append(U.basis)
-            masks.append(mask & ~1)  # drop the origin bit
+            masks.append(_nonzero_mask(U))
         _MASKS[n] = (bases, masks)
     return _MASKS[n]
 
@@ -104,12 +122,10 @@ def _coset_table(n: int) -> np.ndarray:
         perm = np.empty((count, 1 << n), dtype=np.uint8)
         pts = np.arange(1 << n, dtype=np.int16)
         chunk = 4096
-        elems = np.zeros((count, 1 << m), dtype=np.int16)
-        for i, basis in enumerate(bases):
-            e = [0]
-            for b in basis:
-                e += [b ^ x for x in e]
-            elems[i] = e
+        basis = np.array(bases, dtype=np.int16)  # (count, m)
+        elems = np.zeros((count, 1 << m), dtype=np.int16)  # basis-coordinate order
+        for j in range(m):
+            elems[:, 1 << j : 2 << j] = elems[:, : 1 << j] ^ basis[:, j : j + 1]
         for lo in range(0, count, chunk):
             hi = min(lo + chunk, count)
             E = elems[lo:hi]  # (c, 2^m)
@@ -197,13 +213,7 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     if f.weight() != want_weight:
         return None
     cand = _candidate_subspaces(f)
-    cand_masks = []
-    for U in cand:
-        mask = 0
-        for e in U.elements():
-            mask |= 1 << e
-        cand_masks.append(mask & ~1)
-    clique = _disjoint_clique(cand_masks, s)
+    clique = _disjoint_clique([_nonzero_mask(U) for U in cand], s)
     if clique is None:
         return None
     witness = PartialSpreadWitness(subclass, tuple(cand[i] for i in clique))
@@ -221,28 +231,103 @@ def _shifted_affine(f: BooleanFunction, b: int, a: int, c: int) -> BooleanFuncti
     return BooleanFunction(f.n, f.table[idx ^ b] ^ _parity_array(idx & a) ^ (c & 1))
 
 
-def _sweep_one_b(f: BooleanFunction, dual_table: np.ndarray, b: int):
+def _witness_holds(f: BooleanFunction, w: PsSharpWitness) -> bool:
+    return w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
+
+
+def _coset_wht(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walsh-Hadamard transforms of every 2^m-bit coset word.
+
+    Row w holds S(u) = sum_j (-1)^(w_j + u.j) for u = 0 .. 2^m - 1, with w_j
+    bit j of w.  The flag marks the words with some |S(u)| >= 2^m - 2, i.e.
+    those within Hamming distance 1 of an affine function.
+    """
+    if m not in _WHT:
+        size = 1 << m
+        j = np.arange(size)
+        signs = (1 - 2 * ((np.arange(1 << size)[:, None] >> j) & 1)).astype(np.int16)
+        hadamard = (1 - 2 * _parity_array(j[:, None] & j)).astype(np.int16)
+        spectra = (signs @ hadamard).astype(np.int8)
+        _WHT[m] = (spectra, (np.abs(spectra) >= size - 2).any(axis=1))
+    return _WHT[m]
+
+
+def _pack_cosets(values: np.ndarray, m: int) -> np.ndarray:
+    """One word per run of 2^m consecutive 0/1 values; bit j is value j."""
+    size = 1 << m
+    if size < 8:
+        return np.packbits(values.reshape(-1, size), axis=1, bitorder="little")[:, 0]
+    return np.packbits(values.ravel(), bitorder="little").view(f"<u{size // 8}")
+
+
+@dataclass(frozen=True)
+class _CosetCells:
+    """The (subspace, coset, u, S) cells with |S(u)| >= 2^m - 2, sorted by
+    (subspace index, coset block, u); one entry per cell in each array."""
+
+    w_idx: np.ndarray
+    block: np.ndarray
+    rep: np.ndarray  # coset representative r: the block's first point
+    basis: np.ndarray  # (cells, m): w_1..w_m of the subspace
+    u: np.ndarray
+    spectrum: np.ndarray  # S_{W,r}(u)
+
+
+def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
+    """One gather of f* through the coset table, in row chunks."""
+    m = n // 2
+    size = 1 << m
+    perm = _coset_table(n)
+    spectra, near = _coset_wht(m)
+    flat, us, ss = [], [], []
+    for lo in range(0, perm.shape[0], _CELL_ROWS):
+        words = _pack_cosets(dual_table[perm[lo : lo + _CELL_ROWS]], m)
+        cosets = np.flatnonzero(near[words])
+        spec = spectra[words[cosets]]
+        row, u = np.nonzero(np.abs(spec) >= size - 2)
+        flat.append(lo * size + cosets[row])
+        us.append(u)
+        ss.append(spec[row, u])
+    w_idx, block = np.divmod(np.concatenate(flat), size)
+    return _CosetCells(
+        w_idx=w_idx,
+        block=block,
+        rep=perm[w_idx, block << m].astype(np.int64),
+        basis=perm[w_idx[:, None], 1 << np.arange(m)].astype(np.int64),
+        u=np.concatenate(us),
+        spectrum=np.concatenate(ss).astype(np.int64),
+    )
+
+
+def _sweep_one_b(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, b: int):
     """Candidate detection for every a at a fixed shift b.
 
     Returns (phi, hits_minus, hits_plus) where hits are (subspace index,
-    coset block) pairs from the coset-count characterization.
+    coset block) pairs, in row-major order, whose coset carries the target
+    count of ones of phi = f* + b.x: (2^m - (-1)^(b.r) S(u)) / 2 with
+    u = (b.w_1, ..., b.w_m).
     """
     n = f.n
     m = n // 2
-    perm = _coset_table(n)
     idx = np.arange(1 << n)
     phi = dual_table ^ _parity_array(idx & b)
-    sums = phi[perm].reshape(perm.shape[0], 1 << m, 1 << m).sum(axis=2, dtype=np.int16)
+    u_b = (_parity_array(cells.basis & b).astype(np.int64) << np.arange(m)).sum(axis=1)
+    keep = np.flatnonzero(cells.u == u_b)
+    sign = 1 - 2 * _parity_array(cells.rep[keep] & b).astype(np.int64)
+    counts = ((1 << m) - sign * cells.spectrum[keep]) // 2
     fb = int(f.table[b])  # g(0) bookkeeping: f(b) decides the target counts
     t_minus = (1 << m) - 1 if fb == 0 else 1
     t_plus = 0 if fb == 0 else 1 << m
-    hits_minus = np.argwhere(sums == t_minus)
-    hits_plus = np.argwhere(sums == t_plus)
-    return phi, hits_minus, hits_plus
+    hit = np.stack([cells.w_idx[keep], cells.block[keep]], axis=1)
+    return phi, hit[counts == t_minus], hit[counts == t_plus]
 
 
-def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
-    """Run the clique stage for every viable a at this b, ascending."""
+def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus, complements):
+    """Run the clique stage for every viable a at this b, ascending.
+
+    `complements` caches (W-perp, its nonzero-element mask) by subspace
+    index for the whole sweep.
+    """
     n = f.n
     m = n // 2
     perm = _coset_table(n)
@@ -262,53 +347,78 @@ def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
             w_list = per_a[a].get(tag, [])
             if len(w_list) < s:
                 continue
-            c = fb ^ (1 if tag == "PS_plus" else 0)
-            g = _shifted_affine(f, b, a, c)
-            cands = []
             for w_idx in w_list:
-                U = orthogonal_complement(span(list(bases[w_idx]), n))
-                mask = 0
-                for e in U.elements():
-                    mask |= 1 << e
-                cands.append((U, mask & ~1))
+                if w_idx not in complements:
+                    U = orthogonal_complement(span(list(bases[w_idx]), n))
+                    complements[w_idx] = (U, _nonzero_mask(U))
+            cands = [complements[w_idx] for w_idx in w_list]
             clique = _disjoint_clique([mask for _, mask in cands], s)
             if clique is None:
                 continue
-            witness = PartialSpreadWitness(tag, tuple(cands[i][0] for i in clique))
-            if witness.reconstruct(n) == g:
-                return PsSharpWitness(b, a, c, witness)
+            c = fb ^ (1 if tag == "PS_plus" else 0)
+            inner = PartialSpreadWitness(tag, tuple(cands[i][0] for i in clique))
+            found = PsSharpWitness(b, a, c, inner)
+            if _witness_holds(f, found):
+                return found
     return None
 
 
 class _SweepState:
-    """Resumable checkpoint for a PS# sweep, keyed by function digest."""
+    """Resumable checkpoint for a PS# sweep, keyed by function digest.
 
-    def __init__(self, path: Path | None, digest: str) -> None:
+    A record that cannot be read, lacks a field, was written by another
+    sweep version or holds a witness that does not rebuild f is treated as
+    absent: the sweep starts over (with a warning, unless only the version
+    or the digest differs).
+    """
+
+    def __init__(self, path: Path | None, f: BooleanFunction) -> None:
         self.path = path
-        self.digest = digest
+        self.digest = f.digest()
         self.next_b = 0
         self.finished = False
-        self.witness_dict = None
+        self.witness: PsSharpWitness | None = None
         if path is not None and path.exists():
-            data = json.loads(path.read_text())
-            if data.get("digest") == digest:
-                self.next_b = data.get("next_b", 0)
-                self.finished = data.get("finished", False)
-                self.witness_dict = data.get("witness")
+            try:
+                self._load(f)
+            except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+                warnings.warn(f"ignoring unreadable PS# checkpoint {path}: {exc!r}", stacklevel=3)
+
+    def _load(self, f: BooleanFunction) -> None:
+        data = json.loads(self.path.read_text())
+        if not isinstance(data, dict):
+            raise TypeError("checkpoint is not a JSON object")
+        if data.get("version") != _SWEEP_VERSION or data.get("digest") != self.digest:
+            return
+        next_b, finished, witness = data["next_b"], data["finished"], data["witness"]
+        if type(next_b) is not int or not 0 <= next_b <= 1 << f.n or type(finished) is not bool:
+            raise ValueError(f"bad next_b {next_b!r} or finished {finished!r}")
+        if witness is not None:
+            witness = _witness_from_dict(witness, f.n)
+            if not _witness_holds(f, witness):
+                raise ValueError("saved witness does not rebuild the function")
+        self.next_b, self.finished, self.witness = next_b, finished, witness
 
     def save(self, witness=None, finished=False) -> None:
         if self.path is None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
+            "version": _SWEEP_VERSION,
             "digest": self.digest,
             "next_b": self.next_b,
             "finished": finished,
             "witness": witness,
         }
-        tmp = self.path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(self.path)
+        # a unique temporary name, so concurrent sweeps sharing a cache
+        # directory never write into each other's file
+        tmp = self.path.with_name(f"{self.path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload))
+            tmp.replace(self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _cache_path(f: BooleanFunction, resume: str | Path | None) -> Path | None:
@@ -331,7 +441,9 @@ def is_in_ps_sharp(
 
     Returns the first witness in (b, a) order, or None after the exhaustive
     sweep.  Checkpoints every 2^12 (b, a) pairs when a cache path is set
-    via `resume` or the BENTFORGE_CACHE_DIR environment variable.
+    via `resume` or the BENTFORGE_CACHE_DIR environment variable.  With
+    jobs > 1 the per-shift cell selection runs on a thread pool; `progress`
+    is called with b after every shift that yields no witness.
     """
     if not is_bent(f):
         raise ValueError("PS# membership is defined for bent functions")
@@ -339,39 +451,23 @@ def is_in_ps_sharp(
     if n > 8:
         # the n = 10 table is ~10^8 subspaces; the sweep is not desk-scale
         raise ValueError("PS# sweep supported for n <= 8")
-    state = _SweepState(_cache_path(f, resume), f.digest())
+    state = _SweepState(_cache_path(f, resume), f)
     if state.finished:
-        if state.witness_dict is None:
-            return None
-        return _witness_from_dict(state.witness_dict, n)
+        return state.witness
 
     dual_table = dual(f).table
+    cells = _coset_cells(dual_table, n)
+    complements: dict[int, tuple[Subspace, int]] = {}
     all_b = range(state.next_b, 1 << n)
     checkpoint_every = max(1, _CHECKPOINT_PAIRS >> n)
-
-    def work(b):
-        return b, _sweep_one_b(f, dual_table, b)
-
-    def consume(b, payload):
-        phi, hm, hp = payload
-        return _try_pairs_for_b(f, b, phi, hm, hp)
+    work = partial(_sweep_one_b, f, cells, dual_table)
 
     found = None
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for b, payload in pool.map(work, all_b):
-                found = consume(b, payload)
-                state.next_b = b + 1
-                if found is not None:
-                    break
-                if progress:
-                    progress(b)
-                if (b + 1) % checkpoint_every == 0:
-                    state.save()
-    else:
-        for b in all_b:
-            _, payload = work(b)
-            found = consume(b, payload)
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+    with pool:
+        shifts = pool.map(work, all_b) if jobs > 1 else map(work, all_b)
+        for b, (phi, hm, hp) in zip(all_b, shifts):
+            found = _try_pairs_for_b(f, b, phi, hm, hp, complements)
             state.next_b = b + 1
             if found is not None:
                 break

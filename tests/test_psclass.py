@@ -1,12 +1,19 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
-from bentforge.boolfun import BooleanFunction, is_bent, zero_function
+from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
 from bentforge.construct import mm_bent
-from bentforge.gf2 import intersect
+from bentforge.fixtures import published_bent8
+from bentforge.gf2 import intersect, span
 from bentforge.psclass import (
+    CACHE_ENV,
+    _coset_cells,
+    _coset_table,
     _shifted_affine,
+    _sweep_one_b,
     is_in_ps_sharp,
     is_partial_spread,
     ps_ap,
@@ -104,7 +111,7 @@ def test_ps_sharp_checkpoint_resume(tmp_path):
     # a finished checkpoint short-circuits the whole sweep
     assert is_in_ps_sharp(f, resume=path) is None
     # a fresh partial checkpoint resumes mid-sweep
-    path.write_text(json.dumps({"digest": f.digest(), "next_b": 60, "finished": False, "witness": None}))
+    path.write_text(json.dumps({**data, "next_b": 60, "finished": False}))
     assert is_in_ps_sharp(f, resume=path) is None
 
 
@@ -123,3 +130,131 @@ def test_candidate_filter_counts():
     cands = ps_candidates(f)
     # the defining spread lines are all candidates
     assert len(cands) >= 4
+
+
+def test_ps_sharp_truncated_checkpoint_recomputes(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    f = ps_ap(3, balanced_h3())
+    g = _shifted_affine(f, 0b100101, 0b010011, 1)
+    want = is_in_ps_sharp(g)
+    path = tmp_path / f"ps_sharp_{g.digest()}.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.warns(UserWarning, match="unreadable PS# checkpoint"):
+        got = is_in_ps_sharp(g)
+    assert got == want
+    assert json.loads(path.read_text())["witness"] == want.as_dict()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: {k: v for k, v in d.items() if k != "next_b"},
+        lambda d: {**d, "next_b": "60"},
+        lambda d: {**d, "witness": {**d["witness"], "affine": d["witness"]["affine"] ^ 1}},
+        lambda d: {**d, "witness": {"shift": 0}},
+        lambda d: [d],
+    ],
+)
+def test_ps_sharp_malformed_checkpoint_recomputes(tmp_path, edit):
+    g = _shifted_affine(ps_ap(3, balanced_h3()), 5, 9, 0)
+    path = tmp_path / "sweep.json"
+    want = is_in_ps_sharp(g, resume=path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.warns(UserWarning, match="unreadable PS# checkpoint"):
+        assert is_in_ps_sharp(g, resume=path) == want
+
+
+def test_ps_sharp_ignores_checkpoint_of_other_version(tmp_path):
+    # a finished negative record without the current version is not trusted
+    g = _shifted_affine(ps_ap(3, balanced_h3()), 5, 9, 0)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"digest": g.digest(), "next_b": 64, "finished": True, "witness": None}))
+    w = is_in_ps_sharp(g, resume=path)
+    assert w is not None
+    assert json.loads(path.read_text())["witness"] == w.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# oracles for the sweep
+# ---------------------------------------------------------------------------
+
+def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
+    """f(A(x + b)) + a.x + c for a random invertible A and random b, a, c."""
+    n = f.n
+    while True:
+        cols = [rng.randrange(1, 1 << n) for _ in range(n)]
+        if span(cols, n).dim == n:
+            break
+    idx = np.arange(1 << n)
+    img = np.zeros(1 << n, dtype=np.int64)
+    for j, col in enumerate(cols):
+        img ^= ((idx >> j) & 1) * col
+    linear = BooleanFunction(n, f.table[img])
+    return _shifted_affine(linear, rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(2))
+
+
+def oracle_functions(n: int) -> list[BooleanFunction]:
+    """PS_ap and quadratic MM on n variables, and three EA disguises of each."""
+    m = n // 2
+    h = balanced_h3() if m == 3 else BooleanFunction(2, [0, 1, 1, 0])
+    base = [ps_ap(m, h), mm_bent(identity_map(m), zero_function(m))]
+    rng = random.Random(n)
+    return base + [ea_disguise(f, rng) for f in base for _ in range(3)]
+
+
+def direct_coset_hits(f: BooleanFunction, dual_table: np.ndarray, b: int):
+    """Per-shift hits by counting the ones of f* + b.x on every coset."""
+    n = f.n
+    m = n // 2
+    perm = _coset_table(n)
+    idx = np.arange(1 << n)
+    phi = dual_table ^ _parity_array(idx & b)
+    sums = phi[perm].reshape(perm.shape[0], 1 << m, 1 << m).sum(axis=2, dtype=np.int16)
+    fb = int(f.table[b])
+    t_minus = (1 << m) - 1 if fb == 0 else 1
+    t_plus = 0 if fb == 0 else 1 << m
+    return phi, np.argwhere(sums == t_minus), np.argwhere(sums == t_plus)
+
+
+def assert_hits_match(f: BooleanFunction, shifts) -> None:
+    dual_table = dual(f).table
+    cells = _coset_cells(dual_table, f.n)
+    for b in shifts:
+        got = _sweep_one_b(f, cells, dual_table, b)
+        want = direct_coset_hits(f, dual_table, b)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and np.array_equal(x, y), f"shift {b}"
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_sweep_hits_match_direct_coset_count(n):
+    for f in oracle_functions(n):
+        assert_hits_match(f, range(1 << n))
+
+
+def test_sweep_hits_match_direct_coset_count_n8():
+    assert_hits_match(published_bent8("delta0_mix"), (0, 1, 77, 200, 255))
+
+
+def first_direct_witness(f: BooleanFunction):
+    """Smallest (b, a) with f(x + b) + a.x + c in PS for some c, tested directly."""
+    for b in range(1 << f.n):
+        for a in range(1 << f.n):
+            if any(is_partial_spread(_shifted_affine(f, b, a, c)) is not None for c in (0, 1)):
+                return b, a
+    return None
+
+
+@pytest.mark.parametrize(
+    "f",
+    oracle_functions(4) + oracle_functions(6),
+    ids=lambda f: f"n{f.n}-{f.digest()[:8]}",
+)
+def test_ps_sharp_matches_exhaustive_direct_tests(f):
+    w = is_in_ps_sharp(f)
+    first = first_direct_witness(f)
+    assert (w is None) == (first is None)
+    if w is not None:
+        assert (w.shift, w.affine) == first
+        assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
