@@ -16,6 +16,7 @@ shift b only selects the cells whose u matches it.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import uuid
@@ -80,7 +81,6 @@ class PsSharpWitness:
 # per-dimension tables
 # ---------------------------------------------------------------------------
 
-_MASKS: dict[int, tuple[list[tuple[int, ...]], list[int]]] = {}
 _COSET: dict[int, np.ndarray] = {}
 _WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -93,48 +93,54 @@ def _nonzero_mask(U: Subspace) -> int:
     return mask & ~1
 
 
-def _midspace_masks(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """All n/2-dimensional subspaces as (basis, bitmask of nonzero elements)."""
-    if n > 8:
-        raise ValueError("midspace mask table only built for n <= 8")
-    if n not in _MASKS:
-        bases = []
-        masks = []
-        for U in enumerate_subspaces(n, n // 2):
-            bases.append(U.basis)
-            masks.append(_nonzero_mask(U))
-        _MASKS[n] = (bases, masks)
-    return _MASKS[n]
+def _span_rows(vectors: np.ndarray) -> np.ndarray:
+    """Span of each row of m vectors in basis-coordinate order: entry k is
+    the XOR of the vectors j with bit j of k set."""
+    rows, m = vectors.shape
+    out = np.zeros((rows, 1 << m), dtype=vectors.dtype)
+    for j in range(m):
+        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ vectors[:, j : j + 1]
+    return out
 
 
 def _coset_table(n: int) -> np.ndarray:
-    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace.
+    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace
+    (rows in `enumerate_subspaces` order); the one subspace index that
+    subspaces, bases and PS candidates are read from.
 
-    Layout: 2^(n/2) blocks of 2^(n/2) entries; block k is the coset whose
-    minimal representative is k-th smallest.  dtype uint8 needs n <= 8.
+    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
+    block 0 is the subspace and entry 2^j is basis vector j.  Block k is the
+    coset with the k-th smallest minimum: the basis is in RREF, so a coset's
+    minimum is its point that is zero on every pivot, and these minima are
+    the span of the off-pivot unit vectors, ascending.  uint8 needs n <= 8.
     """
     if n not in _COSET:
         if n > 8:
             raise ValueError("coset table only built for n <= 8")
         m = n // 2
-        bases, _ = _midspace_masks(n)
-        count = len(bases)
+        bases = np.fromiter(
+            itertools.chain.from_iterable(U.basis for U in enumerate_subspaces(n, m)),
+            dtype=np.uint8,
+        ).reshape(-1, m)
+        count = bases.shape[0]
+        lead = np.array([0] + [1 << (v.bit_length() - 1) for v in range(1, 1 << n)], dtype=np.uint8)
+        pivots = np.bitwise_or.reduce(lead[bases], axis=1)
+        _, free = np.nonzero((~pivots[:, None] >> np.arange(n, dtype=np.uint8)) & 1)
+        units = (1 << free.reshape(count, n - m)).astype(np.uint8)
         perm = np.empty((count, 1 << n), dtype=np.uint8)
-        pts = np.arange(1 << n, dtype=np.int16)
-        chunk = 4096
-        basis = np.array(bases, dtype=np.int16)  # (count, m)
-        elems = np.zeros((count, 1 << m), dtype=np.int16)  # basis-coordinate order
-        for j in range(m):
-            elems[:, 1 << j : 2 << j] = elems[:, : 1 << j] ^ basis[:, j : j + 1]
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            E = elems[lo:hi]  # (c, 2^m)
-            reps = np.min(E[:, None, :] ^ pts[None, :, None], axis=2)  # (c, 2^n)
-            srt = np.sort(reps, axis=1)
-            usr = srt[:, :: 1 << m]  # each min-rep appears 2^m times
-            perm[lo:hi] = (usr[:, :, None] ^ E[:, None, :]).reshape(hi - lo, 1 << n)
+        np.bitwise_xor(
+            _span_rows(units)[:, :, None],
+            _span_rows(bases)[:, None, :],
+            out=perm.reshape(count, 1 << (n - m), 1 << m),
+        )
         _COSET[n] = perm
     return _COSET[n]
+
+
+def _midspace(n: int, i: int) -> Subspace:
+    """The i-th n/2-dimensional subspace, read from its coset-table row."""
+    row = _coset_table(n)[i]
+    return span([int(row[1 << j]) for j in range(n // 2)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +148,13 @@ def _coset_table(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ps_candidates(f: BooleanFunction) -> list[int]:
-    """Indices of n/2-subspaces with f = 1 on U \\ {0} (mask containment)."""
-    support = 0
-    for x in np.flatnonzero(f.table):
-        support |= 1 << int(x)
-    _, masks = _midspace_masks(f.n)
-    return [i for i, mask in enumerate(masks) if mask & ~support == 0]
+    """Indices of the n/2-subspaces U with f = 1 on U \\ {0}, ascending.
 
-
-def _candidate_subspaces(f: BooleanFunction) -> list[Subspace]:
-    """Candidate subspaces themselves; streams without tables for n = 10."""
-    n = f.n
-    if n <= 8:
-        bases, _ = _midspace_masks(n)
-        return [span(list(bases[i]), n) for i in ps_candidates(f)]
-    t = f.table
-    out = []
-    for U in enumerate_subspaces(n, n // 2):
-        if all(t[e] for e in U.elements() if e):
-            out.append(U)
-    return out
+    Block 0 of each coset-table row is U with 0 first, so its other
+    entries are the nonzero elements.
+    """
+    perm = _coset_table(f.n)
+    return np.flatnonzero(f.table[perm[:, 1 : 1 << (f.n // 2)]].all(axis=1)).tolist()
 
 
 def _disjoint_clique(masks: list[int], s: int) -> list[int] | None:
@@ -205,6 +198,9 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     if not is_bent(f):
         raise ValueError("PS membership is defined for bent functions")
     n = f.n
+    if n > 8:
+        # the n = 10 candidate scan is ~10^8 subspaces; not desk-scale
+        raise ValueError("PS test supported for n <= 8")
     m = n // 2
     if f(0):
         subclass, s, want_weight = "PS_plus", (1 << (m - 1)) + 1, (1 << (n - 1)) + (1 << (m - 1))
@@ -212,7 +208,7 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
         subclass, s, want_weight = "PS_minus", 1 << (m - 1), (1 << (n - 1)) - (1 << (m - 1))
     if f.weight() != want_weight:
         return None
-    cand = _candidate_subspaces(f)
+    cand = [_midspace(n, i) for i in ps_candidates(f)]
     clique = _disjoint_clique([_nonzero_mask(U) for U in cand], s)
     if clique is None:
         return None
@@ -331,7 +327,6 @@ def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus, com
     n = f.n
     m = n // 2
     perm = _coset_table(n)
-    bases, _ = _midspace_masks(n)
     fb = int(f.table[b])
     per_a: dict[int, dict[str, list[int]]] = {}
     for tag, hits in (("PS_minus", hits_minus), ("PS_plus", hits_plus)):
@@ -349,7 +344,7 @@ def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus, com
                 continue
             for w_idx in w_list:
                 if w_idx not in complements:
-                    U = orthogonal_complement(span(list(bases[w_idx]), n))
+                    U = orthogonal_complement(_midspace(n, w_idx))
                     complements[w_idx] = (U, _nonzero_mask(U))
             cands = [complements[w_idx] for w_idx in w_list]
             clique = _disjoint_clique([mask for _, mask in cands], s)

@@ -243,18 +243,9 @@ def has_p1(F: VectorialFunction) -> tuple[bool, Subspace | None]:
 
     Returns (True, None) or (False, witness 2-space).
     """
-    if algebraic_degree_vf(F) <= 2:
-        N = 1 << F.m
-        idx = np.arange(N)
-        grid = F.table[0] ^ F.table[idx[:, None]] ^ F.table[idx[None, :]] ^ F.table[
-            idx[:, None] ^ idx[None, :]
-        ]
-        for a, b in iter_pair_representatives(F.m):
-            if grid[a, b] == 0:
-                return False, span([a, b], F.m)
-        return True, None
+    adj = _adjacency_for(F)
     for a, b in iter_pair_representatives(F.m):
-        if second_derivative_vanishes_vf(F, a, b):
+        if adj[a] >> b & 1:
             return False, span([a, b], F.m)
     return True, None
 

@@ -39,7 +39,7 @@ from .construct import (
 from .gf2 import apply_linear, enumerate_subspaces, span
 from .gf2m import Field, power_map
 from .msub import canonical_msubspace, is_in_mm_sharp, is_msubspace, msubspaces
-from .psclass import is_in_ps_sharp, is_partial_spread, ps_ap, ps_candidates
+from .psclass import _midspace, is_in_ps_sharp, is_partial_spread, ps_ap, ps_candidates
 from .vectorial import (
     VectorialFunction,
     check_p2,
@@ -324,10 +324,7 @@ def _claim_oracles(options):
     # PS candidate filter against the literal clique search
     h = BooleanFunction(3, [0, 1, 1, 0, 1, 0, 1, 0])
     f = ps_ap(3, h)
-    from .psclass import _midspace_masks
-
-    bases, _ = _midspace_masks(6)
-    fast_cands = {tuple(bases[i]) for i in ps_candidates(f)}
+    fast_cands = {_midspace(6, i).basis for i in ps_candidates(f)}
     literal = _algorithm1_candidates_literal(f)
     if fast_cands != literal:
         return False, f"candidate filters differ: {len(fast_cands)} vs {len(literal)}"

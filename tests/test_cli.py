@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,19 @@ def test_psclass_json(capsys, tmp_path):
     assert data["subclass"] == "PS_minus"
     assert len(data["subspaces"]) == 4
 
+
+
+def test_psclass_fails_fast_above_n8(capsys):
+    from bentforge.boolfun import format_anf, to_anf, zero_function
+    from bentforge.construct import mm_bent
+    from bentforge.vectorial import identity_map
+
+    anf = format_anf(to_anf(mm_bent(identity_map(5), zero_function(5))))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "psclass", "--anf", anf)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "PS test supported for n <= 8" in err
 
 def test_construct_mm_and_concat(capsys, tmp_path):
     pi_file = tmp_path / "pi.anf"

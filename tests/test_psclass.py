@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -7,11 +8,12 @@ import pytest
 from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
 from bentforge.construct import mm_bent
 from bentforge.fixtures import published_bent8
-from bentforge.gf2 import intersect, span
+from bentforge.gf2 import enumerate_subspaces, intersect, span
 from bentforge.psclass import (
     CACHE_ENV,
     _coset_cells,
     _coset_table,
+    _midspace,
     _shifted_affine,
     _sweep_one_b,
     is_in_ps_sharp,
@@ -258,3 +260,47 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
     if w is not None:
         assert (w.shift, w.affine) == first
         assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
+
+
+# ---------------------------------------------------------------------------
+# the coset table and what is read from it
+# ---------------------------------------------------------------------------
+
+def reference_coset_table(n: int, step: int = 1) -> np.ndarray:
+    """Every step-th coset-table row by minimal-representative search: each
+    point's coset minimum over all 2^m elements, the distinct minima sorted."""
+    m = n // 2
+    subspaces = itertools.islice(enumerate_subspaces(n, m), 0, None, step)
+    basis = np.array([U.basis for U in subspaces], dtype=np.int16)
+    elems = np.zeros((len(basis), 1 << m), dtype=np.int16)
+    for j in range(m):
+        elems[:, 1 << j : 2 << j] = elems[:, : 1 << j] ^ basis[:, j : j + 1]
+    pts = np.arange(1 << n, dtype=np.int16)
+    reps = np.min(elems[:, None, :] ^ pts[None, :, None], axis=2)
+    firsts = np.sort(reps, axis=1)[:, :: 1 << m]  # each minimum appears 2^m times
+    return (firsts[:, :, None] ^ elems[:, None, :]).reshape(len(basis), 1 << n).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_coset_table_matches_min_representative_reference(n):
+    got = _coset_table(n)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == reference_coset_table(n).tobytes()
+
+
+def test_coset_table_matches_reference_on_sampled_rows_n8():
+    assert np.array_equal(_coset_table(8)[::97], reference_coset_table(8, step=97))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_midspace_reads_enumeration_order(n):
+    subspaces = list(enumerate_subspaces(n, n // 2))
+    assert [_midspace(n, i) for i in range(len(subspaces))] == subspaces
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_ps_candidates_match_mask_containment(n):
+    subspaces = list(enumerate_subspaces(n, n // 2))
+    for f in oracle_functions(n):
+        want = [i for i, U in enumerate(subspaces) if all(f.table[e] for e in U.elements() if e)]
+        assert ps_candidates(f) == want
