@@ -207,13 +207,6 @@ def shift(f: BooleanFunction, b: int) -> BooleanFunction:
     return BooleanFunction(f.n, f.table[idx ^ b])
 
 
-def add_affine(f: BooleanFunction, a: int, c: int = 0) -> BooleanFunction:
-    """x -> f(x) + a.x + c."""
-    idx = np.arange(1 << f.n)
-    lin = _parity_array(idx & a) ^ (c & 1)
-    return BooleanFunction(f.n, f.table ^ lin)
-
-
 def _parity_array(x: np.ndarray) -> np.ndarray:
     r = x.astype(np.int64)
     for s in (16, 8, 4, 2, 1):
@@ -306,7 +299,3 @@ def format_anf(poly: AnfPoly, var: str = "x") -> str:
         else:
             terms.append("*".join(f"{var}{j + 1}" for j in range(poly.n) if (m >> j) & 1))
     return " + ".join(terms)
-
-
-def function_from_anf_text(text: str, n: int) -> BooleanFunction:
-    return from_anf(parse_anf(text, n))

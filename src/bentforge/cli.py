@@ -148,9 +148,9 @@ def analyze(
     timings: dict[str, int] = {}
 
     def timed(stage, fn):
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn()
-        timings[stage] = int((time.time() - t0) * 1000)
+        timings[stage] = int((time.perf_counter() - t0) * 1000)
         return out
 
     bent = timed("bent", lambda: is_bent(f))

@@ -369,11 +369,6 @@ def theorem55_construct(
     return ConstructionResult(concat4(q), q, cert)
 
 
-def _derivative_table(f: BooleanFunction, u: int) -> np.ndarray:
-    idx = np.arange(1 << f.n)
-    return f.table ^ f.table[idx ^ u]
-
-
 def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
     """Outside-MM# check for quadruples sharing one top M-subspace.
 

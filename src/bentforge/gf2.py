@@ -197,10 +197,6 @@ def orthogonal_complement(a: Subspace) -> Subspace:
     return span(comp, n)
 
 
-def trivially_intersect(a: Subspace, b: Subspace) -> bool:
-    return intersect(a, b).dim == 0
-
-
 def random_invertible(n: int, rng) -> list[int]:
     """Rows of a random invertible n x n matrix over GF(2)."""
     while True:

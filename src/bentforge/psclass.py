@@ -10,7 +10,10 @@ when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
 r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
 the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
 sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
-shift b only selects the cells whose u matches it.
+shift b only selects the cells whose u matches it.  The disjointness search
+then runs on the hit subspaces W, not on their complements: two
+n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the whole space iff
+(W1 + W2)-perp, the intersection of W1-perp and W2-perp, is 0.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ CACHE_ENV = "BENTFORGE_CACHE_DIR"
 _CHECKPOINT_PAIRS = 1 << 12
 # Written into every checkpoint; records of another version are recomputed.
 # Bump it whenever the sweep algorithm changes.
-_SWEEP_VERSION = 2
+_SWEEP_VERSION = 3
 # Coset-table rows gathered at a time by the cell pass (2 MB at n = 8).
 _CELL_ROWS = 1 << 13
 
@@ -83,14 +86,6 @@ class PsSharpWitness:
 
 _COSET: dict[int, np.ndarray] = {}
 _WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _nonzero_mask(U: Subspace) -> int:
-    """Bitmask of the nonzero elements of U."""
-    mask = 0
-    for e in U.elements():
-        mask |= 1 << e
-    return mask & ~1
 
 
 def _span_rows(vectors: np.ndarray) -> np.ndarray:
@@ -157,18 +152,25 @@ def ps_candidates(f: BooleanFunction) -> list[int]:
     return np.flatnonzero(f.table[perm[:, 1 : 1 << (f.n // 2)]].all(axis=1)).tolist()
 
 
-def _disjoint_clique(masks: list[int], s: int) -> list[int] | None:
-    """Branch-and-bound search for s pairwise-disjoint masks."""
-    L = len(masks)
+def _disjoint_clique(rows, n: int, s: int) -> list[int] | None:
+    """Branch-and-bound search for s coset-table rows whose subspaces
+    pairwise meet only in 0; returns the chosen positions in `rows`.
+
+    Two rows are neighbours when the nonzero elements of their block 0
+    share no point: the Gram matrix of the 0/1 membership rows counts the
+    shared points (exactly, in float32).  A subspace meets itself, so no
+    row is its own neighbour.
+    """
+    L = len(rows)
     if L < s:
         return None
-    nbr = []
-    for i in range(L):
-        bits = 0
-        for j in range(L):
-            if j != i and masks[i] & masks[j] == 0:
-                bits |= 1 << j
-        nbr.append(bits)
+    members = np.zeros((L, 1 << n), dtype=np.float32)
+    members[np.arange(L)[:, None], _coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
+    disjoint = members @ members.T == 0
+    # a row of an s-clique has s - 1 neighbours; most sweep searches end here
+    if np.count_nonzero(disjoint.sum(axis=1) >= s - 1) < s:
+        return None
+    nbr = [int.from_bytes(r, "little") for r in np.packbits(disjoint, axis=1, bitorder="little")]
 
     def grow(chosen: list[int], allowed: int) -> list[int] | None:
         if len(chosen) == s:
@@ -208,11 +210,11 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
         subclass, s, want_weight = "PS_minus", 1 << (m - 1), (1 << (n - 1)) - (1 << (m - 1))
     if f.weight() != want_weight:
         return None
-    cand = [_midspace(n, i) for i in ps_candidates(f)]
-    clique = _disjoint_clique([_nonzero_mask(U) for U in cand], s)
+    rows = ps_candidates(f)
+    clique = _disjoint_clique(rows, n, s)
     if clique is None:
         return None
-    witness = PartialSpreadWitness(subclass, tuple(cand[i] for i in clique))
+    witness = PartialSpreadWitness(subclass, tuple(_midspace(n, rows[i]) for i in clique))
     if witness.reconstruct(n) != f:  # unreachable given the weight filter
         return None
     return witness
@@ -318,43 +320,42 @@ def _sweep_one_b(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     return phi, hit[counts == t_minus], hit[counts == t_plus]
 
 
-def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus, complements):
+def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
     """Run the clique stage for every viable a at this b, ascending.
 
-    `complements` caches (W-perp, its nonzero-element mask) by subspace
-    index for the whole sweep.
+    A hit (W, block) makes W-perp a candidate for every a in that coset of
+    W.  The search runs on the W themselves, since two n/2-subspaces meet
+    only in 0 exactly when their orthogonal complements do ((W1 + W2)-perp
+    is the intersection of W1-perp and W2-perp).  Only the subspaces of a
+    clique that is found are turned into complements, for the witness.
     """
     n = f.n
     m = n // 2
     perm = _coset_table(n)
     fb = int(f.table[b])
-    per_a: dict[int, dict[str, list[int]]] = {}
-    for tag, hits in (("PS_minus", hits_minus), ("PS_plus", hits_plus)):
-        for w_idx, k in hits:
-            block = perm[int(w_idx), (int(k) << m) : ((int(k) + 1) << m)]
-            for a in block:
-                per_a.setdefault(int(a), {}).setdefault(tag, []).append(int(w_idx))
-    for a in sorted(per_a):
-        if int(phi[a]) != fb:  # weight obstruction: g cannot be PS at all
+    hits = np.concatenate([hits_minus, hits_plus])
+    plus = np.repeat([0, 1], [len(hits_minus), len(hits_plus)])
+    # every point a of each hit's coset, keyed by (a, tag); the stable sort
+    # keeps each group's rows in ascending hit order, i.e. ascending W
+    points = perm[hits[:, :1], (hits[:, 1:] << m) + np.arange(1 << m)]
+    keys = ((points.astype(np.int64) << 1) | plus[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], np.repeat(hits[:, 0], 1 << m)[order]
+    bounds = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
+    a, tag = np.divmod(keys[bounds[:-1]], 2)
+    need = (1 << (m - 1)) + tag
+    # phi[a] != f(b) is the weight obstruction: g cannot be PS at all
+    for i in np.flatnonzero((np.diff(bounds) >= need) & (phi[a] == fb)):
+        group = rows[bounds[i] : bounds[i + 1]]
+        clique = _disjoint_clique(group, n, int(need[i]))
+        if clique is None:
             continue
-        for tag in ("PS_minus", "PS_plus"):
-            s = (1 << (m - 1)) + (1 if tag == "PS_plus" else 0)
-            w_list = per_a[a].get(tag, [])
-            if len(w_list) < s:
-                continue
-            for w_idx in w_list:
-                if w_idx not in complements:
-                    U = orthogonal_complement(_midspace(n, w_idx))
-                    complements[w_idx] = (U, _nonzero_mask(U))
-            cands = [complements[w_idx] for w_idx in w_list]
-            clique = _disjoint_clique([mask for _, mask in cands], s)
-            if clique is None:
-                continue
-            c = fb ^ (1 if tag == "PS_plus" else 0)
-            inner = PartialSpreadWitness(tag, tuple(cands[i][0] for i in clique))
-            found = PsSharpWitness(b, a, c, inner)
-            if _witness_holds(f, found):
-                return found
+        subclass = "PS_plus" if tag[i] else "PS_minus"
+        subspaces = tuple(orthogonal_complement(_midspace(n, int(group[j]))) for j in clique)
+        inner = PartialSpreadWitness(subclass, subspaces)
+        found = PsSharpWitness(b, int(a[i]), fb ^ int(tag[i]), inner)
+        if _witness_holds(f, found):
+            return found
     return None
 
 
@@ -452,7 +453,6 @@ def is_in_ps_sharp(
 
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, n)
-    complements: dict[int, tuple[Subspace, int]] = {}
     all_b = range(state.next_b, 1 << n)
     checkpoint_every = max(1, _CHECKPOINT_PAIRS >> n)
     work = partial(_sweep_one_b, f, cells, dual_table)
@@ -462,7 +462,7 @@ def is_in_ps_sharp(
     with pool:
         shifts = pool.map(work, all_b) if jobs > 1 else map(work, all_b)
         for b, (phi, hm, hp) in zip(all_b, shifts):
-            found = _try_pairs_for_b(f, b, phi, hm, hp, complements)
+            found = _try_pairs_for_b(f, b, phi, hm, hp)
             state.next_b = b + 1
             if found is not None:
                 break

@@ -448,12 +448,12 @@ def run_claims(fast: bool = False, jobs: int = 1, report=print) -> int:
         if fast and claim.needs_sharp:
             report(f"SKIP {claim.name} (PS# stage, --fast)")
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = claim.run(options)
         except Exception as exc:  # claims must not abort the battery
             ok, detail = False, f"exception: {exc!r}"
-        took = time.time() - t0
+        took = time.perf_counter() - t0
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

@@ -6,7 +6,13 @@ import pytest
 from bentforge import fixtures as fx
 from bentforge.boolfun import BooleanFunction, from_anf, parse_anf, zero_function
 from bentforge.construct import delta0, mm_bent
-from bentforge.gf2 import apply_linear, enumerate_subspaces, random_invertible, span
+from bentforge.gf2 import (
+    apply_linear,
+    enumerate_subspaces,
+    gaussian_binomial,
+    random_invertible,
+    span,
+)
 from bentforge.gf2m import Field, power_map
 from bentforge.msub import (
     canonical_msubspace,
@@ -92,6 +98,16 @@ def test_profile_of_quadratic_bent():
     assert prof.counts[3] == 135
     assert prof.as_dict()["3"] == 135
     assert sorted(prof.counts) == [2, 3]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [xy_bent(3)] + [fx.published_bent8(name) for name in fx.PUBLISHED],
+    ids=["xy_bent3", *fx.PUBLISHED],
+)
+def test_profile_counts_at_most_all_subspaces(f):
+    for r, c in msubspace_profile(f).counts.items():
+        assert c <= gaussian_binomial(f.n, r)
 
 
 def test_profile_of_published_mix_has_no_top_dimension():

@@ -8,11 +8,12 @@ import pytest
 from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
 from bentforge.construct import mm_bent
 from bentforge.fixtures import published_bent8
-from bentforge.gf2 import enumerate_subspaces, intersect, span
+from bentforge.gf2 import enumerate_subspaces, intersect, orthogonal_complement, span
 from bentforge.psclass import (
     CACHE_ENV,
     _coset_cells,
     _coset_table,
+    _disjoint_clique,
     _midspace,
     _shifted_affine,
     _sweep_one_b,
@@ -304,3 +305,53 @@ def test_ps_candidates_match_mask_containment(n):
     for f in oracle_functions(n):
         want = [i for i, U in enumerate(subspaces) if all(f.table[e] for e in U.elements() if e)]
         assert ps_candidates(f) == want
+
+
+# ---------------------------------------------------------------------------
+# the clique stage on coset-table rows
+# ---------------------------------------------------------------------------
+
+def nonzero_membership(subspaces, n: int) -> np.ndarray:
+    out = np.zeros((len(subspaces), 1 << n))
+    for i, U in enumerate(subspaces):
+        out[i, [e for e in U.elements() if e]] = 1
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_midspaces_meet_in_zero_iff_complements_do(n):
+    # (W1 + W2)-perp = W1-perp & W2-perp, so the sweep may search the W
+    subspaces = list(enumerate_subspaces(n, n // 2))
+    own = nonzero_membership(subspaces, n)
+    perp = nonzero_membership([orthogonal_complement(U) for U in subspaces], n)
+    disjoint = own @ own.T == 0
+    assert disjoint.any()
+    assert np.array_equal(disjoint, perp @ perp.T == 0)
+
+
+def first_disjoint_subset(rows, n: int, s: int):
+    """Positions of the first s-subset of rows, in combinations order, whose
+    subspaces pairwise intersect in 0."""
+    spaces = [_midspace(n, r) for r in rows]
+    meets = {
+        (i, j): intersect(spaces[i], spaces[j]).dim > 0
+        for i, j in itertools.combinations(range(len(rows)), 2)
+    }
+    for combo in itertools.combinations(range(len(rows)), s):
+        if not any(meets[pair] for pair in itertools.combinations(combo, 2)):
+            return list(combo)
+    return None
+
+
+@pytest.mark.parametrize("n, lists", [(6, 60), (8, 6)])
+def test_disjoint_clique_matches_brute_force(n, lists):
+    rng = random.Random(n)
+    count = _coset_table(n).shape[0]
+    outcomes = set()
+    for _ in range(lists):
+        rows = rng.sample(range(count), rng.randrange(2, 15))
+        s = rng.randrange(2, 6)
+        want = first_disjoint_subset(rows, n, s)
+        assert _disjoint_clique(np.array(rows), n, s) == want, (rows, s)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
