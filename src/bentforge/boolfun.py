@@ -208,10 +208,7 @@ def shift(f: BooleanFunction, b: int) -> BooleanFunction:
 
 
 def _parity_array(x: np.ndarray) -> np.ndarray:
-    r = x.astype(np.int64)
-    for s in (16, 8, 4, 2, 1):
-        r ^= r >> s
-    return (r & 1).astype(np.uint8)
+    return (np.bitwise_count(x) & 1).astype(np.uint8)
 
 
 def indicator(elements, n: int) -> BooleanFunction:

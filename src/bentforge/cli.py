@@ -40,7 +40,7 @@ from .construct import (
 )
 from .gf2 import Subspace
 from .msub import MSubspaceProfile, is_in_mm_sharp, msubspace_profile, msubspaces
-from .psclass import PsSharpWitness, is_in_ps_sharp, is_partial_spread
+from .psclass import PsSharpWitness, check_sweep_size, is_in_ps_sharp, is_partial_spread
 from .vectorial import (
     VectorialFunction,
     check_p2,
@@ -64,9 +64,11 @@ def _emit(obj) -> None:
 
 def _maybe_file(text: str) -> str:
     p = Path(text)
-    if len(text) < 4096 and p.is_file():
-        return p.read_text()
-    return text
+    try:
+        is_file = len(text) < 4096 and p.is_file()
+    except OSError:  # e.g. a literal longer than a file name may be
+        is_file = False
+    return p.read_text() if is_file else text
 
 
 def _infer_n(anf_text: str) -> int:
@@ -139,12 +141,7 @@ class ClassReport:
         return out
 
 
-def analyze(
-    f: BooleanFunction,
-    sharp: bool = False,
-    jobs: int = 1,
-    resume=None,
-) -> ClassReport:
+def analyze(f: BooleanFunction, sharp: bool = False, resume=None) -> ClassReport:
     timings: dict[str, int] = {}
 
     def timed(stage, fn):
@@ -154,6 +151,11 @@ def analyze(
         return out
 
     bent = timed("bent", lambda: is_bent(f))
+    # reject an unsupported sweep before the profile and MM# stages
+    if sharp:
+        if f.n % 2 or not bent:
+            raise SystemExit("PS# analysis needs a bent function on even n")
+        check_sweep_size(f.n)
     degree = timed("degree", lambda: algebraic_degree(f))
     profile = timed("profile", lambda: msubspace_profile(f))
     mm = None
@@ -161,9 +163,7 @@ def analyze(
         mm = timed("mm_sharp", lambda: is_in_mm_sharp(f))
     ps = None
     if sharp:
-        if f.n % 2 or not bent:
-            raise SystemExit("PS# analysis needs a bent function on even n")
-        ps = timed("ps_sharp", lambda: is_in_ps_sharp(f, jobs=jobs, resume=resume))
+        ps = timed("ps_sharp", lambda: is_in_ps_sharp(f, resume=resume))
     return ClassReport(
         f.n, bent, degree, f.weight(), profile, mm, ps, sharp, timings
     )
@@ -171,7 +171,7 @@ def analyze(
 
 def _cmd_analyze(args) -> int:
     f = load_boolean(args)
-    report = analyze(f, sharp=args.sharp, jobs=args.jobs, resume=args.resume)
+    report = analyze(f, sharp=args.sharp, resume=args.resume)
     _emit(report.as_dict())
     return 0
 
@@ -198,7 +198,7 @@ def _cmd_profile(args) -> int:
 def _cmd_psclass(args) -> int:
     f = load_boolean(args)
     if args.sharp:
-        w = is_in_ps_sharp(f, jobs=args.jobs, resume=args.resume)
+        w = is_in_ps_sharp(f, resume=args.resume)
     else:
         w = is_partial_spread(f)
     _emit(None if w is None else w.as_dict())
@@ -287,7 +287,7 @@ def _cmd_perm_check(args) -> int:
 def _cmd_verify_paper(args) -> int:
     from .verify import run_claims
 
-    failures = run_claims(fast=args.fast, jobs=args.jobs)
+    failures = run_claims(fast=args.fast)
     print(f"# {'OK' if failures == 0 else f'{failures} FAILURES'}")
     return 0 if failures == 0 else 1
 
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full class report for one function")
     _add_input_flags(p)
     p.add_argument("--sharp", action="store_true", help="also run the PS# sweep")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", help="checkpoint file for long PS# sweeps")
     p.set_defaults(fn=_cmd_analyze)
 
@@ -325,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psclass", help="partial spread membership")
     _add_input_flags(p)
     p.add_argument("--sharp", action="store_true", help="sweep shifts and affine offsets")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume")
     p.set_defaults(fn=_cmd_psclass)
 
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the published-fixture regression battery")
     p.add_argument("--fast", action="store_true", help="skip the PS# sweeps")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_verify_paper)
 
     return ap

@@ -18,15 +18,12 @@ n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the whole space iff
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
 import uuid
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +423,13 @@ def _cache_path(f: BooleanFunction, resume: str | Path | None) -> Path | None:
     return None
 
 
+def check_sweep_size(n: int) -> None:
+    """Raise ValueError for a variable count the PS# sweep does not support."""
+    if n > 8:
+        # the n = 10 table is ~10^8 subspaces; the sweep is not desk-scale
+        raise ValueError("PS# sweep supported for n <= 8")
+
+
 def is_in_ps_sharp(
     f: BooleanFunction,
     jobs: int = 1,
@@ -437,39 +441,33 @@ def is_in_ps_sharp(
 
     Returns the first witness in (b, a) order, or None after the exhaustive
     sweep.  Checkpoints every 2^12 (b, a) pairs when a cache path is set
-    via `resume` or the BENTFORGE_CACHE_DIR environment variable.  With
-    jobs > 1 the per-shift cell selection runs on a thread pool; `progress`
-    is called with b after every shift that yields no witness.
+    via `resume` or the BENTFORGE_CACHE_DIR environment variable.
+    `progress` is called with b after every shift that yields no witness.
+    The sweep runs on one thread; `jobs` is accepted for callers that still
+    pass it, and ignored.
     """
     if not is_bent(f):
         raise ValueError("PS# membership is defined for bent functions")
     n = f.n
-    if n > 8:
-        # the n = 10 table is ~10^8 subspaces; the sweep is not desk-scale
-        raise ValueError("PS# sweep supported for n <= 8")
+    check_sweep_size(n)
     state = _SweepState(_cache_path(f, resume), f)
     if state.finished:
         return state.witness
 
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, n)
-    all_b = range(state.next_b, 1 << n)
     checkpoint_every = max(1, _CHECKPOINT_PAIRS >> n)
-    work = partial(_sweep_one_b, f, cells, dual_table)
 
     found = None
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-    with pool:
-        shifts = pool.map(work, all_b) if jobs > 1 else map(work, all_b)
-        for b, (phi, hm, hp) in zip(all_b, shifts):
-            found = _try_pairs_for_b(f, b, phi, hm, hp)
-            state.next_b = b + 1
-            if found is not None:
-                break
-            if progress:
-                progress(b)
-            if (b + 1) % checkpoint_every == 0:
-                state.save()
+    for b in range(state.next_b, 1 << n):
+        found = _try_pairs_for_b(f, b, *_sweep_one_b(f, cells, dual_table, b))
+        state.next_b = b + 1
+        if found is not None:
+            break
+        if progress:
+            progress(b)
+        if (b + 1) % checkpoint_every == 0:
+            state.save()
     state.save(
         witness=None if found is None else found.as_dict(), finished=True
     )

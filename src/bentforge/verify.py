@@ -58,17 +58,13 @@ class Claim:
     name: str
     criterion: int
     needs_sharp: bool
-    run: Callable[[dict], tuple[bool, str]]
-
-
-def _sharp_kwargs(options: dict) -> dict:
-    return {"jobs": options.get("jobs", 1)}
+    run: Callable[[], tuple[bool, str]]
 
 
 # --- criterion 1: fixture reproduction -------------------------------------
 
 def _claim_anf(name: str, builder, varmap) -> Callable:
-    def run(options):
+    def run():
         built = fx.to_paper_variables(concat4(builder()), varmap)
         target = fx.published_bent8(name)
         ok = built == target
@@ -80,7 +76,7 @@ def _claim_anf(name: str, builder, varmap) -> Callable:
 # --- criterion 2: class verdicts -------------------------------------------
 
 def _claim_verdicts(name: str) -> Callable:
-    def run(options):
+    def run():
         f = fx.published_bent8(name)
         if not is_bent(f):
             return False, "not bent"
@@ -93,9 +89,9 @@ def _claim_verdicts(name: str) -> Callable:
 
 
 def _claim_ps_none(name: str) -> Callable:
-    def run(options):
+    def run():
         f = fx.published_bent8(name)
-        w = is_in_ps_sharp(f, **_sharp_kwargs(options))
+        w = is_in_ps_sharp(f)
         return w is None, "exhaustive sweep none" if w is None else f"witness {w}"
 
     return run
@@ -103,7 +99,7 @@ def _claim_ps_none(name: str) -> Callable:
 
 # --- criterion 3 ------------------------------------------------------------
 
-def _claim_quadratic_count(options):
+def _claim_quadratic_count():
     f = mm_bent(identity_map(3), zero_function(3))
     count = len(msubspaces(f, 3))
     expect = 3 * 5 * 9
@@ -112,7 +108,7 @@ def _claim_quadratic_count(options):
 
 # --- criterion 4: the two-M-subspace permutation ----------------------------------------------
 
-def _claim_two_msubspaces(options):
+def _claim_two_msubspaces():
     pi = fx.perm_two_msubspaces()
     f = mm_bent(pi, zero_function(5))
     found = set(msubspaces(f, 5))
@@ -127,7 +123,7 @@ def _claim_two_msubspaces(options):
 
 # --- criterion 5: P1/APN battery -------------------------------------------
 
-def _claim_p1_battery(options):
+def _claim_p1_battery():
     pi = fx.apn_perm_m3()
     if not (is_permutation(pi) and is_apn(pi) and has_p1(pi)[0]):
         return False, "published permutation fails permutation/APN/P1"
@@ -161,7 +157,7 @@ def _vanishing_flats_bruteforce(F: VectorialFunction) -> int:
     return count
 
 
-def _claim_thm44(options):
+def _claim_thm44():
     m, t = 6, 2
     s = 2  # gcd(t, m)
     F = power_map(Field(m), (1 << t) + 1)
@@ -178,7 +174,7 @@ def _claim_thm44(options):
 
 # --- criterion 7 -------------------------------------------------------------
 
-def _claim_prop46_cor48(options):
+def _claim_prop46_cor48():
     x5 = power_map(Field(6), 5)
     report = check_p2(x5)
     if not report.fully_satisfies or report.max_vanishing_dim > 2:
@@ -201,7 +197,7 @@ def _p1_fixture(m: int) -> VectorialFunction:
     return extend_permutation(identity_map(3), power_map(Field(3), 3))
 
 
-def _claim_theorem31(options):
+def _claim_theorem31():
     rng = random.Random(31)
     for m in (3, 4):
         pi = _p1_fixture(m)
@@ -233,7 +229,7 @@ def _lifted_permutation(m: int, rng: random.Random) -> VectorialFunction:
     return VectorialFunction(m, np.array(conj))
 
 
-def _claim_prop21_witnesses(options):
+def _claim_prop21_witnesses():
     rng = random.Random(21)
     for i in range(10):
         m = 4 if i % 2 == 0 else 5
@@ -257,7 +253,7 @@ def _random_mm(m: int, rng: random.Random) -> BooleanFunction:
     return mm_bent(VectorialFunction(m, np.array(perm)), h)
 
 
-def _claim_concat_algebra(options):
+def _claim_concat_algebra():
     rng = random.Random(10)
     for _ in range(200):
         q = ConcatQuadruple(*(_random_mm(3, rng) for _ in range(4)))
@@ -312,7 +308,7 @@ def _algorithm1_candidates_literal(f: BooleanFunction) -> set[tuple[int, ...]]:
     return out
 
 
-def _claim_oracles(options):
+def _claim_oracles():
     # msubspaces against enumerate-then-filter
     rng = random.Random(11)
     for n, r in ((4, 2), (6, 2), (6, 3)):
@@ -342,7 +338,7 @@ def _naive_walsh(f: BooleanFunction, a: int) -> int:
     return sum((-1) ** ((int(f.table[x]) + (x & a).bit_count()) % 2) for x in range(1 << f.n))
 
 
-def _claim_core_identities(options):
+def _claim_core_identities():
     rng = random.Random(12)
     for _ in range(25):
         n = rng.randrange(2, 7)
@@ -378,7 +374,7 @@ def _claim_core_identities(options):
 
 # --- extra published checks ---------------------------------------------------
 
-def _claim_trace_cubic(options):
+def _claim_trace_cubic():
     f = fx.tr_xy3_bent()
     if not is_bent(f):
         return False, "Tr(x y^3) not bent"
@@ -387,25 +383,25 @@ def _claim_trace_cubic(options):
     return True, "bent with the unique canonical M-subspace"
 
 
-def _claim_mix_degree(options):
+def _claim_mix_degree():
     f = fx.published_bent8("delta0_mix")
     d = algebraic_degree(f)
     return d == 4, f"degree {d}"
 
 
-def _claim_dual_condition_mix(options):
+def _claim_dual_condition_mix():
     q = fx.delta0_mix_quadruple()
     s = dual(q.f1).table ^ dual(q.f2).table ^ dual(q.f3).table ^ dual(q.f4).table
     ok = bool(s.min() == 1)
     return ok, "f1*+f2*+f3*+f4* = 1" if ok else "dual condition fails"
 
 
-def _claim_thm53_mix(options):
+def _claim_thm53_mix():
     cert = theorem53_certify(fx.delta0_mix_quadruple())
     return cert.verdict == "outside_mm_sharp", cert.verdict
 
 
-def _claim_thm57_family(options):
+def _claim_thm57_family():
     cert = theorem57_check(fx.apn_family_quadruple())
     return cert.verdict == "outside_mm_sharp", cert.verdict
 
@@ -438,11 +434,10 @@ CLAIMS: list[Claim] = [
 ]
 
 
-def run_claims(fast: bool = False, jobs: int = 1, report=print) -> int:
+def run_claims(fast: bool = False, report=print) -> int:
     """Run every claim, print one PASS/FAIL line each, return failure count."""
     import time
 
-    options = {"jobs": jobs}
     failures = 0
     for claim in CLAIMS:
         if fast and claim.needs_sharp:
@@ -450,7 +445,7 @@ def run_claims(fast: bool = False, jobs: int = 1, report=print) -> int:
             continue
         t0 = time.perf_counter()
         try:
-            ok, detail = claim.run(options)
+            ok, detail = claim.run()
         except Exception as exc:  # claims must not abort the battery
             ok, detail = False, f"exception: {exc!r}"
         took = time.perf_counter() - t0

@@ -10,6 +10,7 @@ from bentforge.boolfun import (
     AnfParseError,
     AnfPoly,
     BooleanFunction,
+    _parity_array,
     algebraic_degree,
     constant_one,
     derivative,
@@ -275,3 +276,12 @@ def test_anf_text_round_trip(bits):
     f = func_from_bits(bits)
     poly = to_anf(f)
     assert parse_anf(format_anf(poly), f.n) == poly
+
+
+def test_parity_array_matches_bit_count():
+    # the sweep's oracle tests use the same helper, so check it on its own
+    values = np.random.default_rng(40).integers(0, 1 << 40, size=2000, dtype=np.int64)
+    values[:3] = [0, 1, (1 << 40) - 1]
+    got = _parity_array(values)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [int(v).bit_count() & 1 for v in values]

@@ -52,6 +52,52 @@ def test_analyze_sharp_rejects_non_bent(capsys):
     assert code != 0
 
 
+@pytest.mark.parametrize(
+    "n, anf, message",
+    [
+        (10, None, "PS# sweep supported for n <= 8"),
+        (4, "x1*x2*x3 + x4", "PS# analysis needs a bent function on even n"),
+    ],
+    ids=["n10-bent", "even-n-not-bent"],
+)
+def test_analyze_sharp_rejects_input_before_the_profile(capsys, monkeypatch, n, anf, message):
+    from bentforge import cli
+    from bentforge.boolfun import zero_function
+    from bentforge.construct import mm_bent
+    from bentforge.vectorial import identity_map
+
+    def forbidden(f):
+        raise AssertionError("M-subspace profile computed for a rejected input")
+
+    monkeypatch.setattr(cli, "msubspace_profile", forbidden)
+    if anf is None:
+        source = ("--tt", to_tt_hex(mm_bent(identity_map(n // 2), zero_function(n // 2))))
+    else:
+        source = ("--anf", anf, "--n", str(n))
+    code, _, err = run_cli(capsys, "analyze", "--sharp", *source)
+    assert code == 2
+    assert message in err
+
+
+def test_truth_table_literal_longer_than_a_file_name():
+    # at n = 10 the literal has 264 characters, more than a file name may have
+    from bentforge.boolfun import zero_function
+    from bentforge.cli import load_boolean_source
+    from bentforge.construct import mm_bent
+    from bentforge.vectorial import identity_map
+
+    f = mm_bent(identity_map(5), zero_function(5))
+    assert load_boolean_source(to_tt_hex(f)) == f
+
+
+@pytest.mark.parametrize("command", ["analyze", "psclass", "verify-paper"])
+def test_jobs_flag_is_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
 def test_analyze_parse_error_reports_position(capsys):
     code, _, err = run_cli(capsys, "analyze", "--anf", "x1 + bogus")
     assert code == 2

@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -118,6 +116,21 @@ def test_dual_bent_condition_rejects_non_bent(rng):
     q = ConcatQuadruple(*([zero_function(4)] * 4))
     with pytest.raises(ValueError):
         dual_bent_condition(q)
+
+
+def _equal_pieces_quadruple() -> ConcatQuadruple:
+    f = mm_bent(identity_map(3), zero_function(3))
+    return ConcatQuadruple(f, f, f, f)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [builder for builder, _ in fx.QUADRUPLES.values()] + [_equal_pieces_quadruple],
+    ids=[*fx.QUADRUPLES, "equal-pieces"],
+)
+def test_dual_bent_condition_iff_concatenation_bent(build):
+    q = build()
+    assert dual_bent_condition(q) == is_bent(concat4(q))
 
 
 def test_dual_bent_condition_on_example54():

@@ -8,7 +8,14 @@ import pytest
 from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
 from bentforge.construct import mm_bent
 from bentforge.fixtures import published_bent8
-from bentforge.gf2 import enumerate_subspaces, intersect, orthogonal_complement, span
+from bentforge.gf2 import (
+    apply_linear,
+    enumerate_subspaces,
+    intersect,
+    orthogonal_complement,
+    random_invertible,
+    span,
+)
 from bentforge.psclass import (
     CACHE_ENV,
     _coset_cells,
@@ -118,14 +125,23 @@ def test_ps_sharp_checkpoint_resume(tmp_path):
     assert is_in_ps_sharp(f, resume=path) is None
 
 
-def test_ps_sharp_jobs_match_serial():
-    f = ps_ap(3, balanced_h3())
-    g = _shifted_affine(f, 3, 5, 0)
-    serial = is_in_ps_sharp(g)
-    parallel = is_in_ps_sharp(g, jobs=2)
-    assert (serial is None) == (parallel is None)
-    if serial is not None:
-        assert (serial.shift, serial.affine) == (parallel.shift, parallel.affine)
+def test_ps_sharp_progress_reports_every_shift_before_the_witness():
+    # the call shape of an outside caller: jobs (ignored), resume, progress;
+    # n = 8, since the disguises of ps_ap(3, h) tried all have a witness at b = 0
+    rng = random.Random(3)
+    f = ps_ap(4, BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]))
+    A = random_invertible(8, rng)
+    linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
+    g = _shifted_affine(linear, rng.randrange(1, 8), rng.randrange(256), rng.randrange(2))
+    plain = is_in_ps_sharp(g)
+    assert plain is not None and plain.shift > 0
+    seen = []
+    w = is_in_ps_sharp(g, jobs=1, resume=None, progress=seen.append)
+    assert w == plain
+    assert seen == list(range(plain.shift))
+    seen.clear()
+    assert is_in_ps_sharp(mm_bent(identity_map(3), zero_function(3)), progress=seen.append) is None
+    assert seen == list(range(64))
 
 
 def test_candidate_filter_counts():
