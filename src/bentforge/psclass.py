@@ -10,10 +10,16 @@ when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
 r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
 the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
 sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
-shift b only selects the cells whose u matches it.  The disjointness search
-then runs on the hit subspaces W, not on their complements: two
-n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the whole space iff
-(W1 + W2)-perp, the intersection of W1-perp and W2-perp, is 0.
+shift b only selects the cells whose u matches it.  u and b.r are linear in
+b, so the pass tabulates them for the n unit vectors and a shift XORs the
+rows of its set bits.  The disjointness search then runs on the hit
+subspaces W, not on their complements: two n/2-subspaces W1, W2 meet only
+in 0 iff W1 + W2 is the whole space iff (W1 + W2)-perp, the intersection of
+W1-perp and W2-perp, is 0.  Each shift builds one disjointness matrix over
+the distinct rows of its (a, subclass) groups and applies the degree bound
+to all groups in one matrix product; only the few groups that pass it are
+searched, each on its sub-block.  The single-function PS test is the same
+stage with one group.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ CACHE_ENV = "BENTFORGE_CACHE_DIR"
 _CHECKPOINT_PAIRS = 1 << 12
 # Written into every checkpoint; records of another version are recomputed.
 # Bump it whenever the sweep algorithm changes.
-_SWEEP_VERSION = 3
+_SWEEP_VERSION = 4
 # Coset-table rows gathered at a time by the cell pass (2 MB at n = 8).
 _CELL_ROWS = 1 << 13
 
@@ -149,24 +155,39 @@ def ps_candidates(f: BooleanFunction) -> list[int]:
     return np.flatnonzero(f.table[perm[:, 1 : 1 << (f.n // 2)]].all(axis=1)).tolist()
 
 
-def _disjoint_clique(rows, n: int, s: int) -> list[int] | None:
-    """Branch-and-bound search for s coset-table rows whose subspaces
-    pairwise meet only in 0; returns the chosen positions in `rows`.
+def _disjointness(rows: np.ndarray, n: int) -> np.ndarray:
+    """Boolean matrix over coset-table rows: entry (i, j) is set when the
+    subspaces of rows i and j meet only in 0.
 
-    Two rows are neighbours when the nonzero elements of their block 0
-    share no point: the Gram matrix of the 0/1 membership rows counts the
-    shared points (exactly, in float32).  A subspace meets itself, so no
-    row is its own neighbour.
+    The Gram matrix of the 0/1 membership rows of each block 0 without its
+    0 counts the shared points (exactly, in float32).  A subspace meets
+    itself, so the diagonal is clear.
     """
-    L = len(rows)
-    if L < s:
-        return None
-    members = np.zeros((L, 1 << n), dtype=np.float32)
-    members[np.arange(L)[:, None], _coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
-    disjoint = members @ members.T == 0
-    # a row of an s-clique has s - 1 neighbours; most sweep searches end here
-    if np.count_nonzero(disjoint.sum(axis=1) >= s - 1) < s:
-        return None
+    members = np.zeros((len(rows), 1 << n), dtype=np.float32)
+    members[np.arange(len(rows))[:, None], _coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
+    return members @ members.T == 0
+
+
+def _degree_bound(groups: np.ndarray, disjoint: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """Mask of the groups that may hold a clique of need[g] rows.
+
+    `groups` is the 0/1 float32 membership of each group over the rows of
+    `disjoint`, so one product gives every row's neighbour count inside
+    every group.  A row of an s-clique has s - 1 neighbours in its group,
+    so a group needs s such rows.
+    """
+    degree = groups @ disjoint.astype(np.float32)
+    enough = (degree >= need[:, None] - 1) & (groups > 0)
+    return np.count_nonzero(enough, axis=1) >= need
+
+
+def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
+    """Branch-and-bound search for s pairwise-disjoint rows of one group;
+    `disjoint` is the group's sub-block of the matrix from `_disjointness`,
+    rows in group order.  Returns the first clique in lexicographic order of
+    positions, or None.  Callers run `_degree_bound` first, which ends
+    almost every sweep search before this.
+    """
     nbr = [int.from_bytes(r, "little") for r in np.packbits(disjoint, axis=1, bitorder="little")]
 
     def grow(chosen: list[int], allowed: int) -> list[int] | None:
@@ -184,7 +205,27 @@ def _disjoint_clique(rows, n: int, s: int) -> list[int] | None:
                 return got
         return None
 
-    return grow([], (1 << L) - 1)
+    return grow([], (1 << len(disjoint)) - 1)
+
+
+def _group_cliques(rows: np.ndarray, bounds: np.ndarray, need: np.ndarray, n: int):
+    """Clique stage for groups of coset-table rows: group g is
+    rows[bounds[g] : bounds[g + 1]] and wants need[g] pairwise-disjoint
+    subspaces.
+
+    One disjointness matrix is built over the distinct rows of all groups
+    and the degree bound is applied to every group at once; for each group
+    that passes it, in order, yields (g, clique positions in the group or
+    None) from a search on the group's sub-block.
+    """
+    distinct, col = np.unique(rows, return_inverse=True)
+    disjoint = _disjointness(distinct, n)
+    sizes = np.diff(bounds)
+    groups = np.zeros((len(sizes), len(distinct)), dtype=np.float32)
+    groups[np.repeat(np.arange(len(sizes)), sizes), col] = 1
+    for g in np.flatnonzero(_degree_bound(groups, disjoint, need)):
+        c = col[bounds[g] : bounds[g + 1]]
+        yield int(g), _disjoint_clique(disjoint[np.ix_(c, c)], int(need[g]))
 
 
 def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
@@ -207,11 +248,11 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
         subclass, s, want_weight = "PS_minus", 1 << (m - 1), (1 << (n - 1)) - (1 << (m - 1))
     if f.weight() != want_weight:
         return None
-    rows = ps_candidates(f)
-    clique = _disjoint_clique(rows, n, s)
+    rows = np.array(ps_candidates(f), dtype=np.intp)
+    clique = dict(_group_cliques(rows, np.array([0, len(rows)]), np.array([s]), n)).get(0)
     if clique is None:
         return None
-    witness = PartialSpreadWitness(subclass, tuple(_midspace(n, rows[i]) for i in clique))
+    witness = PartialSpreadWitness(subclass, tuple(_midspace(n, int(rows[i])) for i in clique))
     if witness.reconstruct(n) != f:  # unreachable given the weight filter
         return None
     return witness
@@ -258,14 +299,19 @@ def _pack_cosets(values: np.ndarray, m: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _CosetCells:
     """The (subspace, coset, u, S) cells with |S(u)| >= 2^m - 2, sorted by
-    (subspace index, coset block, u); one entry per cell in each array."""
+    (subspace index, coset block, u); one entry per cell in each array.
+
+    u_b = (b.w_1, ..., b.w_m) and b.r are linear in b, so they are
+    tabulated for the n unit vectors b = e_j (one row per j) and XORed over
+    the set bits of each shift.
+    """
 
     w_idx: np.ndarray
     block: np.ndarray
-    rep: np.ndarray  # coset representative r: the block's first point
-    basis: np.ndarray  # (cells, m): w_1..w_m of the subspace
     u: np.ndarray
     spectrum: np.ndarray  # S_{W,r}(u)
+    unit_u: np.ndarray  # (n, cells): u_b for b = e_j, bit k is bit j of w_k
+    unit_r: np.ndarray  # (n, cells): e_j.r, r the block's first point
 
 
 def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
@@ -284,14 +330,24 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         us.append(u)
         ss.append(spec[row, u])
     w_idx, block = np.divmod(np.concatenate(flat), size)
+    j = np.arange(n, dtype=np.uint8)[:, None]
+    basis = perm[w_idx[:, None], 1 << np.arange(m)]
+    unit_u = np.zeros((n, len(w_idx)), dtype=np.uint8)
+    for k in range(m):
+        unit_u |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
         w_idx=w_idx,
         block=block,
-        rep=perm[w_idx, block << m].astype(np.int64),
-        basis=perm[w_idx[:, None], 1 << np.arange(m)].astype(np.int64),
         u=np.concatenate(us),
         spectrum=np.concatenate(ss).astype(np.int64),
+        unit_u=unit_u,
+        unit_r=(perm[w_idx, block << m] >> j) & 1,
     )
+
+
+def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
+    """XOR of the rows j of a per-unit-vector table over the set bits of b."""
+    return np.bitwise_xor.reduce(table[[j for j in range(len(table)) if b >> j & 1]], axis=0)
 
 
 def _sweep_one_b(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, b: int):
@@ -304,11 +360,9 @@ def _sweep_one_b(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     """
     n = f.n
     m = n // 2
-    idx = np.arange(1 << n)
-    phi = dual_table ^ _parity_array(idx & b)
-    u_b = (_parity_array(cells.basis & b).astype(np.int64) << np.arange(m)).sum(axis=1)
-    keep = np.flatnonzero(cells.u == u_b)
-    sign = 1 - 2 * _parity_array(cells.rep[keep] & b).astype(np.int64)
+    phi = dual_table ^ _parity_array(np.arange(1 << n) & b)
+    keep = np.flatnonzero(cells.u == _unit_xor(cells.unit_u, b))
+    sign = 1 - 2 * _unit_xor(cells.unit_r, b)[keep].astype(np.int64)
     counts = ((1 << m) - sign * cells.spectrum[keep]) // 2
     fb = int(f.table[b])  # g(0) bookkeeping: f(b) decides the target counts
     t_minus = (1 << m) - 1 if fb == 0 else 1
@@ -317,18 +371,18 @@ def _sweep_one_b(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     return phi, hit[counts == t_minus], hit[counts == t_plus]
 
 
-def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
-    """Run the clique stage for every viable a at this b, ascending.
+def _shift_groups(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
+    """The viable (a, subclass) groups at shift b, ascending in (a, tag),
+    tag 1 for PS_plus.
 
     A hit (W, block) makes W-perp a candidate for every a in that coset of
-    W.  The search runs on the W themselves, since two n/2-subspaces meet
-    only in 0 exactly when their orthogonal complements do ((W1 + W2)-perp
-    is the intersection of W1-perp and W2-perp).  Only the subspaces of a
-    clique that is found are turned into complements, for the witness.
+    W.  A group is viable when it has at least need = 2^(m-1) + tag hits
+    and phi[a] = f(b) (otherwise the weight of g rules out PS).  Returns
+    (a, tag, need, rows, bounds): group g holds the coset-table rows
+    rows[bounds[g] : bounds[g + 1]], in ascending order.
     """
-    n = f.n
-    m = n // 2
-    perm = _coset_table(n)
+    m = f.n // 2
+    perm = _coset_table(f.n)
     fb = int(f.table[b])
     hits = np.concatenate([hits_minus, hits_plus])
     plus = np.repeat([0, 1], [len(hits_minus), len(hits_plus)])
@@ -338,19 +392,38 @@ def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
     keys = ((points.astype(np.int64) << 1) | plus[:, None]).ravel()
     order = np.argsort(keys, kind="stable")
     keys, rows = keys[order], np.repeat(hits[:, 0], 1 << m)[order]
-    bounds = np.append(np.flatnonzero(np.diff(keys, prepend=-1)), len(keys))
-    a, tag = np.divmod(keys[bounds[:-1]], 2)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sizes = np.diff(starts, append=len(keys))
+    a, tag = np.divmod(keys[starts], 2)
     need = (1 << (m - 1)) + tag
-    # phi[a] != f(b) is the weight obstruction: g cannot be PS at all
-    for i in np.flatnonzero((np.diff(bounds) >= need) & (phi[a] == fb)):
-        group = rows[bounds[i] : bounds[i + 1]]
-        clique = _disjoint_clique(group, n, int(need[i]))
+    viable = (sizes >= need) & (phi[a] == fb)
+    bounds = np.concatenate([[0], np.cumsum(sizes[viable])])
+    return a[viable], tag[viable], need[viable], rows[np.repeat(viable, sizes)], bounds
+
+
+def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
+    """Run the clique stage for every viable a at this b, ascending.
+
+    The search runs on the hit subspaces W themselves, since two
+    n/2-subspaces meet only in 0 exactly when their orthogonal complements
+    do ((W1 + W2)-perp is the intersection of W1-perp and W2-perp).  One
+    disjointness matrix covers the distinct rows of all the shift's viable
+    groups (at most 126 on the published functions, whose shifts have up to
+    205 distinct hit rows), one batched degree bound drops almost every
+    group, and only the survivors are searched, each on its sub-block.  Only the subspaces of a clique that is found are turned
+    into complements, for the witness.
+    """
+    n = f.n
+    fb = int(f.table[b])
+    a, tag, need, rows, bounds = _shift_groups(f, b, phi, hits_minus, hits_plus)
+    for g, clique in _group_cliques(rows, bounds, need, n):
         if clique is None:
             continue
-        subclass = "PS_plus" if tag[i] else "PS_minus"
+        group = rows[bounds[g] : bounds[g + 1]]
+        subclass = "PS_plus" if tag[g] else "PS_minus"
         subspaces = tuple(orthogonal_complement(_midspace(n, int(group[j]))) for j in clique)
         inner = PartialSpreadWitness(subclass, subspaces)
-        found = PsSharpWitness(b, int(a[i]), fb ^ int(tag[i]), inner)
+        found = PsSharpWitness(b, int(a[g]), fb ^ int(tag[g]), inner)
         if _witness_holds(f, found):
             return found
     return None

@@ -7,7 +7,7 @@ import pytest
 
 from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
 from bentforge.construct import mm_bent
-from bentforge.fixtures import published_bent8
+from bentforge.fixtures import PUBLISHED, published_bent8
 from bentforge.gf2 import (
     apply_linear,
     enumerate_subspaces,
@@ -20,10 +20,12 @@ from bentforge.psclass import (
     CACHE_ENV,
     _coset_cells,
     _coset_table,
-    _disjoint_clique,
+    _group_cliques,
     _midspace,
+    _shift_groups,
     _shifted_affine,
     _sweep_one_b,
+    _unit_xor,
     is_in_ps_sharp,
     is_partial_spread,
     ps_ap,
@@ -256,6 +258,20 @@ def test_sweep_hits_match_direct_coset_count_n8():
     assert_hits_match(published_bent8("delta0_mix"), (0, 1, 77, 200, 255))
 
 
+def test_tabulated_shift_parities_match_direct_n8():
+    # u_b = (b.w_1, ..., b.w_m) and b.r, from the subspace basis and the
+    # coset representative of every cell
+    n, m = 8, 4
+    cells = _coset_cells(dual(published_bent8("delta0_mix")).table, n)
+    perm = _coset_table(n)
+    basis = perm[cells.w_idx[:, None], 1 << np.arange(m)].astype(np.int64)
+    rep = perm[cells.w_idx, cells.block << m].astype(np.int64)
+    for b in range(1 << n):
+        u_b = (_parity_array(basis & b).astype(np.int64) << np.arange(m)).sum(axis=1)
+        assert np.array_equal(_unit_xor(cells.unit_u, b), u_b), b
+        assert np.array_equal(_unit_xor(cells.unit_r, b), _parity_array(rep & b)), b
+
+
 def first_direct_witness(f: BooleanFunction):
     """Smallest (b, a) with f(x + b) + a.x + c in PS for some c, tested directly."""
     for b in range(1 << f.n):
@@ -277,6 +293,18 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
     if w is not None:
         assert (w.shift, w.affine) == first
         assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
+
+
+@pytest.mark.parametrize("name", PUBLISHED)
+def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name, monkeypatch):
+    # PS# is closed under f -> f* and under f(x) -> f(Ax); no saved verdict is read
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    f = published_bent8(name)
+    A = random_invertible(8, random.Random(8))
+    linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
+    verdict = is_in_ps_sharp(f) is not None
+    assert (is_in_ps_sharp(dual(f)) is not None) == verdict
+    assert (is_in_ps_sharp(linear) is not None) == verdict
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +396,95 @@ def test_disjoint_clique_matches_brute_force(n, lists):
         rows = rng.sample(range(count), rng.randrange(2, 15))
         s = rng.randrange(2, 6)
         want = first_disjoint_subset(rows, n, s)
-        assert _disjoint_clique(np.array(rows), n, s) == want, (rows, s)
+        got = dict(_group_cliques(np.array(rows), np.array([0, len(rows)]), np.array([s]), n))
+        assert got.get(0) == want, (rows, s)
         outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def reference_group_clique(rows, n: int, s: int):
+    """The clique stage of one group on its own: membership and Gram matrix
+    of its rows, the degree bound, then branch and bound.  Returns (kept by
+    the bound, first clique or None)."""
+    L = len(rows)
+    if L < s:
+        return False, None
+    members = np.zeros((L, 1 << n), dtype=np.float32)
+    members[np.arange(L)[:, None], _coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
+    disjoint = members @ members.T == 0
+    if np.count_nonzero(disjoint.sum(axis=1) >= s - 1) < s:
+        return False, None
+    nbr = [int.from_bytes(r, "little") for r in np.packbits(disjoint, axis=1, bitorder="little")]
+
+    def grow(chosen, allowed):
+        if len(chosen) == s:
+            return chosen
+        if len(chosen) + allowed.bit_count() < s:
+            return None
+        c = allowed
+        while c:
+            low = c & -c
+            i = low.bit_length() - 1
+            c ^= low
+            got = grow(chosen + [i], c & nbr[i])
+            if got is not None:
+                return got
+        return None
+
+    return True, grow([], (1 << L) - 1)
+
+
+def batched_and_reference_cliques(f: BooleanFunction, shifts):
+    """Per shift, the groups the batched bound keeps with their cliques, and
+    the same from the per-group reference; also the group count."""
+    dual_table = dual(f).table
+    cells = _coset_cells(dual_table, f.n)
+    total = 0
+    for b in shifts:
+        a, tag, need, rows, bounds = _shift_groups(f, b, *_sweep_one_b(f, cells, dual_table, b))
+        want = {}
+        for g in range(len(need)):
+            kept, clique = reference_group_clique(rows[bounds[g] : bounds[g + 1]], f.n, int(need[g]))
+            if kept:
+                want[g] = clique
+        total += len(need)
+        yield b, dict(_group_cliques(rows, bounds, need, f.n)), want
+    assert total > 0
+
+
+def test_batched_degree_bound_matches_per_group_reference_on_random_groups():
+    # many overlapping groups of random rows in one call, each with its own s
+    rng = random.Random(66)
+    count = _coset_table(6).shape[0]
+    groups = [sorted(rng.sample(range(count), rng.randrange(2, 15))) for _ in range(300)]
+    need = np.array([rng.randrange(2, 6) for _ in groups])
+    rows = np.concatenate(groups)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    want = {}
+    for g, group in enumerate(groups):
+        kept, clique = reference_group_clique(np.array(group), 6, int(need[g]))
+        if kept:
+            want[g] = clique
+    got = dict(_group_cliques(rows, bounds, need, 6))
+    assert got == want
+    assert 0 < sum(c is None for c in got.values()) < len(got) < len(groups)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_batched_degree_bound_matches_per_group_reference(n):
+    kept = 0
+    for f in oracle_functions(n):
+        for b, got, want in batched_and_reference_cliques(f, range(1 << n)):
+            assert got == want, (f.digest(), b)
+            kept += len(got)
+    assert kept > 0
+
+
+@pytest.mark.parametrize("name, some_kept", [("delta0_mix", True), ("transposed", False)])
+def test_batched_degree_bound_matches_per_group_reference_n8(name, some_kept):
+    g = ea_disguise(published_bent8(name), random.Random(name))
+    kept = 0
+    for b, got, want in batched_and_reference_cliques(g, range(256)):
+        assert got == want, b
+        kept += len(got)
+    assert (kept > 0) == some_kept
