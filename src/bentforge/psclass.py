@@ -10,12 +10,16 @@ when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
 r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
 the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
 sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
-shift b only selects the cells whose u matches it.  u and b.r are linear in
-b, so the pass tabulates them for the n unit vectors and a shift XORs the
-rows of its set bits.  The disjointness search then runs on the hit
-subspaces W, not on their complements: two n/2-subspaces W1, W2 meet only
-in 0 iff W1 + W2 is the whole space iff (W1 + W2)-perp, the intersection of
-W1-perp and W2-perp, is 0.  Each shift builds one disjointness matrix over
+shift b only selects the cells whose u matches it.  The pass builds each
+coset's 2^m-bit word of f* from 2^k-bit pieces, k = min(m, 2): a coset is
+listed in basis-coordinate order, so each run of 2^k points is
+t + span(w_1..w_k), and one per-function table indexed by that head span
+and t holds the run's bits.  u and b.r are linear in b, so the pass
+tabulates them for the n unit vectors and a shift XORs the rows of its set
+bits.  The disjointness search then runs on the hit subspaces W, not on
+their complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is
+the whole space iff (W1 + W2)-perp, the intersection of W1-perp and
+W2-perp, is 0.  Each shift builds one disjointness matrix over
 the distinct rows of its (a, subclass) groups and applies the degree bound
 to all groups in one matrix product; only the few groups that pass it are
 searched, each on its sub-block.  The single-function PS test is the same
@@ -42,8 +46,9 @@ _CHECKPOINT_PAIRS = 1 << 12
 # Written into every checkpoint; records of another version are recomputed.
 # Bump it whenever the sweep algorithm changes.
 _SWEEP_VERSION = 4
-# Coset-table rows gathered at a time by the cell pass (2 MB at n = 8).
-_CELL_ROWS = 1 << 13
+# Coset-table rows read at a time by the cell pass (at n = 8, 512 kB of
+# int32 lookup indices).
+_CELL_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,7 @@ class PsSharpWitness:
 
 _COSET: dict[int, np.ndarray] = {}
 _WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_HEAD: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _span_rows(vectors: np.ndarray) -> np.ndarray:
@@ -288,14 +294,6 @@ def _coset_wht(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _WHT[m]
 
 
-def _pack_cosets(values: np.ndarray, m: int) -> np.ndarray:
-    """One word per run of 2^m consecutive 0/1 values; bit j is value j."""
-    size = 1 << m
-    if size < 8:
-        return np.packbits(values.reshape(-1, size), axis=1, bitorder="little")[:, 0]
-    return np.packbits(values.ravel(), bitorder="little").view(f"<u{size // 8}")
-
-
 @dataclass(frozen=True)
 class _CosetCells:
     """The (subspace, coset, u, S) cells with |S(u)| >= 2^m - 2, sorted by
@@ -314,15 +312,72 @@ class _CosetCells:
     unit_r: np.ndarray  # (n, cells): e_j.r, r the block's first point
 
 
+def _head_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct head spans of the coset table and each row's offset.
+
+    A row's head is entries 0 .. 2^k - 1 of block 0, k = min(n/2, 2): the
+    span of its first k basis vectors in basis-coordinate order.  Returns
+    (heads, offset): one head per row of `heads`, and per coset-table row
+    the index of its head shifted left by n, as int32.
+    """
+    if n not in _HEAD:
+        perm = _coset_table(n)
+        k = min(n // 2, 2)
+        key = np.zeros(perm.shape[0], dtype=np.uint32)
+        for s in range(1 << k):
+            key |= perm[:, s].astype(np.uint32) << (8 * s)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        _HEAD[n] = (perm[first, : 1 << k], inverse.astype(np.int32) << n)
+    return _HEAD[n]
+
+
+def _head_words(dual_table: np.ndarray, n: int) -> np.ndarray:
+    """Flat (heads x 2^n) table of 2^k-bit pieces: entry (h, t) has bit s
+    set when f*(t + head_h[s]) = 1.
+
+    Built from rows of the uint8 translate table f*(t + s), one row per
+    head point, so no per-point index grid is made.
+    """
+    heads, _ = _head_index(n)
+    points = np.arange(1 << n, dtype=np.uint8)
+    translate = dual_table[np.bitwise_xor.outer(points, points)]
+    words = np.zeros((len(heads), 1 << n), dtype=np.uint8)
+    for s in range(heads.shape[1]):
+        words |= translate[heads[:, s]] << s
+    return words.ravel()
+
+
+def _coset_words(head_words: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """The 2^m-bit word of f* on every coset of rows lo .. hi - 1, in (row,
+    block) order; bit j is f* at entry j of the block.
+
+    Blocks are in basis-coordinate order, so entries 2^k i .. 2^k i + 2^k - 1
+    are t + head for t = entry 2^k i: one lookup gives those 2^k bits.
+    """
+    m = n // 2
+    k = min(m, 2)
+    perm = _coset_table(n)
+    _, offset = _head_index(n)
+    pieces = head_words.take(perm[lo:hi, :: 1 << k] + offset[lo:hi, None])
+    pieces = pieces.reshape(-1, 1 << (m - k))
+    dtype = np.min_scalar_type((1 << (1 << m)) - 1)
+    words = pieces[:, 0].astype(dtype)
+    for i in range(1, pieces.shape[1]):
+        words |= pieces[:, i].astype(dtype) << (i << k)
+    return words
+
+
 def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
-    """One gather of f* through the coset table, in row chunks."""
+    """Every coset's word of f*, from one head-table lookup per 2^k points,
+    in row chunks; the near-affine words give the cells."""
     m = n // 2
     size = 1 << m
     perm = _coset_table(n)
     spectra, near = _coset_wht(m)
+    head_words = _head_words(dual_table, n)
     flat, us, ss = [], [], []
     for lo in range(0, perm.shape[0], _CELL_ROWS):
-        words = _pack_cosets(dual_table[perm[lo : lo + _CELL_ROWS]], m)
+        words = _coset_words(head_words, lo, lo + _CELL_ROWS, n)
         cosets = np.flatnonzero(near[words])
         spec = spectra[words[cosets]]
         row, u = np.nonzero(np.abs(spec) >= size - 2)
@@ -410,8 +465,9 @@ def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
     disjointness matrix covers the distinct rows of all the shift's viable
     groups (at most 126 on the published functions, whose shifts have up to
     205 distinct hit rows), one batched degree bound drops almost every
-    group, and only the survivors are searched, each on its sub-block.  Only the subspaces of a clique that is found are turned
-    into complements, for the witness.
+    group, and only the survivors are searched, each on its sub-block.
+    Only the subspaces of a clique that is found are turned into
+    complements, for the witness.
     """
     n = f.n
     fb = int(f.table[b])

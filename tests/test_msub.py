@@ -1,8 +1,17 @@
+import random
+
 import numpy as np
 import pytest
 
 from bentforge import fixtures as fx
-from bentforge.boolfun import BooleanFunction, from_anf, parse_anf, zero_function
+from bentforge.boolfun import (
+    BooleanFunction,
+    _parity_array,
+    dual,
+    from_anf,
+    parse_anf,
+    zero_function,
+)
 from bentforge.construct import delta0, mm_bent
 from bentforge.gf2 import (
     apply_linear,
@@ -21,6 +30,13 @@ from bentforge.msub import (
 )
 from bentforge.vectorial import VectorialFunction, identity_map, linear_structures_vf
 from conftest import random_function, random_permutation_table
+
+
+def ea_image(f: BooleanFunction, A: list[int], b=0, a=0, c=0) -> BooleanFunction:
+    """x -> f(A(x + b)) + a.x + c."""
+    idx = np.arange(1 << f.n)
+    moved = np.array([apply_linear(A, x ^ b) for x in range(1 << f.n)])
+    return BooleanFunction(f.n, f.table[moved] ^ _parity_array(idx & a) ^ c)
 
 
 def xy_bent(m: int) -> BooleanFunction:
@@ -120,11 +136,7 @@ def test_profile_is_equivalence_invariant(rng):
         A = random_invertible(6, rng)
         ell = rng.randrange(64)
         c = rng.randrange(2)
-        table = np.zeros(64, dtype=np.uint8)
-        for x in range(64):
-            ax = apply_linear(A, x)
-            table[x] = f.table[ax] ^ ((x & ell).bit_count() & 1) ^ c
-        g = BooleanFunction(6, table)
+        g = ea_image(f, A, a=ell, c=c)
         assert msubspace_profile(g).counts == base.counts
 
 
@@ -213,3 +225,33 @@ def test_published_functions_have_distinct_profiles():
     assert profiles["transposed"] == ((2, 91), (3, 0), (4, 0))
     assert profiles["apn_family"] == ((2, 7), (3, 1), (4, 0))
     assert len(set(profiles.values())) == 3
+
+
+def mm_control8() -> BooleanFunction:
+    rng = random.Random(8)
+    return mm_bent(VectorialFunction(4, random_permutation_table(4, rng)), random_function(4, rng))
+
+
+@pytest.mark.parametrize(
+    "f, inside",
+    [(fx.published_bent8(name), False) for name in fx.PUBLISHED] + [(mm_control8(), True)],
+    ids=[*fx.PUBLISHED, "mm_control"],
+)
+def test_mm_sharp_verdict_invariant_under_duality_and_linear_maps_n8(f, inside):
+    # MM# is closed under f -> f* and under f(x) -> f(Ax)
+    A = random_invertible(8, random.Random(88))
+    assert (is_in_mm_sharp(f) is not None) == inside
+    assert (is_in_mm_sharp(dual(f)) is not None) == inside
+    assert (is_in_mm_sharp(ea_image(f, A)) is not None) == inside
+
+
+@pytest.mark.parametrize("name", fx.PUBLISHED)
+def test_profile_is_equivalence_invariant_n8(name):
+    # the counts are EA-invariant; they are not duality-invariant (apn_family
+    # has {2: 7, 3: 1, 4: 0}, its dual {2: 0, 3: 0, 4: 0})
+    f = fx.published_bent8(name)
+    rng = random.Random(name)
+    A = random_invertible(8, rng)
+    g = ea_image(f, A, rng.randrange(256), rng.randrange(1, 256), 1)
+    assert g != f
+    assert msubspace_profile(g).counts == msubspace_profile(f).counts

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from bentforge.psclass import (
     CACHE_ENV,
     _coset_cells,
     _coset_table,
+    _coset_wht,
+    _CosetCells,
     _group_cliques,
+    _head_index,
     _midspace,
     _shift_groups,
     _shifted_affine,
+    _span_rows,
     _sweep_one_b,
     _unit_xor,
     is_in_ps_sharp,
@@ -270,6 +275,84 @@ def test_tabulated_shift_parities_match_direct_n8():
         u_b = (_parity_array(basis & b).astype(np.int64) << np.arange(m)).sum(axis=1)
         assert np.array_equal(_unit_xor(cells.unit_u, b), u_b), b
         assert np.array_equal(_unit_xor(cells.unit_r, b), _parity_array(rep & b)), b
+
+
+def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
+    """The cells from a per-point gather of f* through the whole coset
+    table, each run of 2^m values packed into a word bit by bit."""
+    m = n // 2
+    size = 1 << m
+    perm = _coset_table(n)
+    spectra, near = _coset_wht(m)
+    values = dual_table[perm].reshape(-1, size)
+    words = np.packbits(values, axis=1, bitorder="little")
+    if size < 8:
+        words = words[:, 0]
+    else:
+        words = words.view(f"<u{size // 8}")[:, 0]
+    cosets = np.flatnonzero(near[words])
+    spec = spectra[words[cosets]]
+    row, u = np.nonzero(np.abs(spec) >= size - 2)
+    w_idx, block = np.divmod(cosets[row], size)
+    j = np.arange(n, dtype=np.uint8)[:, None]
+    basis = perm[w_idx[:, None], 1 << np.arange(m)]
+    unit_u = np.zeros((n, len(w_idx)), dtype=np.uint8)
+    for k in range(m):
+        unit_u |= ((basis[:, k] >> j) & 1) << k
+    return _CosetCells(
+        w_idx=w_idx,
+        block=block,
+        u=u,
+        spectrum=spec[row, u].astype(np.int64),
+        unit_u=unit_u,
+        unit_r=(perm[w_idx, block << m] >> j) & 1,
+    )
+
+
+def coset_cell_inputs() -> list[BooleanFunction]:
+    x1x2 = BooleanFunction(2, [0, 0, 0, 1])
+    rng = random.Random(7)
+    n8 = [published_bent8(name) for name in PUBLISHED]
+    n8 += [ea_disguise(f, rng) for f in n8 for _ in range(2)]
+    ap = ps_ap(4, BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]))
+    n8 += [ea_disguise(ap, rng) for _ in range(2)]
+    return [x1x2, x1x2 ^ 1] + oracle_functions(4) + oracle_functions(6) + n8
+
+
+@pytest.mark.parametrize("f", coset_cell_inputs(), ids=lambda f: f"n{f.n}-{f.digest()[:8]}")
+def test_coset_cells_match_per_point_reference(f):
+    dual_table = dual(f).table
+    got = _coset_cells(dual_table, f.n)
+    want = reference_coset_cells(dual_table, f.n)
+    for name in ("w_idx", "block", "u", "spectrum", "unit_u", "unit_r"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_head_index_selects_span_of_first_basis_vectors(n):
+    k = min(n // 2, 2)
+    perm = _coset_table(n)
+    heads, offset = _head_index(n)
+    assert offset.dtype == np.int32 and offset.shape == (perm.shape[0],)
+    assert not (offset & ((1 << n) - 1)).any()
+    assert len(np.unique(heads, axis=0)) == len(heads)
+    first = perm[:, [1 << j for j in range(k)]]
+    assert np.array_equal(heads[offset >> n], _span_rows(first))
+
+
+def test_coset_cells_peak_memory_n8():
+    # once the per-dimension tables exist, the pass allocates only its
+    # per-function head table and one chunk at a time
+    dual_table = dual(published_bent8("delta0_mix")).table
+    _coset_cells(dual_table, 8)
+    tracemalloc.start()
+    try:
+        _coset_cells(dual_table, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def first_direct_witness(f: BooleanFunction):
