@@ -134,18 +134,22 @@ def algebraic_degree(f: BooleanFunction) -> int:
     return to_anf(f).degree
 
 
-def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
-    """Fast WHT: W_f(a) = sum_x (-1)^(f(x) + a.x), exact integers."""
-    w = 1 - 2 * f.table.astype(np.int64)
-    n = f.n
+def _wht_butterfly(w: np.ndarray) -> np.ndarray:
+    """In-place WHT of each row (last axis) of a C-contiguous array."""
+    n = int(w.shape[-1]).bit_length() - 1
     for i in range(n):
         step = 1 << i
         view = w.reshape(-1, 2, step)
-        lo = view[:, 0, :] + view[:, 1, :]
-        hi = view[:, 0, :] - view[:, 1, :]
-        view[:, 0, :] = lo
-        view[:, 1, :] = hi
-    return WalshSpectrum(n, _freeze(w))
+        lo, hi = view[:, 0, :], view[:, 1, :]
+        lo += hi  # x + y
+        hi *= -2
+        hi += lo  # (x + y) - 2y
+    return w
+
+
+def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
+    """Fast WHT: W_f(a) = sum_x (-1)^(f(x) + a.x), exact integers."""
+    return WalshSpectrum(f.n, _freeze(_wht_butterfly(1 - 2 * f.table.astype(np.int64))))
 
 
 def is_bent(f: BooleanFunction) -> bool:

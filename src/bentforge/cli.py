@@ -107,8 +107,8 @@ def load_vectorial(source: str) -> VectorialFunction:
         # power map over a field: gf2m:m=<m>[,mod=<hexmask>],pow=<d>
         from .gf2m import parse_field, power_map
 
-        spec, _, power = text.rpartition(",pow=")
-        if not power:
+        spec, sep, power = text.rpartition(",pow=")
+        if not (sep and power):
             raise ValueError("field input needs a ,pow=<d> suffix for the power map")
         return power_map(parse_field(spec), int(power))
     return from_coordinate_anfs(text)

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .boolfun import BooleanFunction, algebraic_degree, is_bent
+from . import boolfun
+from .boolfun import BooleanFunction, is_bent
 from .gf2 import Subspace, span
-from .vectorial import (
-    iter_clique_subspaces,
-    vanishing_pair_adjacency,
-    vanishing_pair_adjacency_quadratic,
-)
+from .vectorial import iter_clique_subspaces, vanishing_pair_adjacency
+
+# Unused here, kept while perfbench/tracer.py looks them up (ROADMAP item 4).
+algebraic_degree = boolfun.algebraic_degree
+vanishing_pair_adjacency_quadratic = vanishing_pair_adjacency
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,6 @@ def is_msubspace(f: BooleanFunction, V: Subspace) -> bool:
 
 @lru_cache(maxsize=64)
 def _adjacency(f: BooleanFunction) -> list[int]:
-    if algebraic_degree(f) <= 2:
-        return vanishing_pair_adjacency_quadratic(f.table)
     return vanishing_pair_adjacency(f.table)
 
 

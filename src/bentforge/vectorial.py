@@ -19,6 +19,7 @@ from .boolfun import (
     parse_anf,
     to_anf,
     _parity_array,
+    _wht_butterfly,
 )
 from .gf2 import Subspace, orthogonal_complement, span
 
@@ -102,46 +103,38 @@ def second_derivative_vanishes_vf(F: VectorialFunction, a: int, b: int) -> bool:
     return bool(np.array_equal(d, d[idx ^ b]))
 
 
+# Entries in one chunk of rows a x 2^n columns b of the vanishing-pair graph:
+# each int64 array of a chunk takes 128 KB at most and stays in cache.
+_ADJ_CHUNK = 1 << 14
+
+
 def vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
     """Bitmask adjacency of the vanishing-pair graph of a table.
 
     adj[a] has bit b set iff D_a D_b(table) is identically zero, for
-    nonzero a != b.  Works for Boolean (0/1) and vectorial tables alike.
+    nonzero a != b; adj[0] = 0.  Works for Boolean (0/1) and vectorial
+    tables alike: a vectorial graph is the AND of the graphs of its output
+    bits.  For one output bit f and g_a = (-1)^(D_a f), D_b D_a f = 0
+    exactly when the autocorrelation of g_a at b is 2^n, that is when
+    sum_u W_{g_a}(u)^2 (-1)^(u.b) = 4^n (Carlet 2021).  So a chunk of rows
+    costs one batched WHT, a square and a second WHT: O(n 4^n) in all.
     """
+    table = np.asarray(table, dtype=np.int64)
     N = len(table)
     idx = np.arange(N)
-    all_b = idx[:, None] ^ idx[None, :]
-    adj = [0] * N
-    for a in range(1, N):
-        d = table ^ table[idx ^ a]
-        eq = ~(d[all_b] != d[None, :]).any(axis=1)
-        eq[0] = False
-        eq[a] = False
-        packed = np.packbits(eq.view(np.uint8), bitorder="little")
-        adj[a] = int.from_bytes(packed.tobytes(), "little")
+    rows = max(1, _ADJ_CHUNK // N)
+    adj = [0]
+    for lo in range(1, N, rows):
+        a = idx[lo : lo + rows]
+        d = table[a[:, None] ^ idx] ^ table
+        eq = np.ones(d.shape, dtype=bool)
+        for j in range(int(table.max()).bit_length()):
+            w = _wht_butterfly(1 - 2 * ((d >> j) & 1))
+            eq &= _wht_butterfly(w * w) == N * N
+        eq[:, 0] = False
+        eq[np.arange(len(a)), a] = False
+        adj += [int.from_bytes(r, "little") for r in np.packbits(eq, axis=1, bitorder="little")]
     return adj
-
-
-def vanishing_pair_adjacency_quadratic(table: np.ndarray) -> list[int]:
-    """Adjacency shortcut when all second derivatives are constant:
-    evaluate D_a D_b at 0 only."""
-    N = len(table)
-    idx = np.arange(N)
-    grid = table[0] ^ table[idx[:, None]] ^ table[idx[None, :]] ^ table[idx[:, None] ^ idx[None, :]]
-    eq = grid == 0
-    eq[:, 0] = False
-    np.fill_diagonal(eq, False)
-    adj = [0] * N
-    for a in range(1, N):
-        packed = np.packbits(eq[a].view(np.uint8), bitorder="little")
-        adj[a] = int.from_bytes(packed.tobytes(), "little")
-    return adj
-
-
-def _adjacency_for(F: VectorialFunction) -> list[int]:
-    if algebraic_degree_vf(F) <= 2:
-        return vanishing_pair_adjacency_quadratic(F.table)
-    return vanishing_pair_adjacency(F.table)
 
 
 def iter_pair_representatives(m: int):
@@ -199,7 +192,7 @@ def vanishing_subspaces_vf(F: VectorialFunction, r: int) -> list[Subspace]:
     if r == 1:
         # D_a D_a = 0, so every line vanishes
         return [span([a], F.m) for a in range(1, 1 << F.m)]
-    adj = _adjacency_for(F)
+    adj = vanishing_pair_adjacency(F.table)
     out = [span(list(gens), F.m) for gens in iter_clique_subspaces(adj, 1 << F.m, r)]
     return sorted(out, key=lambda s: s.basis)
 
@@ -243,7 +236,7 @@ def has_p1(F: VectorialFunction) -> tuple[bool, Subspace | None]:
 
     Returns (True, None) or (False, witness 2-space).
     """
-    adj = _adjacency_for(F)
+    adj = vanishing_pair_adjacency(F.table)
     for a, b in iter_pair_representatives(F.m):
         if adj[a] >> b & 1:
             return False, span([a, b], F.m)
@@ -278,7 +271,7 @@ def check_p2(F: VectorialFunction) -> P2Report:
         raise ValueError("P2 is defined for permutations")
     if algebraic_degree_vf(F) <= 1:
         raise ValueError("P2 is defined for nonlinear permutations")
-    adj = _adjacency_for(F)
+    adj = vanishing_pair_adjacency(F.table)
     records = []
     max_dim = 1  # every line vanishes trivially
     gens_list: list[tuple[int, ...]] = [(a,) for a in range(1, 1 << m)]

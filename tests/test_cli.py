@@ -264,6 +264,12 @@ def test_perm_check_accepts_field_power_map(capsys):
     assert data["fully_satisfies_p2"] is True and data["max_vanishing_dim"] <= 2
 
 
+def test_perm_check_field_without_power_names_the_suffix(capsys):
+    code, out, err = run_cli(capsys, "perm-check", "apn", "--vf", "gf2m:m=4")
+    assert code == 2 and out == ""
+    assert ",pow=<d>" in err
+
+
 def test_verify_paper_fast(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--fast")
     assert code == 0

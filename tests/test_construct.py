@@ -3,6 +3,7 @@ import pytest
 
 from bentforge import fixtures as fx
 from bentforge.boolfun import (
+    algebraic_degree,
     is_bent,
     second_derivative,
     zero_function,
@@ -25,7 +26,12 @@ from bentforge.construct import (
 )
 from bentforge.gf2 import apply_linear, rref, span
 from bentforge.gf2m import Field, power_map
-from bentforge.msub import canonical_msubspace, is_in_mm_sharp, is_msubspace
+from bentforge.msub import (
+    canonical_msubspace,
+    is_in_mm_sharp,
+    is_msubspace,
+    msubspace_profile,
+)
 from bentforge.vectorial import (
     VectorialFunction,
     has_p1,
@@ -223,15 +229,39 @@ def test_theorem53_inconclusive_on_shared_subspace():
     assert cert.evidence[0]["shared_count"] > 0
 
 
-def test_theorem53_soundness_random(rng):
-    # whenever the certificate says outside, the direct MM# search agrees
-    for _ in range(5):
-        f1 = mm_bent(VectorialFunction(3, random_permutation_table(3, rng)), random_function(3, rng))
-        f3 = mm_bent(VectorialFunction(3, random_permutation_table(3, rng)), random_function(3, rng))
+def _theorem53_soundness(m: int, trials: int, rng) -> None:
+    # f3 is transposed MM, so its canonical M-subspace is not f1's and the
+    # certificate can say outside; whenever it does, the direct MM# search
+    # must agree, and some trial must reach that verdict
+    outsides = 0
+    for _ in range(trials):
+        f1 = mm_bent(VectorialFunction(m, random_permutation_table(m, rng)), random_function(m, rng))
+        sigma = VectorialFunction(m, random_permutation_table(m, rng))
+        f3 = mm_bent_transposed(sigma, random_function(m, rng))
         q = ConcatQuadruple(f1, f1, f3, f3 ^ 1)
-        cert = theorem53_certify(q)
-        if cert.verdict == "outside_mm_sharp":
+        if theorem53_certify(q).verdict == "outside_mm_sharp":
+            outsides += 1
             assert is_in_mm_sharp(concat4(q)) is None
+    assert outsides > 0
+
+
+def test_theorem53_soundness_random(rng):
+    _theorem53_soundness(3, 12, rng)
+
+
+def test_theorem53_soundness_random_n10(rng):
+    _theorem53_soundness(4, 4, rng)
+
+
+def test_theorem55_outside_mm_sharp_n10():
+    # the generic claim "outside MM# for any even n >= 8", checked directly
+    pi = power_map(Field(4), 7)
+    res = theorem55_construct(pi, pi, zero_function(4), zero_function(4))
+    f = res.function
+    assert res.certificate.verdict == "outside_mm_sharp"
+    assert f.n == 10 and is_bent(f) and algebraic_degree(f) == 5
+    assert is_in_mm_sharp(f) is None
+    assert msubspace_profile(f).counts == {2: 255, 3: 0, 4: 0, 5: 0}
 
 
 def test_theorem55_matches_example56():

@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 from bentforge import fixtures as fx
-from bentforge.boolfun import from_anf, parse_anf
+from bentforge import vectorial
+from bentforge.boolfun import from_anf, parse_anf, zero_function
+from bentforge.construct import mm_bent
 from bentforge.gf2 import apply_linear, random_invertible, span
 from bentforge.gf2m import Field, power_map
 from bentforge.vectorial import (
@@ -24,9 +28,11 @@ from bentforge.vectorial import (
     to_coordinate_anfs,
     to_vf_text,
     vanishing_flats_count,
+    vanishing_pair_adjacency,
     vanishing_subspaces_vf,
 )
-from conftest import random_permutation_table
+from conftest import random_function, random_permutation_table
+from test_psclass import oracle_functions
 
 
 def test_from_coordinates_identity():
@@ -96,6 +102,65 @@ def test_vanishing_subspaces_reverify_on_all_pairs():
             for a in elems:
                 for b in elems:
                     assert second_derivative_vanishes_vf(F, a, b)
+
+
+def reference_vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
+    """All-pairs builder: bit b of adj[a] iff D_a(table) equals its own
+    shift by b at every point, for nonzero a != b.  O(8^n)."""
+    N = len(table)
+    idx = np.arange(N)
+    all_b = idx[:, None] ^ idx[None, :]
+    adj = [0] * N
+    for a in range(1, N):
+        d = table ^ table[idx ^ a]
+        eq = ~(d[all_b] != d[None, :]).any(axis=1)
+        eq[0] = False
+        eq[a] = False
+        packed = np.packbits(eq.view(np.uint8), bitorder="little")
+        adj[a] = int.from_bytes(packed.tobytes(), "little")
+    return adj
+
+
+# x.y at n = 4, 6, 8 is where the removed degree-2 shortcut ran; the power
+# maps mix APN and non-APN, permutations and not, degrees 2 to 5; random
+# functions reach second derivatives of weight 4, whose autocorrelation
+# 2^n - 8 is the largest short of 2^n.
+ADJACENCY_CASES = {
+    "random_functions": lambda: [random_function(n, random.Random(n)).table for n in range(2, 8)],
+    "oracle_functions4": lambda: [f.table for f in oracle_functions(4)],
+    "oracle_functions6": lambda: [f.table for f in oracle_functions(6)],
+    "xy": lambda: [mm_bent(identity_map(m), zero_function(m)).table for m in (2, 3, 4)],
+    "power_maps": lambda: [
+        power_map(Field(m), d).table
+        for m in range(3, 7)
+        for d in (3, 5, 7, (1 << m) - 2)
+        if d < (1 << m) - 1
+    ],
+    "random_permutations": lambda: [
+        random_permutation_table(m, random.Random(m)) for m in range(3, 7)
+    ],
+    "published": lambda: [fx.published_bent8(name).table for name in fx.PUBLISHED],
+}
+
+
+@pytest.mark.parametrize("case", list(ADJACENCY_CASES))
+def test_adjacency_matches_all_pairs_reference(case):
+    for table in ADJACENCY_CASES[case]():
+        assert vanishing_pair_adjacency(table) == reference_vanishing_pair_adjacency(table)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_adjacency_independent_of_chunk_rows(monkeypatch, rows):
+    for table in (fx.published_bent8("delta0_mix").table, power_map(Field(6), 7).table):
+        monkeypatch.setattr(vectorial, "_ADJ_CHUNK", rows * len(table))
+        assert vanishing_pair_adjacency(table) == reference_vanishing_pair_adjacency(table)
+
+
+def test_adjacency_of_constant_tables_is_complete():
+    for table in (np.zeros(8, dtype=np.uint8), np.full(16, 5, dtype=np.int64)):
+        N = len(table)
+        full = (1 << N) - 2
+        assert vanishing_pair_adjacency(table) == [0] + [full & ~(1 << a) for a in range(1, N)]
 
 
 def test_second_derivative_depends_only_on_span():
