@@ -108,7 +108,7 @@ def load_vectorial(source: str) -> VectorialFunction:
         from .gf2m import parse_field, power_map
 
         spec, sep, power = text.rpartition(",pow=")
-        if not (sep and power):
+        if not (sep and power.isdecimal()):
             raise ValueError("field input needs a ,pow=<d> suffix for the power map")
         return power_map(parse_field(spec), int(power))
     return from_coordinate_anfs(text)

@@ -38,8 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gf2
 from .boolfun import BooleanFunction, _parity_array, dual, is_bent
-from .gf2 import Subspace, enumerate_subspaces, orthogonal_complement, span
+from .gf2 import Subspace, orthogonal_complement, span
+
+# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 4).
+enumerate_subspaces = gf2.enumerate_subspaces
 
 CACHE_ENV = "BENTFORGE_CACHE_DIR"
 _CHECKPOINT_PAIRS = 1 << 12
@@ -108,35 +112,52 @@ def _span_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def _coset_table(n: int) -> np.ndarray:
-    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace
-    (rows in `enumerate_subspaces` order); the one subspace index that
-    subspaces, bases and PS candidates are read from.
+    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace;
+    the one subspace index that subspaces, bases and PS candidates are read
+    from.
 
-    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
-    block 0 is the subspace and entry 2^j is basis vector j.  Block k is the
-    coset with the k-th smallest minimum: the basis is in RREF, so a coset's
-    minimum is its point that is zero on every pivot, and these minima are
-    the span of the off-pivot unit vectors, ascending.  uint8 needs n <= 8.
+    Rows go pivot set by pivot set, descending-lexicographic, and within a
+    pivot set over the free-entry assignments with the last pivot's entries
+    varying fastest: exactly `enumerate_subspaces` order.  Each block of
+    2^(n/2) entries is a coset in basis-coordinate order, so block 0 is the
+    subspace and entry 2^j is basis vector j.  Block k is the coset with
+    the k-th smallest minimum: the basis is in RREF, so a coset's minimum
+    is its point that is zero on every pivot, and these minima are the span
+    of the off-pivot unit vectors, ascending, the same for every row of a
+    pivot set.  uint8 needs n <= 8.
     """
     if n not in _COSET:
         if n > 8:
             raise ValueError("coset table only built for n <= 8")
         m = n // 2
-        bases = np.fromiter(
-            itertools.chain.from_iterable(U.basis for U in enumerate_subspaces(n, m)),
-            dtype=np.uint8,
-        ).reshape(-1, m)
-        count = bases.shape[0]
-        lead = np.array([0] + [1 << (v.bit_length() - 1) for v in range(1, 1 << n)], dtype=np.uint8)
-        pivots = np.bitwise_or.reduce(lead[bases], axis=1)
-        _, free = np.nonzero((~pivots[:, None] >> np.arange(n, dtype=np.uint8)) & 1)
-        units = (1 << free.reshape(count, n - m)).astype(np.uint8)
-        perm = np.empty((count, 1 << n), dtype=np.uint8)
-        np.bitwise_xor(
-            _span_rows(units)[:, :, None],
-            _span_rows(bases)[:, None, :],
-            out=perm.reshape(count, 1 << (n - m), 1 << m),
-        )
+        # the free entries of pivot p are the off-pivot positions below it
+        pivot_sets = [
+            (pivots, [[j for j in range(p) if j not in pivots] for p in pivots])
+            for pivots in itertools.combinations(range(n - 1, -1, -1), m)
+        ]
+        sizes = [1 << sum(map(len, free)) for _, free in pivot_sets]
+        perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
+        start = 0
+        for (pivots, free), size in zip(pivot_sets, sizes):
+            index = np.arange(size)
+            bases = np.empty((size, m), dtype=np.uint8)
+            # index in mixed radix, the last pivot's digit lowest; bit k of
+            # pivot i's digit sets free[i][k]
+            t = 0
+            for i in reversed(range(m)):
+                col = 1 << pivots[i]
+                for j in free[i]:
+                    col = col | ((index >> t) & 1) << j
+                    t += 1
+                bases[:, i] = col
+            units = [1 << j for j in range(n) if j not in pivots]
+            minima = _span_rows(np.array([units], dtype=np.uint8))
+            np.bitwise_xor(
+                minima[:, :, None],
+                _span_rows(bases)[:, None, :],
+                out=perm[start : start + size].reshape(size, 1 << (n - m), 1 << m),
+            )
+            start += size
         _COSET[n] = perm
     return _COSET[n]
 

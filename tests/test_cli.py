@@ -270,6 +270,12 @@ def test_perm_check_field_without_power_names_the_suffix(capsys):
     assert ",pow=<d>" in err
 
 
+def test_perm_check_field_with_non_integer_power_names_the_suffix(capsys):
+    code, out, err = run_cli(capsys, "perm-check", "apn", "--vf", "gf2m:m=4,pow=3x")
+    assert code == 2 and out == ""
+    assert ",pow=<d>" in err
+
+
 def test_verify_paper_fast(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--fast")
     assert code == 0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bentforge import psclass
 from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
 from bentforge.construct import mm_bent
 from bentforge.fixtures import PUBLISHED, published_bent8
@@ -418,6 +419,24 @@ def test_coset_table_matches_min_representative_reference(n):
 
 def test_coset_table_matches_reference_on_sampled_rows_n8():
     assert np.array_equal(_coset_table(8)[::97], reference_coset_table(8, step=97))
+
+
+def test_coset_table_bases_follow_enumeration_order_n8():
+    # every row, since the row order fixes which PS# witness is found first
+    want = np.array([U.basis for U in enumerate_subspaces(8, 4)], dtype=np.uint8)
+    assert np.array_equal(_coset_table(8)[:, 1 << np.arange(4)], want)
+
+
+def test_coset_table_build_peak_memory_n8(monkeypatch):
+    # the 49 MiB table plus one pivot set's working arrays
+    monkeypatch.setattr(psclass, "_COSET", {})
+    tracemalloc.start()
+    try:
+        _coset_table(8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 << 20, peak
 
 
 @pytest.mark.parametrize("n", [4, 6])
