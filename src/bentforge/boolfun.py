@@ -195,12 +195,17 @@ def second_derivative_vanishes(f: BooleanFunction, a: int, b: int) -> bool:
 
 def linear_structures(f: BooleanFunction) -> set[int]:
     """All a (including 0) with D_a f constant; closed under addition."""
-    idx = np.arange(1 << f.n)
-    t = f.table
+    return _linear_structures(f.table)
+
+
+def _linear_structures(table: np.ndarray) -> set[int]:
+    """All a (including 0) with D_a(table) constant, for Boolean and
+    vectorial tables alike."""
+    idx = np.arange(len(table))
     out = set()
-    for a in range(1 << f.n):
-        d = t ^ t[idx ^ a]
-        if d[0] == d.min() == d.max():
+    for a in range(len(table)):
+        d = table ^ table[idx ^ a]
+        if d.min() == d.max():
             out.add(a)
     return out
 

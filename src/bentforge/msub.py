@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import boolfun
-from .boolfun import BooleanFunction, is_bent
+from .boolfun import BooleanFunction, is_bent, second_derivative_vanishes
 from .gf2 import Subspace, span
-from .vectorial import iter_clique_subspaces, vanishing_pair_adjacency
+from .vectorial import iter_clique_subspaces, vanishing_pair_adjacency, vanishing_subspaces
 
 # Unused here, kept while perfbench/tracer.py looks them up (ROADMAP item 4).
 algebraic_degree = boolfun.algebraic_degree
@@ -41,8 +41,6 @@ def is_msubspace(f: BooleanFunction, V: Subspace) -> bool:
     """
     if f.n != V.n:
         raise ValueError(f"dimension mismatch: function n={f.n}, subspace n={V.n}")
-    from .boolfun import second_derivative_vanishes
-
     basis = V.basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -60,9 +58,7 @@ def msubspaces(f: BooleanFunction, r: int) -> list[Subspace]:
     """All r-dimensional M-subspaces of f, canonical and sorted."""
     if not 2 <= r <= f.n:
         raise ValueError(f"need 2 <= r <= n, got r={r}")
-    adj = _adjacency(f)
-    out = [span(list(gens), f.n) for gens in iter_clique_subspaces(adj, 1 << f.n, r)]
-    return sorted(out, key=lambda s: s.basis)
+    return vanishing_subspaces(f.table, f.n, r)
 
 
 def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:
@@ -70,7 +66,7 @@ def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:
     top = max(2, f.n // 2)
     counts = {r: 0 for r in range(2, top + 1)}
     adj = _adjacency(f)
-    for gens in iter_clique_subspaces(adj, 1 << f.n, 2, max_dim=top):
+    for gens in iter_clique_subspaces(adj, 1 << f.n, 2, top):
         counts[len(gens)] += 1
     return MSubspaceProfile(f.n, counts)
 

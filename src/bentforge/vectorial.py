@@ -16,8 +16,10 @@ from . import gf2
 from .boolfun import (
     BooleanFunction,
     format_anf,
+    from_anf,
     parse_anf,
     to_anf,
+    _linear_structures,
     _parity_array,
     _wht_butterfly,
 )
@@ -137,15 +139,6 @@ def vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
     return adj
 
 
-def iter_pair_representatives(m: int):
-    """One (a, b) pair per 2-dimensional subspace of F_2^m."""
-    N = 1 << m
-    for a in range(1, N):
-        for b in range(a + 1, N):
-            if (a ^ b) > b:
-                yield a, b
-
-
 def is_apn(F: VectorialFunction) -> bool:
     """APN: every derivative equation F(x+a)+F(x)=b has 0 or 2 solutions."""
     N = 1 << F.m
@@ -176,37 +169,40 @@ def vanishing_flats_count(F: VectorialFunction) -> int:
 
 def linear_structures_vf(F: VectorialFunction) -> set[int]:
     """All s (including 0) with D_s F constant as a vector."""
-    idx = np.arange(1 << F.m)
-    out = set()
-    for a in range(1 << F.m):
-        d = F.table ^ F.table[idx ^ a]
-        if d.min() == d.max():
-            out.add(a)
-    return out
+    return _linear_structures(F.table)
 
 
 def vanishing_subspaces_vf(F: VectorialFunction, r: int) -> list[Subspace]:
     """All r-dimensional S with D_a D_b F = 0_m for all a, b in S."""
     if not 1 <= r <= F.m:
         raise ValueError(f"need 1 <= r <= m, got r={r}")
-    if r == 1:
-        # D_a D_a = 0, so every line vanishes
-        return [span([a], F.m) for a in range(1, 1 << F.m)]
-    adj = vanishing_pair_adjacency(F.table)
-    out = [span(list(gens), F.m) for gens in iter_clique_subspaces(adj, 1 << F.m, r)]
+    return vanishing_subspaces(F.table, F.m, r)
+
+
+def vanishing_subspaces(table: np.ndarray, n: int, r: int) -> list[Subspace]:
+    """All r-dimensional S of F_2^n with D_a D_b(table) = 0 for all a, b
+    in S, canonical and sorted by basis.
+
+    For a table with several output bits these are the subspaces on which
+    every bit vanishes, since its vanishing-pair graph is the AND of the
+    bits' graphs.
+    """
+    adj = vanishing_pair_adjacency(table)
+    out = [span(list(gens), n) for gens in iter_clique_subspaces(adj, 1 << n, r)]
     return sorted(out, key=lambda s: s.basis)
 
 
-def iter_clique_subspaces(adj: list[int], N: int, r: int, max_dim: int | None = None):
+def iter_clique_subspaces(adj: list[int], N: int, lo: int, hi: int | None = None):
     """Yield generator tuples of subspaces whose nonzero elements are
     pairwise adjacent in adj (a "clique that is a subspace").
 
     Generators form the unique increasing tower of the subspace (each new
     generator is the minimum of its coset), so every subspace is produced
-    exactly once.  Yields dimension r exactly, or 2..max_dim when set.
+    exactly once.  Yields dimensions lo..hi, or lo alone when hi is None;
+    every line is a clique, so lo = 1 yields all of them.
     """
-    lo = r if max_dim is None else 2
-    hi = r if max_dim is None else max_dim
+    if hi is None:
+        hi = lo
 
     def extend(elems: set[int], gens: tuple[int, ...], cand: int):
         depth = len(gens)
@@ -237,9 +233,8 @@ def has_p1(F: VectorialFunction) -> tuple[bool, Subspace | None]:
     Returns (True, None) or (False, witness 2-space).
     """
     adj = vanishing_pair_adjacency(F.table)
-    for a, b in iter_pair_representatives(F.m):
-        if adj[a] >> b & 1:
-            return False, span([a, b], F.m)
+    for gens in iter_clique_subspaces(adj, 1 << F.m, 2):
+        return False, span(list(gens), F.m)
     return True, None
 
 
@@ -273,13 +268,11 @@ def check_p2(F: VectorialFunction) -> P2Report:
         raise ValueError("P2 is defined for nonlinear permutations")
     adj = vanishing_pair_adjacency(F.table)
     records = []
-    max_dim = 1  # every line vanishes trivially
-    gens_list: list[tuple[int, ...]] = [(a,) for a in range(1, 1 << m)]
-    gens_list += list(iter_clique_subspaces(adj, 1 << m, 2, max_dim=m - 1))
+    top = 0
     ok_all = True
-    for gens in gens_list:
+    for gens in iter_clique_subspaces(adj, 1 << m, 1, m - 1):
         S = span(list(gens), m)
-        max_dim = max(max_dim, S.dim)
+        top = max(top, S.dim)
         if S.dim > m - 2:
             ok_all = False  # a vanishing (m-1)-space already forces a second M-subspace
             continue
@@ -289,7 +282,7 @@ def check_p2(F: VectorialFunction) -> P2Report:
         ok = US.dim < k
         records.append(P2SubspaceRecord(S, k, US.dim, ok))
         ok_all = ok_all and ok
-    return P2Report(ok_all, tuple(records), max_dim)
+    return P2Report(ok_all, tuple(records), top)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +311,7 @@ def from_coordinate_anfs(text: str) -> VectorialFunction:
     """Parse m newline-separated coordinate ANFs (variables x/y/z 1..m)."""
     rows = [line.strip() for line in text.splitlines() if line.strip()]
     m = len(rows)
-    return from_coordinates([BooleanFunction(m, _anf_table(r, m)) for r in rows])
-
-
-def _anf_table(text: str, n: int) -> np.ndarray:
-    from .boolfun import from_anf
-
-    return from_anf(parse_anf(text, n)).table
+    return from_coordinates([from_anf(parse_anf(r, m)) for r in rows])
 
 
 def to_coordinate_anfs(F: VectorialFunction, var: str = "y") -> str:

@@ -18,7 +18,6 @@ from . import fixtures as fx
 from .boolfun import (
     BooleanFunction,
     algebraic_degree,
-    dual,
     from_anf,
     is_bent,
     second_derivative,
@@ -30,6 +29,7 @@ from .boolfun import (
 from .construct import (
     ConcatQuadruple,
     concat4,
+    dual_bent_condition,
     mm_bent,
     second_derivative_concat,
     theorem53_certify,
@@ -257,12 +257,7 @@ def _claim_concat_algebra():
     rng = random.Random(10)
     for _ in range(200):
         q = ConcatQuadruple(*(_random_mm(3, rng) for _ in range(4)))
-        duals_sum = (
-            dual(q.f1).table ^ dual(q.f2).table ^ dual(q.f3).table ^ dual(q.f4).table
-        )
-        lhs = bool(duals_sum.min() == 1)
-        rhs = is_bent(concat4(q))
-        if lhs != rhs:
+        if dual_bent_condition(q) != is_bent(concat4(q)):
             return False, "dual condition disagrees with bentness"
     for _ in range(500):
         q = ConcatQuadruple(
@@ -390,9 +385,7 @@ def _claim_mix_degree():
 
 
 def _claim_dual_condition_mix():
-    q = fx.delta0_mix_quadruple()
-    s = dual(q.f1).table ^ dual(q.f2).table ^ dual(q.f3).table ^ dual(q.f4).table
-    ok = bool(s.min() == 1)
+    ok = dual_bent_condition(fx.delta0_mix_quadruple())
     return ok, "f1*+f2*+f3*+f4* = 1" if ok else "dual condition fails"
 
 

@@ -236,6 +236,14 @@ def test_certify_thm57(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "outside_mm_sharp"
 
 
+def test_certify_thm57_rejects_two_variable_pieces(capsys):
+    pieces = ["--f1", "x1*x2", "--f2", "x1*x2", "--f3", "x1*x2", "--f4", "x1*x2+1"]
+    code, out, err = run_cli(capsys, "certify", "thm57", *pieces, "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: pieces must live on an even number >= 4 of variables\n"
+
+
 @pytest.mark.parametrize(
     "prop,key",
     [("apn", "is_apn"), ("p1", "has_p1"), ("p2", "fully_satisfies_p2"),

@@ -12,6 +12,7 @@ from bentforge.construct import (
     ConcatQuadruple,
     HypothesisError,
     PreconditionError,
+    _common_vanishing_subspaces,
     concat4,
     dual_bent_condition,
     extend_permutation,
@@ -31,6 +32,7 @@ from bentforge.msub import (
     is_in_mm_sharp,
     is_msubspace,
     msubspace_profile,
+    msubspaces,
 )
 from bentforge.vectorial import (
     VectorialFunction,
@@ -319,6 +321,74 @@ def test_theorem57_hypothesis_errors(rng):
     with pytest.raises(HypothesisError) as err:
         theorem57_check(ConcatQuadruple(f, f, f, g))
     assert err.value.code == "shared_subspace_not_unique"
+
+
+def reference_common_vanishing_subspaces(q: ConcatQuadruple, r: int) -> list:
+    """Enumerate f1's r-dimensional M-subspaces, keep those of f2, f3, f4."""
+    if r == 1:
+        return [span([a], q.n) for a in range(1, 1 << q.n)]
+    first = msubspaces(q.f1, r)
+    rest = (q.f2, q.f3, q.f4)
+    return [V for V in first if all(is_msubspace(f, V) for f in rest)]
+
+
+def seeded_quadruples(m: int, rng) -> list[ConcatQuadruple]:
+    """MM pieces, MM paired with transposed MM, and random non-bent pieces
+    on 2m variables."""
+
+    def perm():
+        return VectorialFunction(m, random_permutation_table(m, rng))
+
+    def mm():
+        return mm_bent(perm(), random_function(m, rng))
+
+    out = []
+    for _ in range(3):
+        out.append(ConcatQuadruple(mm(), mm(), mm(), mm()))
+        f, g = mm(), mm_bent_transposed(perm(), random_function(m, rng))
+        out.append(ConcatQuadruple(f, f, g, g ^ 1))
+        out.append(ConcatQuadruple(f, mm(), g, mm_bent_transposed(perm(), zero_function(m))))
+        out.append(ConcatQuadruple(*(random_function(2 * m, rng) for _ in range(4))))
+    return out
+
+
+def test_common_vanishing_subspaces_match_filtered_search(rng):
+    quads = [fx.delta0_mix_quadruple(), fx.transposed_quadruple(), fx.apn_family_quadruple(),
+             fx.transposed_quadruple(False)]
+    quads += seeded_quadruples(2, rng) + seeded_quadruples(3, rng)
+    shared = 0
+    for q in quads:
+        for r in range(1, q.n // 2 + 1):
+            common = _common_vanishing_subspaces(q, r)
+            assert common == reference_common_vanishing_subspaces(q, r)
+            shared += r > 1 and len(common) > 0
+    assert shared > 0
+
+
+def test_theorem57_shared_top_is_the_four_way_intersection(rng):
+    quads = [fx.apn_family_quadruple(), fx.transposed_quadruple()]
+    quads += [q for q in seeded_quadruples(2, rng) + seeded_quadruples(3, rng)
+              if all(is_bent(f) for f in q.functions)]
+    unique = 0
+    for q in quads:
+        m = q.n // 2
+        shared = set(msubspaces(q.f1, m))
+        for f in q.functions[1:]:
+            shared &= set(msubspaces(f, m))
+        try:
+            cert = theorem57_check(q)
+        except HypothesisError as err:
+            if len(shared) == 1:
+                assert err.code == "concat_not_bent"
+            else:
+                assert err.code == "shared_subspace_not_unique"
+                assert f"share {len(shared)} {m}-dimensional" in str(err)
+            continue
+        assert len(shared) == 1
+        unique += 1
+        top = cert.evidence[0]["shared_top_subspace"]
+        assert top == next(iter(shared)).to_text().split("\n")
+    assert unique > 0
 
 
 def test_theorem57_agrees_with_direct_search(rng):

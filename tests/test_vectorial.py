@@ -7,8 +7,9 @@ from bentforge import fixtures as fx
 from bentforge import vectorial
 from bentforge.boolfun import from_anf, parse_anf, zero_function
 from bentforge.construct import mm_bent
-from bentforge.gf2 import apply_linear, random_invertible, span
+from bentforge.gf2 import apply_linear, enumerate_subspaces, random_invertible, span
 from bentforge.gf2m import Field, power_map
+from bentforge.msub import is_msubspace
 from bentforge.vectorial import (
     VectorialFunction,
     algebraic_degree_vf,
@@ -22,7 +23,7 @@ from bentforge.vectorial import (
     identity_map,
     is_apn,
     is_permutation,
-    iter_pair_representatives,
+    iter_clique_subspaces,
     linear_structures_vf,
     second_derivative_vanishes_vf,
     to_coordinate_anfs,
@@ -163,6 +164,16 @@ def test_adjacency_of_constant_tables_is_complete():
         assert vanishing_pair_adjacency(table) == [0] + [full & ~(1 << a) for a in range(1, N)]
 
 
+def iter_pair_representatives(m: int):
+    """One (a, b) pair per 2-dimensional subspace of F_2^m: a < b < a ^ b,
+    in increasing (a, b) order."""
+    N = 1 << m
+    for a in range(1, N):
+        for b in range(a + 1, N):
+            if (a ^ b) > b:
+                yield a, b
+
+
 def test_second_derivative_depends_only_on_span():
     for F in (fx.apn_perm_m3(), power_map(Field(4), 7)):
         m = F.m
@@ -179,6 +190,55 @@ def test_has_p1_examples():
     ok1, wit1 = has_p1(fx.perm_p2_dim2())
     assert not ok1
     assert wit1 is not None and wit1.dim == 2
+
+
+def test_has_p1_witness_is_first_vanishing_representative_pair():
+    rng = random.Random(41)
+    cases = [fx.apn_perm_m3(), fx.apn_perm_m3_alt(), fx.perm_two_msubspaces(),
+             fx.perm_p2_dim2(), fx.perm_p2_dim3(), identity_map(3)]
+    cases += [
+        power_map(Field(m), d)
+        for m in range(3, 7)
+        for d in (3, 5, 7, (1 << m) - 2)
+        if d < (1 << m) - 1
+    ]
+    cases += [
+        VectorialFunction(m, random_permutation_table(m, rng))
+        for m in range(3, 7)
+        for _ in range(3)
+    ]
+    assert any(has_p1(F)[0] for F in cases) and not all(has_p1(F)[0] for F in cases)
+    for F in cases:
+        pairs = (p for p in iter_pair_representatives(F.m) if second_derivative_vanishes_vf(F, *p))
+        first = next(pairs, None)
+        witness = None if first is None else span(list(first), F.m)
+        assert has_p1(F) == (first is None, witness)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_iter_clique_subspaces_yields_each_msubspace_once(n):
+    rng = random.Random(n)
+    funcs = [
+        zero_function(n),  # every subspace
+        from_anf(parse_anf("x1*x2 + x3*x4", n)),
+        from_anf(parse_anf("x1*x2*x3 + x1*x4 + x2", n)),
+        random_function(n, rng),
+        random_function(n, rng),
+    ]
+    for f in funcs:
+        adj = vanishing_pair_adjacency(f.table)
+        for lo, hi in ((1, None), (1, 2), (1, n), (2, None), (2, 3), (3, n), (n, None)):
+            top = lo if hi is None else hi
+            gens = list(iter_clique_subspaces(adj, 1 << n, lo, hi))
+            got = [span(list(g), n) for g in gens]
+            assert [V.dim for V in got] == [len(g) for g in gens]
+            assert len(set(got)) == len(got)
+            assert set(got) == {
+                V
+                for r in range(lo, top + 1)
+                for V in enumerate_subspaces(n, r)
+                if is_msubspace(f, V)
+            }
 
 
 def test_p1_iff_apn_for_quadratic_permutations(rng):
