@@ -14,11 +14,6 @@ from typing import Iterator
 MAX_DIM = 20
 
 
-def parity(x: int) -> int:
-    """Parity of the popcount of x (the GF(2) sum of coordinates)."""
-    return x.bit_count() & 1
-
-
 def dot(a: int, b: int) -> int:
     """Dot product a.b over GF(2)."""
     return (a & b).bit_count() & 1

@@ -15,13 +15,16 @@ coset's 2^m-bit word of f* from 2^k-bit pieces, k = min(m, 2): a coset is
 listed in basis-coordinate order, so each run of 2^k points is
 t + span(w_1..w_k), and one per-function table indexed by that head span
 and t holds the run's bits.  u and b.r are linear in b, so the pass
-tabulates them for the n unit vectors and a shift XORs the rows of its set
-bits.  The disjointness search then runs on the hit subspaces W, not on
-their complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is
-the whole space iff (W1 + W2)-perp, the intersection of W1-perp and
-W2-perp, is 0.  Each shift builds one disjointness matrix over
-the distinct rows of its (a, subclass) groups and applies the degree bound
-to all groups in one matrix product; only the few groups that pass it are
+tabulates them, packed into one byte per cell, for the n unit vectors.
+The sweep takes aligned blocks of up to 16 shifts: one comparison on the
+block's XORed-up table gives all its hits, and one count of (shift, a,
+subclass) keys over the hits' coset points gives all its viable groups.
+The disjointness search then runs on the hit subspaces W, not on their
+complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the
+whole space iff (W1 + W2)-perp, the intersection of W1-perp and W2-perp, is
+0.  Each shift gets one disjointness matrix over the distinct rows of its
+groups; stacked, they let one batched matrix product apply the degree bound
+to every group of the block, and only the few groups that pass it are
 searched, each on its sub-block.  The single-function PS test is the same
 stage with one group.
 """
@@ -49,7 +52,7 @@ CACHE_ENV = "BENTFORGE_CACHE_DIR"
 _CHECKPOINT_PAIRS = 1 << 12
 # Written into every checkpoint; records of another version are recomputed.
 # Bump it whenever the sweep algorithm changes.
-_SWEEP_VERSION = 4
+_SWEEP_VERSION = 5
 # Coset-table rows read at a time by the cell pass (at n = 8, 512 kB of
 # int32 lookup indices).
 _CELL_ROWS = 1 << 11
@@ -182,38 +185,12 @@ def ps_candidates(f: BooleanFunction) -> list[int]:
     return np.flatnonzero(f.table[perm[:, 1 : 1 << (f.n // 2)]].all(axis=1)).tolist()
 
 
-def _disjointness(rows: np.ndarray, n: int) -> np.ndarray:
-    """Boolean matrix over coset-table rows: entry (i, j) is set when the
-    subspaces of rows i and j meet only in 0.
-
-    The Gram matrix of the 0/1 membership rows of each block 0 without its
-    0 counts the shared points (exactly, in float32).  A subspace meets
-    itself, so the diagonal is clear.
-    """
-    members = np.zeros((len(rows), 1 << n), dtype=np.float32)
-    members[np.arange(len(rows))[:, None], _coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
-    return members @ members.T == 0
-
-
-def _degree_bound(groups: np.ndarray, disjoint: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """Mask of the groups that may hold a clique of need[g] rows.
-
-    `groups` is the 0/1 float32 membership of each group over the rows of
-    `disjoint`, so one product gives every row's neighbour count inside
-    every group.  A row of an s-clique has s - 1 neighbours in its group,
-    so a group needs s such rows.
-    """
-    degree = groups @ disjoint.astype(np.float32)
-    enough = (degree >= need[:, None] - 1) & (groups > 0)
-    return np.count_nonzero(enough, axis=1) >= need
-
-
 def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
     """Branch-and-bound search for s pairwise-disjoint rows of one group;
-    `disjoint` is the group's sub-block of the matrix from `_disjointness`,
-    rows in group order.  Returns the first clique in lexicographic order of
-    positions, or None.  Callers run `_degree_bound` first, which ends
-    almost every sweep search before this.
+    `disjoint` is the group's sub-block of its disjointness matrix, rows in
+    group order.  Returns the first clique in lexicographic order of
+    positions, or None.  `_bounded_cliques` applies the degree bound first,
+    which ends almost every sweep search before this.
     """
     nbr = [int.from_bytes(r, "little") for r in np.packbits(disjoint, axis=1, bitorder="little")]
 
@@ -235,24 +212,46 @@ def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
     return grow([], (1 << len(disjoint)) - 1)
 
 
-def _group_cliques(rows: np.ndarray, bounds: np.ndarray, need: np.ndarray, n: int):
-    """Clique stage for groups of coset-table rows: group g is
-    rows[bounds[g] : bounds[g + 1]] and wants need[g] pairwise-disjoint
-    subspaces.
+def _bounded_cliques(
+    rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
+):
+    """Clique stage: group g wants need[g] pairwise-disjoint subspaces among
+    the coset-table rows rows[i], (g, i) in the index arrays `pairs`.  Group
+    g and row i belong to batches batch[g] and owner[i] (both
+    non-decreasing; in a sweep, shifts), and a batch lists a row once.
 
-    One disjointness matrix is built over the distinct rows of all groups
-    and the degree bound is applied to every group at once; for each group
-    that passes it, in order, yields (g, clique positions in the group or
-    None) from a search on the group's sub-block.
+    Per batch, the Gram matrix of the 0/1 membership rows of each block 0
+    without its 0 counts the shared points (exactly, in float32); a subspace
+    meets itself, so the diagonal of the disjointness matrix is clear.  The
+    matrices are stacked, padded with empty rows, so one batched product
+    gives every row's neighbour count in every group.  A row of an s-clique
+    has s - 1 neighbours in its group, so a group needs s such rows.  For
+    each group that passes this degree bound, in order, yields (g, the first
+    clique as a list of rows in index order, or None).
     """
-    distinct, col = np.unique(rows, return_inverse=True)
-    disjoint = _disjointness(distinct, n)
-    sizes = np.diff(bounds)
-    groups = np.zeros((len(sizes), len(distinct)), dtype=np.float32)
-    groups[np.repeat(np.arange(len(sizes)), sizes), col] = 1
-    for g in np.flatnonzero(_degree_bound(groups, disjoint, need)):
-        c = col[bounds[g] : bounds[g + 1]]
-        yield int(g), _disjoint_clique(disjoint[np.ix_(c, c)], int(need[g]))
+    if not len(need):
+        return
+    table = _coset_table(n)
+    start = np.searchsorted(owner, owner)
+    local = np.arange(len(rows)) - start
+    spots = np.arange(len(need)) - np.searchsorted(batch, batch)
+    shape = (int(batch[-1]) + 1, int(spots.max()) + 1, int(local.max(initial=-1)) + 1)
+    members = np.zeros((shape[0] * shape[2], 1 << n), dtype=np.float32)
+    members[(owner * shape[2] + local)[:, None], table[rows, 1 : 1 << (n // 2)]] = 1
+    members = members.reshape(shape[0], shape[2], 1 << n)
+    disjoint = members @ members.transpose(0, 2, 1) == 0
+    group, member = pairs
+    groups = np.zeros(shape, dtype=np.float32)
+    groups[batch[group], spots[group], local[member]] = 1
+    wanted = np.zeros(shape[:2], dtype=np.float32)
+    wanted[batch, spots] = need
+    degree = groups @ disjoint.astype(np.float32)
+    enough = np.count_nonzero((degree >= wanted[..., None] - 1) & (groups > 0), axis=2)
+    for g in np.flatnonzero(enough[batch, spots] >= need):
+        c = np.flatnonzero(groups[batch[g], spots[g]])
+        clique = _disjoint_clique(disjoint[batch[g]][np.ix_(c, c)], int(need[g]))
+        first = start[np.searchsorted(owner, batch[g])]
+        yield int(g), None if clique is None else rows[first + c[clique]].tolist()
 
 
 def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
@@ -276,10 +275,12 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     if f.weight() != want_weight:
         return None
     rows = np.array(ps_candidates(f), dtype=np.intp)
-    clique = dict(_group_cliques(rows, np.array([0, len(rows)]), np.array([s]), n)).get(0)
+    owner = np.zeros(len(rows), dtype=np.intp)  # one batch, one group
+    pairs = owner, np.arange(len(rows))
+    clique = dict(_bounded_cliques(rows, owner, pairs, np.array([s]), np.array([0]), n)).get(0)
     if clique is None:
         return None
-    witness = PartialSpreadWitness(subclass, tuple(_midspace(n, int(rows[i])) for i in clique))
+    witness = PartialSpreadWitness(subclass, tuple(_midspace(n, r) for r in clique))
     if witness.reconstruct(n) != f:  # unreachable given the weight filter
         return None
     return witness
@@ -321,16 +322,15 @@ class _CosetCells:
     (subspace index, coset block, u); one entry per cell in each array.
 
     u_b = (b.w_1, ..., b.w_m) and b.r are linear in b, so they are
-    tabulated for the n unit vectors b = e_j (one row per j) and XORed over
-    the set bits of each shift.
+    tabulated for the n unit vectors b = e_j (one row per j), packed as
+    u_b | b.r << m, and XORed over the set bits of each shift.
     """
 
     w_idx: np.ndarray
     block: np.ndarray
-    u: np.ndarray
+    u: np.ndarray  # uint8
     spectrum: np.ndarray  # S_{W,r}(u)
-    unit_u: np.ndarray  # (n, cells): u_b for b = e_j, bit k is bit j of w_k
-    unit_r: np.ndarray  # (n, cells): e_j.r, r the block's first point
+    unit: np.ndarray  # (n, cells): bit k is e_j.w_k, bit m is e_j.r, r the block's first point
 
 
 def _head_index(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,16 +408,15 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     w_idx, block = np.divmod(np.concatenate(flat), size)
     j = np.arange(n, dtype=np.uint8)[:, None]
     basis = perm[w_idx[:, None], 1 << np.arange(m)]
-    unit_u = np.zeros((n, len(w_idx)), dtype=np.uint8)
+    unit = ((perm[w_idx, block << m] >> j) & 1) << m
     for k in range(m):
-        unit_u |= ((basis[:, k] >> j) & 1) << k
+        unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
         w_idx=w_idx,
         block=block,
-        u=np.concatenate(us),
+        u=np.concatenate(us).astype(np.uint8),
         spectrum=np.concatenate(ss).astype(np.int64),
-        unit_u=unit_u,
-        unit_r=(perm[w_idx, block << m] >> j) & 1,
+        unit=unit,
     )
 
 
@@ -426,81 +425,104 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
     return np.bitwise_xor.reduce(table[[j for j in range(len(table)) if b >> j & 1]], axis=0)
 
 
-def _sweep_one_b(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, b: int):
-    """Candidate detection for every a at a fixed shift b.
+# Shifts per sweep block at most.  A block's tables grow with it: at n = 8
+# a sweep's traced peak is 5.7 MiB with 16, 42 MiB with one block of 128.
+_BLOCK = 16
 
-    Returns (phi, hits_minus, hits_plus) where hits are (subspace index,
-    coset block) pairs, in row-major order, whose coset carries the target
-    count of ones of phi = f* + b.x: (2^m - (-1)^(b.r) S(u)) / 2 with
-    u = (b.w_1, ..., b.w_m).
+
+def _shift_blocks(start: int, n: int):
+    """Aligned blocks (lo, hi) of the shifts start .. 2^n - 1: the block at
+    lo holds lo & -lo shifts, at most _BLOCK, and one at lo = 0.  So hi - lo
+    is a power of two dividing lo, and shift lo + d is lo ^ d."""
+    lo = start
+    while lo < 1 << n:
+        hi = lo + min(lo & -lo or 1, _BLOCK)
+        yield lo, hi
+        lo = hi
+
+
+def _block_hits(f: BooleanFunction, cells: _CosetCells, lo: int, hi: int):
+    """Candidate detection for every a at the shifts b = lo + d of a block.
+
+    A hit is a cell with u = u_b whose coset carries the target count of
+    ones of phi = f* + b.x, (2^m - (-1)^(b.r) S(u)) / 2: 2^m - 1 (PS-) or 0
+    (PS+) when f(b) = 0, 1 or 2^m when f(b) = 1.  That is
+    (2^m + (-1)^x S(u)) / 2 in {1, 2^m}, x = b.r + f(b): x = 0 hits when S
+    is 2^m or 2 - 2^m, x = 1 when S is -2^m or 2^m - 2, either when S = 0
+    (m = 1 only).  Row d of the table packs u_b | x << m, XORed up from the
+    unit rows.  Returns (d, cell, tag) per hit in (d, cell) order, tag 1
+    (PS+) when |S| = 2^m.
+    """
+    m = f.n // 2
+    size = 1 << m
+    table = np.empty((hi - lo, len(cells.u)), dtype=np.uint8)
+    table[0] = _unit_xor(cells.unit, lo)
+    for j in range((hi - lo).bit_length() - 1):
+        table[1 << j : 2 << j] = table[: 1 << j] ^ cells.unit[j]
+    table ^= f.table[lo:hi, None] << m
+    s = cells.spectrum
+    mask = (size - 1) | (s != 0).astype(np.uint8) << m
+    want = (cells.u | ((s == -size) | (s == size - 2)).astype(np.uint8) << m) & mask
+    d, c = np.divmod(np.flatnonzero((table & mask) == want), len(cells.u))
+    return d, c, (np.abs(s[c]) == size).astype(np.intp)
+
+
+def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, d, w, block, tag):
+    """The viable (shift, a, subclass) groups of a block, from its hits in
+    (d, subspace index w) order: shift lo + d, coset block, tag.
+
+    A hit (W, block) at shift lo + d makes W-perp a candidate for every a
+    in that coset of W.  A group is viable when it has at least
+    need = 2^(m-1) + tag hits and phi[a] = f(b) (otherwise the weight of g
+    rules out PS).  Every coset point gets the key (d, a, tag), and one
+    count per key settles viability.  Returns (d, a, tag, need) per group,
+    ascending in (d, a, tag), then the groups' rows, owners and pairs as
+    `_bounded_cliques` takes them, rows ascending in (d, row).
     """
     n = f.n
     m = n // 2
-    phi = dual_table ^ _parity_array(np.arange(1 << n) & b)
-    keep = np.flatnonzero(cells.u == _unit_xor(cells.unit_u, b))
-    sign = 1 - 2 * _unit_xor(cells.unit_r, b)[keep].astype(np.int64)
-    counts = ((1 << m) - sign * cells.spectrum[keep]) // 2
-    fb = int(f.table[b])  # g(0) bookkeeping: f(b) decides the target counts
-    t_minus = (1 << m) - 1 if fb == 0 else 1
-    t_plus = 0 if fb == 0 else 1 << m
-    hit = np.stack([cells.w_idx[keep], cells.block[keep]], axis=1)
-    return phi, hit[counts == t_minus], hit[counts == t_plus]
+    shifts = np.arange(lo, hi)
+    phi = dual_table ^ _parity_array(shifts[:, None] & np.arange(1 << n))
+    points = _coset_table(n).reshape(-1, 1 << m)[(w << (n - m)) + block]
+    keys = (((d << (n + 1)) | tag)[:, None] | points.astype(np.intp) << 1).ravel()
+    counts = np.bincount(keys, minlength=(hi - lo) << (n + 1))
+    viable = counts.reshape(-1, 2) >= (1 << (m - 1)) + np.arange(2)
+    viable = (viable & (phi == f.table[shifts, None]).reshape(-1, 1)).ravel()
+    kept = np.flatnonzero(viable[keys])
+    hit = kept >> m
+    # a run of hits with one (d, W) is one row; the runs with a kept point
+    # are the rows of the groups
+    start = np.ones(len(w), dtype=bool)
+    start[1:] = (d[1:] != d[:-1]) | (w[1:] != w[:-1])
+    run = np.cumsum(start) - 1
+    used = np.zeros(np.count_nonzero(start), dtype=bool)
+    used[run[hit]] = True
+    firsts = np.flatnonzero(start)[used]
+    pairs = np.cumsum(viable)[keys[kept]] - 1, (np.cumsum(used) - 1)[run[hit]]
+    key = np.flatnonzero(viable)
+    a, tag = (key >> 1) & ((1 << n) - 1), key & 1
+    return key >> (n + 1), a, tag, (1 << (m - 1)) + tag, w[firsts], d[firsts], pairs
 
 
-def _shift_groups(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
-    """The viable (a, subclass) groups at shift b, ascending in (a, tag),
-    tag 1 for PS_plus.
+def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, lo: int, hi: int):
+    """The first witness at a shift in lo .. hi - 1, in (b, a) order, or None.
 
-    A hit (W, block) makes W-perp a candidate for every a in that coset of
-    W.  A group is viable when it has at least need = 2^(m-1) + tag hits
-    and phi[a] = f(b) (otherwise the weight of g rules out PS).  Returns
-    (a, tag, need, rows, bounds): group g holds the coset-table rows
-    rows[bounds[g] : bounds[g + 1]], in ascending order.
-    """
-    m = f.n // 2
-    perm = _coset_table(f.n)
-    fb = int(f.table[b])
-    hits = np.concatenate([hits_minus, hits_plus])
-    plus = np.repeat([0, 1], [len(hits_minus), len(hits_plus)])
-    # every point a of each hit's coset, keyed by (a, tag); the stable sort
-    # keeps each group's rows in ascending hit order, i.e. ascending W
-    points = perm[hits[:, :1], (hits[:, 1:] << m) + np.arange(1 << m)]
-    keys = ((points.astype(np.int64) << 1) | plus[:, None]).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys, rows = keys[order], np.repeat(hits[:, 0], 1 << m)[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sizes = np.diff(starts, append=len(keys))
-    a, tag = np.divmod(keys[starts], 2)
-    need = (1 << (m - 1)) + tag
-    viable = (sizes >= need) & (phi[a] == fb)
-    bounds = np.concatenate([[0], np.cumsum(sizes[viable])])
-    return a[viable], tag[viable], need[viable], rows[np.repeat(viable, sizes)], bounds
-
-
-def _try_pairs_for_b(f: BooleanFunction, b: int, phi, hits_minus, hits_plus):
-    """Run the clique stage for every viable a at this b, ascending.
-
-    The search runs on the hit subspaces W themselves, since two
-    n/2-subspaces meet only in 0 exactly when their orthogonal complements
-    do ((W1 + W2)-perp is the intersection of W1-perp and W2-perp).  One
-    disjointness matrix covers the distinct rows of all the shift's viable
-    groups (at most 126 on the published functions, whose shifts have up to
-    205 distinct hit rows), one batched degree bound drops almost every
-    group, and only the survivors are searched, each on its sub-block.
     Only the subspaces of a clique that is found are turned into
-    complements, for the witness.
+    complements, for the witness, which must rebuild the shifted function.
     """
     n = f.n
-    fb = int(f.table[b])
-    a, tag, need, rows, bounds = _shift_groups(f, b, phi, hits_minus, hits_plus)
-    for g, clique in _group_cliques(rows, bounds, need, n):
+    d, c, tag = _block_hits(f, cells, lo, hi)
+    d, a, tag, need, rows, owner, pairs = _block_groups(
+        f, dual_table, lo, hi, d, cells.w_idx[c], cells.block[c], tag
+    )
+    for g, clique in _bounded_cliques(rows, owner, pairs, need, d, n):
         if clique is None:
             continue
-        group = rows[bounds[g] : bounds[g + 1]]
+        b = lo + int(d[g])
         subclass = "PS_plus" if tag[g] else "PS_minus"
-        subspaces = tuple(orthogonal_complement(_midspace(n, int(group[j]))) for j in clique)
+        subspaces = tuple(orthogonal_complement(_midspace(n, r)) for r in clique)
         inner = PartialSpreadWitness(subclass, subspaces)
-        found = PsSharpWitness(b, int(a[g]), fb ^ int(tag[g]), inner)
+        found = PsSharpWitness(b, int(a[g]), int(f.table[b]) ^ int(tag[g]), inner)
         if _witness_holds(f, found):
             return found
     return None
@@ -590,11 +612,13 @@ def is_in_ps_sharp(
     x -> f(x+b) + a.x + c, with c forced by the subclass.
 
     Returns the first witness in (b, a) order, or None after the exhaustive
-    sweep.  Checkpoints every 2^12 (b, a) pairs when a cache path is set
-    via `resume` or the BENTFORGE_CACHE_DIR environment variable.
-    `progress` is called with b after every shift that yields no witness.
-    The sweep runs on one thread; `jobs` is accepted for callers that still
-    pass it, and ignored.
+    sweep.  Shifts are taken in aligned blocks of up to 16 (see
+    `_shift_blocks`), so a sweep resumed at any shift takes the same steps.
+    Checkpoints every 2^12 (b, a) pairs when a cache path is set via
+    `resume` or the BENTFORGE_CACHE_DIR environment variable.  `progress` is
+    called with b, in order, for every shift that yields no witness, once
+    the block holding that shift is done.  The sweep runs on one thread;
+    `jobs` is accepted for callers that still pass it, and ignored.
     """
     if not is_bent(f):
         raise ValueError("PS# membership is defined for bent functions")
@@ -609,15 +633,17 @@ def is_in_ps_sharp(
     checkpoint_every = max(1, _CHECKPOINT_PAIRS >> n)
 
     found = None
-    for b in range(state.next_b, 1 << n):
-        found = _try_pairs_for_b(f, b, *_sweep_one_b(f, cells, dual_table, b))
-        state.next_b = b + 1
+    for lo, hi in _shift_blocks(state.next_b, n):
+        found = _sweep_block(f, cells, dual_table, lo, hi)
+        for b in range(lo, hi if found is None else found.shift):
+            if progress:
+                progress(b)
+            if (b + 1) % checkpoint_every == 0:
+                state.next_b = b + 1
+                state.save()
+        state.next_b = hi if found is None else found.shift + 1
         if found is not None:
             break
-        if progress:
-            progress(b)
-        if (b + 1) % checkpoint_every == 0:
-            state.save()
     state.save(
         witness=None if found is None else found.as_dict(), finished=True
     )

@@ -19,19 +19,24 @@ from bentforge.gf2 import (
     span,
 )
 from bentforge.psclass import (
+    _BLOCK,
     CACHE_ENV,
+    _block_groups,
+    _block_hits,
+    _bounded_cliques,
     _coset_cells,
     _coset_table,
     _coset_wht,
     _CosetCells,
-    _group_cliques,
     _head_index,
     _midspace,
-    _shift_groups,
+    _shift_blocks,
     _shifted_affine,
     _span_rows,
-    _sweep_one_b,
     _unit_xor,
+    _witness_holds,
+    PartialSpreadWitness,
+    PsSharpWitness,
     is_in_ps_sharp,
     is_partial_spread,
     ps_ap,
@@ -42,6 +47,10 @@ from bentforge.vectorial import identity_map
 
 def balanced_h3() -> BooleanFunction:
     return BooleanFunction(3, [0, 1, 1, 0, 1, 0, 1, 0])
+
+
+def ps_ap4() -> BooleanFunction:
+    return ps_ap(4, BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]))
 
 
 def test_ps_ap_is_ps_minus_bent():
@@ -137,7 +146,7 @@ def test_ps_sharp_progress_reports_every_shift_before_the_witness():
     # the call shape of an outside caller: jobs (ignored), resume, progress;
     # n = 8, since the disguises of ps_ap(3, h) tried all have a witness at b = 0
     rng = random.Random(3)
-    f = ps_ap(4, BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]))
+    f = ps_ap4()
     A = random_invertible(8, rng)
     linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
     g = _shifted_affine(linear, rng.randrange(1, 8), rng.randrange(256), rng.randrange(2))
@@ -222,7 +231,10 @@ def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
 
 
 def oracle_functions(n: int) -> list[BooleanFunction]:
-    """PS_ap and quadratic MM on n variables, and three EA disguises of each."""
+    """PS_ap and quadratic MM on n variables, and three EA disguises of each;
+    at n = 2, all eight bent functions (the odd-weight tables)."""
+    if n == 2:
+        return [BooleanFunction(2, t) for t in itertools.product((0, 1), repeat=4) if sum(t) % 2]
     m = n // 2
     h = balanced_h3() if m == 3 else BooleanFunction(2, [0, 1, 1, 0])
     base = [ps_ap(m, h), mm_bent(identity_map(m), zero_function(m))]
@@ -244,38 +256,173 @@ def direct_coset_hits(f: BooleanFunction, dual_table: np.ndarray, b: int):
     return phi, np.argwhere(sums == t_minus), np.argwhere(sums == t_plus)
 
 
-def assert_hits_match(f: BooleanFunction, shifts) -> None:
+def reference_shift_groups(f: BooleanFunction, cells, dual_table: np.ndarray, b: int, hits=None):
+    """The per-shift pass: the hits of shift b selected from the cells one
+    shift at a time (or the given (hits_minus, hits_plus)), then its viable
+    (a, subclass) groups, ascending in (a, tag), tag 1 for PS_plus.
+
+    Returns ((phi, hits_minus, hits_plus), (a, tag, need, rows, bounds)):
+    hits are (subspace index, coset block) pairs in row-major order whose
+    coset carries the target count of ones of phi = f* + b.x,
+    (2^m - (-1)^(b.r) S(u)) / 2 with u = (b.w_1, ..., b.w_m); group g holds
+    the coset-table rows rows[bounds[g] : bounds[g + 1]], ascending.
+    """
+    n = f.n
+    m = n // 2
+    perm = _coset_table(n)
+    phi = dual_table ^ _parity_array(np.arange(1 << n) & b)
+    fb = int(f.table[b])  # g(0) bookkeeping: f(b) decides the target counts
+    if hits is None:
+        packed = _unit_xor(cells.unit, b)
+        keep = np.flatnonzero(cells.u == packed & ((1 << m) - 1))
+        sign = 1 - 2 * (packed[keep] >> m).astype(np.int64)
+        counts = ((1 << m) - sign * cells.spectrum[keep]) // 2
+        t_minus = (1 << m) - 1 if fb == 0 else 1
+        t_plus = 0 if fb == 0 else 1 << m
+        hit = np.stack([cells.w_idx[keep], cells.block[keep]], axis=1)
+        hits = hit[counts == t_minus], hit[counts == t_plus]
+    hits_minus, hits_plus = hits
+    # a hit (W, block) makes W-perp a candidate for every a in that coset;
+    # a group is viable with need = 2^(m-1) + tag hits and phi[a] = f(b)
+    hits = np.concatenate([hits_minus, hits_plus])
+    plus = np.repeat([0, 1], [len(hits_minus), len(hits_plus)])
+    points = perm[hits[:, :1], (hits[:, 1:] << m) + np.arange(1 << m)]
+    keys = ((points.astype(np.int64) << 1) | plus[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], np.repeat(hits[:, 0], 1 << m)[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sizes = np.diff(starts, append=len(keys))
+    a, tag = np.divmod(keys[starts], 2)
+    need = (1 << (m - 1)) + tag
+    viable = (sizes >= need) & (phi[a] == fb)
+    bounds = np.concatenate([[0], np.cumsum(sizes[viable])])
+    groups = a[viable], tag[viable], need[viable], rows[np.repeat(viable, sizes)], bounds
+    return (phi, hits_minus, hits_plus), groups
+
+
+def csr_groups(need: np.ndarray, rows: np.ndarray, pairs):
+    """Each group's rows, ascending, concatenated, with the group bounds."""
+    group, member = pairs
+    order = np.lexsort((member, group))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=len(need)))])
+    return rows[member[order]], bounds
+
+
+def split_block(lo: int, hi: int, hits, groups, count: int):
+    """Per shift b of a block, its (hits_minus, hits_plus) and (a, tag, need,
+    rows, bounds) from the block pass's hits (d, w, block, tag) and groups,
+    after checking the groups' rows: ascending in (shift, row), each used,
+    and each only by groups of its own shift."""
+    d, w, block, tag = hits
+    gd, a, gtag, need, rows, owner, pairs = groups
+    assert np.all(np.diff(owner * count + rows) > 0)
+    assert np.array_equal(np.unique(pairs[1]), np.arange(len(rows)))
+    assert np.array_equal(owner[pairs[1]], gd[pairs[0]])
+    members, bounds = csr_groups(need, rows, pairs)
+    hit = np.stack([w, block], axis=1)
+    for b in range(lo, hi):
+        mine = d == b - lo
+        g = np.flatnonzero(gd == b - lo)
+        edges = bounds[g[0] : g[-1] + 2] if len(g) else bounds[:1]
+        groups = a[g], gtag[g], need[g], members[edges[0] : edges[-1]], edges - edges[0]
+        yield b, (hit[mine & (tag == 0)], hit[mine & (tag == 1)]), groups
+
+
+def block_pass(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, blocks):
+    """split_block over the given blocks of f's sweep."""
+    for lo, hi in blocks:
+        d, c, tag = _block_hits(f, cells, lo, hi)
+        hits = d, cells.w_idx[c], cells.block[c], tag
+        groups = _block_groups(f, dual_table, lo, hi, *hits)
+        yield from split_block(lo, hi, hits, groups, len(_coset_table(f.n)))
+
+
+def assert_block_pass_matches(f: BooleanFunction, direct_shifts=()) -> None:
+    """The block pass against the per-shift pass at every shift, and both
+    against direct coset counts at direct_shifts (all of them below n = 8)."""
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, f.n)
-    for b in shifts:
-        got = _sweep_one_b(f, cells, dual_table, b)
-        want = direct_coset_hits(f, dual_table, b)
-        for x, y in zip(got, want):
+    seen = []
+    for b, hits, groups in block_pass(f, cells, dual_table, _shift_blocks(0, f.n)):
+        (phi, *want_hits), want_groups = reference_shift_groups(f, cells, dual_table, b)
+        if f.n < 8 or b in direct_shifts:
+            direct = direct_coset_hits(f, dual_table, b)
+            assert np.array_equal(direct[0], phi), b
+            want = direct[1:]
+            for x, y in zip(want_hits, want):
+                assert x.shape == y.shape and np.array_equal(x, y), f"shift {b}"
+        for x, y in zip(hits, want_hits):
             assert x.shape == y.shape and np.array_equal(x, y), f"shift {b}"
+        for name, x, y in zip(("a", "tag", "need", "rows", "bounds"), groups, want_groups):
+            assert x.shape == y.shape and np.array_equal(x, y), f"shift {b}: {name}"
+        seen.append(b)
+    assert seen == list(range(1 << f.n))
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6])
 def test_sweep_hits_match_direct_coset_count(n):
     for f in oracle_functions(n):
-        assert_hits_match(f, range(1 << n))
+        assert_block_pass_matches(f)
 
 
 def test_sweep_hits_match_direct_coset_count_n8():
-    assert_hits_match(published_bent8("delta0_mix"), (0, 1, 77, 200, 255))
+    assert_block_pass_matches(published_bent8("delta0_mix"), direct_shifts=(0, 1, 77, 200, 255))
+
+
+@pytest.mark.parametrize("name", ["transposed", "apn_family"])
+def test_block_pass_matches_per_shift_pass_n8(name):
+    assert_block_pass_matches(published_bent8(name))
+
+
+def test_block_groups_match_per_shift_grouping_on_random_hits():
+    # shift lo + d has random hits on subspaces few[d] and few[d + 1], so one
+    # subspace closes the hits of a shift and opens those of the next
+    f = oracle_functions(4)[3]
+    dual_table = dual(f).table
+    count = len(_coset_table(4))
+    rng = np.random.default_rng(4)
+    straddles = 0
+    for lo, hi in [(4, 8), (8, 12), (0, 1)]:
+        for _ in range(40):
+            few = np.sort(rng.choice(count, hi - lo + 1, replace=False))
+            d, w, block = np.nonzero(rng.random((hi - lo, 2, 4)) < 0.75)
+            w = few[d + w]
+            tag = rng.integers(0, 2, len(d))
+            straddles += np.count_nonzero((np.diff(d) > 0) & (np.diff(w) == 0))
+            hits = d, w, block, tag
+            groups = _block_groups(f, dual_table, lo, hi, *hits)
+            for b, shift_hits, got in split_block(lo, hi, hits, groups, count):
+                _, want = reference_shift_groups(f, None, dual_table, b, shift_hits)
+                for x, y in zip(got, want):
+                    assert x.shape == y.shape and np.array_equal(x, y), b
+    assert straddles > 0
+
+
+def test_shift_blocks_are_aligned_and_capped():
+    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 48)]
+    assert list(_shift_blocks(0, 6))[:7] == starts
+    assert list(_shift_blocks(37, 8))[:4] == [(37, 38), (38, 40), (40, 48), (48, 64)]
+    for start in range(256):
+        blocks = list(_shift_blocks(start, 8))
+        assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+        assert blocks[0][0] == start and blocks[-1][1] == 256
+        for lo, hi in blocks:
+            size = hi - lo
+            assert size & (size - 1) == 0 and size <= _BLOCK and lo % size == 0
 
 
 def test_tabulated_shift_parities_match_direct_n8():
-    # u_b = (b.w_1, ..., b.w_m) and b.r, from the subspace basis and the
-    # coset representative of every cell
+    # packed u_b | (b.r) << m, from the subspace basis and the coset
+    # representative of every cell
     n, m = 8, 4
     cells = _coset_cells(dual(published_bent8("delta0_mix")).table, n)
     perm = _coset_table(n)
     basis = perm[cells.w_idx[:, None], 1 << np.arange(m)].astype(np.int64)
     rep = perm[cells.w_idx, cells.block << m].astype(np.int64)
+    assert cells.unit.dtype == np.uint8 and cells.unit.shape == (n, len(cells.u))
     for b in range(1 << n):
         u_b = (_parity_array(basis & b).astype(np.int64) << np.arange(m)).sum(axis=1)
-        assert np.array_equal(_unit_xor(cells.unit_u, b), u_b), b
-        assert np.array_equal(_unit_xor(cells.unit_r, b), _parity_array(rep & b)), b
+        assert np.array_equal(_unit_xor(cells.unit, b), u_b | _parity_array(rep & b) << m), b
 
 
 def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
@@ -297,16 +444,15 @@ def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     w_idx, block = np.divmod(cosets[row], size)
     j = np.arange(n, dtype=np.uint8)[:, None]
     basis = perm[w_idx[:, None], 1 << np.arange(m)]
-    unit_u = np.zeros((n, len(w_idx)), dtype=np.uint8)
+    unit = ((perm[w_idx, block << m] >> j) & 1) << m
     for k in range(m):
-        unit_u |= ((basis[:, k] >> j) & 1) << k
+        unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
         w_idx=w_idx,
         block=block,
-        u=u,
+        u=u.astype(np.uint8),
         spectrum=spec[row, u].astype(np.int64),
-        unit_u=unit_u,
-        unit_r=(perm[w_idx, block << m] >> j) & 1,
+        unit=unit,
     )
 
 
@@ -315,8 +461,7 @@ def coset_cell_inputs() -> list[BooleanFunction]:
     rng = random.Random(7)
     n8 = [published_bent8(name) for name in PUBLISHED]
     n8 += [ea_disguise(f, rng) for f in n8 for _ in range(2)]
-    ap = ps_ap(4, BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]))
-    n8 += [ea_disguise(ap, rng) for _ in range(2)]
+    n8 += [ea_disguise(ps_ap4(), rng) for _ in range(2)]
     return [x1x2, x1x2 ^ 1] + oracle_functions(4) + oracle_functions(6) + n8
 
 
@@ -325,7 +470,7 @@ def test_coset_cells_match_per_point_reference(f):
     dual_table = dual(f).table
     got = _coset_cells(dual_table, f.n)
     want = reference_coset_cells(dual_table, f.n)
-    for name in ("w_idx", "block", "u", "spectrum", "unit_u", "unit_r"):
+    for name in ("w_idx", "block", "u", "spectrum", "unit"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
 
@@ -356,6 +501,79 @@ def test_coset_cells_peak_memory_n8():
     assert peak < 8 << 20, peak
 
 
+def test_ps_sharp_sweep_peak_memory_n8(monkeypatch):
+    # with the per-dimension tables built, a sweep holds the cell pass's
+    # arrays, then one block's tables at a time: 5.7 MiB with blocks of 16
+    # shifts, 42 MiB with one block of 128
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
+    _head_index(8)  # builds the coset table too
+    _coset_wht(4)
+    tracemalloc.start()
+    try:
+        assert is_in_ps_sharp(g) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20, peak
+
+
+def reference_first_witness(f: BooleanFunction):
+    """The first witness in (b, a) order from the per-shift pass and the
+    per-group clique stage, one shift at a time."""
+    n = f.n
+    dual_table = dual(f).table
+    cells = _coset_cells(dual_table, n)
+    for b in range(1 << n):
+        _, (a, tag, need, rows, bounds) = reference_shift_groups(f, cells, dual_table, b)
+        for g in range(len(need)):
+            group = rows[bounds[g] : bounds[g + 1]]
+            _, clique = reference_group_clique(group, n, int(need[g]))
+            if clique is None:
+                continue
+            subspaces = tuple(orthogonal_complement(_midspace(n, int(group[j]))) for j in clique)
+            inner = PartialSpreadWitness("PS_plus" if tag[g] else "PS_minus", subspaces)
+            w = PsSharpWitness(b, int(a[g]), int(f.table[b]) ^ int(tag[g]), inner)
+            if _witness_holds(f, w):
+                return w
+    return None
+
+
+# seeds of ea_disguise(ps_ap4()) by the shift of their first witness: block
+# edges and the middle of the blocks [2, 3], [4..7], [8..15], [16..31], [48..63]
+WITNESS_SHIFT_SEEDS = {
+    1: 89, 2: 39, 3: 436, 4: 523, 7: 44, 8: 81, 15: 136, 16: 133, 17: 82, 53: 29
+}
+
+
+@pytest.mark.parametrize("shift, seed", WITNESS_SHIFT_SEEDS.items())
+def test_ps_sharp_block_edges_keep_first_witness_and_progress(shift, seed, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    g = ea_disguise(ps_ap4(), random.Random(seed))
+    want = reference_first_witness(g)
+    assert want is not None and want.shift == shift
+    seen = []
+    assert is_in_ps_sharp(g, progress=seen.append) == want
+    assert seen == list(range(shift))
+
+
+def test_ps_sharp_resumes_from_unaligned_shift_n8(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    g = ea_disguise(ps_ap4(), random.Random(WITNESS_SHIFT_SEEDS[53]))
+    full = is_in_ps_sharp(g)
+    assert full.shift == 53
+    path = tmp_path / "sweep.json"
+    record = {
+        "version": psclass._SWEEP_VERSION, "digest": g.digest(), "finished": False, "witness": None
+    }
+    path.write_text(json.dumps({**record, "next_b": 37}))
+    seen = []
+    assert is_in_ps_sharp(g, resume=path, progress=seen.append) == full
+    assert seen == list(range(37, 53))
+    saved = {**record, "next_b": 54, "finished": True, "witness": full.as_dict()}
+    assert json.loads(path.read_text()) == saved
+
+
 def first_direct_witness(f: BooleanFunction):
     """Smallest (b, a) with f(x + b) + a.x + c in PS for some c, tested directly."""
     for b in range(1 << f.n):
@@ -367,7 +585,7 @@ def first_direct_witness(f: BooleanFunction):
 
 @pytest.mark.parametrize(
     "f",
-    oracle_functions(4) + oracle_functions(6),
+    oracle_functions(2) + oracle_functions(4) + oracle_functions(6),
     ids=lambda f: f"n{f.n}-{f.digest()[:8]}",
 )
 def test_ps_sharp_matches_exhaustive_direct_tests(f):
@@ -498,8 +716,10 @@ def test_disjoint_clique_matches_brute_force(n, lists):
         rows = rng.sample(range(count), rng.randrange(2, 15))
         s = rng.randrange(2, 6)
         want = first_disjoint_subset(rows, n, s)
-        got = dict(_group_cliques(np.array(rows), np.array([0, len(rows)]), np.array([s]), n))
-        assert got.get(0) == want, (rows, s)
+        zeros = np.zeros(len(rows), dtype=np.intp)
+        pairs = zeros, np.arange(len(rows))
+        got = dict(_bounded_cliques(np.array(rows), zeros, pairs, np.array([s]), zeros[:1], n))
+        assert got.get(0) == (None if want is None else [rows[i] for i in want]), (rows, s)
         outcomes.add(want is None)
     assert outcomes == {True, False}
 
@@ -536,48 +756,56 @@ def reference_group_clique(rows, n: int, s: int):
     return True, grow([], (1 << L) - 1)
 
 
-def batched_and_reference_cliques(f: BooleanFunction, shifts):
-    """Per shift, the groups the batched bound keeps with their cliques, and
-    the same from the per-group reference; also the group count."""
+def batched_and_reference_cliques(f: BooleanFunction):
+    """Per sweep block, the groups the batched bound keeps with their
+    cliques (as rows), and the same from the per-group reference."""
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, f.n)
     total = 0
-    for b in shifts:
-        a, tag, need, rows, bounds = _shift_groups(f, b, *_sweep_one_b(f, cells, dual_table, b))
+    for lo, hi in _shift_blocks(0, f.n):
+        d, c, tag = _block_hits(f, cells, lo, hi)
+        d, _, _, need, rows, owner, pairs = _block_groups(
+            f, dual_table, lo, hi, d, cells.w_idx[c], cells.block[c], tag
+        )
+        members, bounds = csr_groups(need, rows, pairs)
         want = {}
         for g in range(len(need)):
-            kept, clique = reference_group_clique(rows[bounds[g] : bounds[g + 1]], f.n, int(need[g]))
+            group = members[bounds[g] : bounds[g + 1]]
+            kept, clique = reference_group_clique(group, f.n, int(need[g]))
             if kept:
-                want[g] = clique
+                want[g] = None if clique is None else group[clique].tolist()
         total += len(need)
-        yield b, dict(_group_cliques(rows, bounds, need, f.n)), want
+        yield lo, dict(_bounded_cliques(rows, owner, pairs, need, d, f.n)), want
     assert total > 0
 
 
 def test_batched_degree_bound_matches_per_group_reference_on_random_groups():
-    # many overlapping groups of random rows in one call, each with its own s
+    # many overlapping groups of random rows in one call, each with its own
+    # s, spread over batches of different sizes with an empty one between
     rng = random.Random(66)
     count = _coset_table(6).shape[0]
     groups = [sorted(rng.sample(range(count), rng.randrange(2, 15))) for _ in range(300)]
     need = np.array([rng.randrange(2, 6) for _ in groups])
-    rows = np.concatenate(groups)
-    bounds = np.cumsum([0] + [len(g) for g in groups])
+    batch = np.sort([rng.choice([0, 1, 3, 4]) for _ in groups])
+    listed = [(b, r) for b, group in zip(batch, groups) for r in group]
+    keys, index = np.unique(listed, axis=0, return_inverse=True)
+    pairs = np.repeat(np.arange(len(groups)), [len(g) for g in groups]), index.ravel()
     want = {}
     for g, group in enumerate(groups):
         kept, clique = reference_group_clique(np.array(group), 6, int(need[g]))
         if kept:
-            want[g] = clique
-    got = dict(_group_cliques(rows, bounds, need, 6))
+            want[g] = None if clique is None else [group[i] for i in clique]
+    got = dict(_bounded_cliques(keys[:, 1], keys[:, 0], pairs, need, batch, 6))
     assert got == want
     assert 0 < sum(c is None for c in got.values()) < len(got) < len(groups)
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [2, 4, 6])
 def test_batched_degree_bound_matches_per_group_reference(n):
     kept = 0
     for f in oracle_functions(n):
-        for b, got, want in batched_and_reference_cliques(f, range(1 << n)):
-            assert got == want, (f.digest(), b)
+        for lo, got, want in batched_and_reference_cliques(f):
+            assert got == want, (f.digest(), lo)
             kept += len(got)
     assert kept > 0
 
@@ -586,7 +814,7 @@ def test_batched_degree_bound_matches_per_group_reference(n):
 def test_batched_degree_bound_matches_per_group_reference_n8(name, some_kept):
     g = ea_disguise(published_bent8(name), random.Random(name))
     kept = 0
-    for b, got, want in batched_and_reference_cliques(g, range(256)):
-        assert got == want, b
+    for lo, got, want in batched_and_reference_cliques(g):
+        assert got == want, lo
         kept += len(got)
     assert (kept > 0) == some_kept
