@@ -101,10 +101,6 @@ def zero_function(n: int) -> BooleanFunction:
     return BooleanFunction(n, np.zeros(1 << n, dtype=np.uint8))
 
 
-def constant_one(n: int) -> BooleanFunction:
-    return BooleanFunction(n, np.ones(1 << n, dtype=np.uint8))
-
-
 def _xor_butterfly(a: np.ndarray) -> np.ndarray:
     """In-place Moebius transform (its own inverse)."""
     n = int(a.size).bit_length() - 1

@@ -141,7 +141,7 @@ class ClassReport:
         return out
 
 
-def analyze(f: BooleanFunction, sharp: bool = False, resume=None) -> ClassReport:
+def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
     timings: dict[str, int] = {}
 
     def timed(stage, fn):
@@ -163,7 +163,7 @@ def analyze(f: BooleanFunction, sharp: bool = False, resume=None) -> ClassReport
         mm = timed("mm_sharp", lambda: is_in_mm_sharp(f))
     ps = None
     if sharp:
-        ps = timed("ps_sharp", lambda: is_in_ps_sharp(f, resume=resume))
+        ps = timed("ps_sharp", lambda: is_in_ps_sharp(f))
     return ClassReport(
         f.n, bent, degree, f.weight(), profile, mm, ps, sharp, timings
     )
@@ -171,7 +171,7 @@ def analyze(f: BooleanFunction, sharp: bool = False, resume=None) -> ClassReport
 
 def _cmd_analyze(args) -> int:
     f = load_boolean(args)
-    report = analyze(f, sharp=args.sharp, resume=args.resume)
+    report = analyze(f, sharp=args.sharp)
     _emit(report.as_dict())
     return 0
 
@@ -198,7 +198,7 @@ def _cmd_profile(args) -> int:
 def _cmd_psclass(args) -> int:
     f = load_boolean(args)
     if args.sharp:
-        w = is_in_ps_sharp(f, resume=args.resume)
+        w = is_in_ps_sharp(f)
     else:
         w = is_partial_spread(f)
     _emit(None if w is None else w.as_dict())
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full class report for one function")
     _add_input_flags(p)
     p.add_argument("--sharp", action="store_true", help="also run the PS# sweep")
-    p.add_argument("--resume", help="checkpoint file for long PS# sweeps")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("msub", help="list M-subspaces of one dimension")
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psclass", help="partial spread membership")
     _add_input_flags(p)
     p.add_argument("--sharp", action="store_true", help="sweep shifts and affine offsets")
-    p.add_argument("--resume")
     p.set_defaults(fn=_cmd_psclass)
 
     p = sub.add_parser("construct", help="run one of the generative recipes")

@@ -107,10 +107,6 @@ def zero_subspace(n: int) -> Subspace:
     return Subspace(n, ())
 
 
-def full_space(n: int) -> Subspace:
-    return span([1 << j for j in range(n)], n)
-
-
 def gaussian_binomial(n: int, r: int) -> int:
     """Number of r-dimensional subspaces of F_2^n."""
     if r < 0 or r > n:
@@ -157,12 +153,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     small, big = (a, b) if a.dim <= b.dim else (b, a)
     vecs = [v for v in small.elements() if big.contains(v)]
     return span(vecs, a.n)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.n != b.n:
-        raise ValueError(f"ambient mismatch: {a.n} vs {b.n}")
-    return span(list(a.basis) + list(b.basis), a.n)
 
 
 def orthogonal_complement(a: Subspace) -> Subspace:

@@ -6,7 +6,6 @@ the polynomial basis, which also identifies F_{2^m} with F_2^m.
 
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
@@ -147,20 +146,6 @@ def power_map(field: Field, d: int):
         raise ValueError(f"exponent must be in 1..2^m-2, got {d}")
     table = np.array([field.pow(x, d) for x in range(1 << field.m)], dtype=np.int64)
     return VectorialFunction(field.m, table)
-
-
-def is_permutation_exponent(field: Field, d: int) -> bool:
-    return math.gcd(d, field.order) == 1
-
-
-def trace_component(field: Field, delta: int):
-    """The Boolean function y -> Tr(delta * y) on F_2^m."""
-    from .boolfun import BooleanFunction
-
-    t = np.array(
-        [field.trace(field.mul(delta, y)) for y in range(1 << field.m)], dtype=np.uint8
-    )
-    return BooleanFunction(field.m, t)
 
 
 _FIELD_RE = re.compile(r"^gf2m:m=(\d+)(?:,mod=([0-9a-fA-F]+))?$")

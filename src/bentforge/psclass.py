@@ -16,7 +16,7 @@ listed in basis-coordinate order, so each run of 2^k points is
 t + span(w_1..w_k), and one per-function table indexed by that head span
 and t holds the run's bits.  u and b.r are linear in b, so the pass
 tabulates them, packed into one byte per cell, for the n unit vectors.
-The sweep takes aligned blocks of up to 16 shifts: one comparison on the
+The sweep takes aligned blocks of up to 8 shifts: one comparison on the
 block's XORed-up table gives all its hits, and one count of (shift, a,
 subclass) keys over the hits' coset points gives all its viable groups.
 The disjointness search then runs on the hit subspaces W, not on their
@@ -32,12 +32,7 @@ stage with one group.
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import uuid
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,14 +40,9 @@ from . import gf2
 from .boolfun import BooleanFunction, _parity_array, dual, is_bent
 from .gf2 import Subspace, orthogonal_complement, span
 
-# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 4).
+# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 1).
 enumerate_subspaces = gf2.enumerate_subspaces
 
-CACHE_ENV = "BENTFORGE_CACHE_DIR"
-_CHECKPOINT_PAIRS = 1 << 12
-# Written into every checkpoint; records of another version are recomputed.
-# Bump it whenever the sweep algorithm changes.
-_SWEEP_VERSION = 5
 # Coset-table rows read at a time by the cell pass (at n = 8, 512 kB of
 # int32 lookup indices).
 _CELL_ROWS = 1 << 11
@@ -309,7 +299,12 @@ def _coset_wht(m: int) -> tuple[np.ndarray, np.ndarray]:
     if m not in _WHT:
         size = 1 << m
         j = np.arange(size)
-        signs = (1 - 2 * ((np.arange(1 << size)[:, None] >> j) & 1)).astype(np.int16)
+        # the words' bits from their bytes, so no wide per-bit grid is made
+        words = np.arange(1 << size, dtype=f"<u{max(size // 8, 1)}")
+        bits = words.view(np.uint8).reshape(1 << size, -1)
+        signs = np.unpackbits(bits, axis=1, count=size, bitorder="little").astype(np.int16)
+        signs *= -2
+        signs += 1
         hadamard = (1 - 2 * _parity_array(j[:, None] & j)).astype(np.int16)
         spectra = (signs @ hadamard).astype(np.int8)
         _WHT[m] = (spectra, (np.abs(spectra) >= size - 2).any(axis=1))
@@ -426,15 +421,19 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 5.7 MiB with 16, 42 MiB with one block of 128.
-_BLOCK = 16
+# a sweep's traced peak is 3.1 MiB with 8, 5.7 MiB with 16.  With 16 the
+# tables also outgrow glibc's trim threshold unless an earlier large free
+# has raised it, and each block faults them in again (12,500 page faults,
+# about 10% of a delta0_mix sweep).
+_BLOCK = 8
 
 
-def _shift_blocks(start: int, n: int):
-    """Aligned blocks (lo, hi) of the shifts start .. 2^n - 1: the block at
-    lo holds lo & -lo shifts, at most _BLOCK, and one at lo = 0.  So hi - lo
-    is a power of two dividing lo, and shift lo + d is lo ^ d."""
-    lo = start
+def _shift_blocks(n: int):
+    """Aligned blocks (lo, hi) of the shifts 0 .. 2^n - 1: the block at lo
+    holds lo & -lo shifts, at most _BLOCK, and one at lo = 0.  So hi - lo
+    is a power of two dividing lo, and shift lo + d is lo ^ d, which
+    `_block_hits` needs to XOR its table up from lo."""
+    lo = 0
     while lo < 1 << n:
         hi = lo + min(lo & -lo or 1, _BLOCK)
         yield lo, hi
@@ -528,73 +527,6 @@ def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     return None
 
 
-class _SweepState:
-    """Resumable checkpoint for a PS# sweep, keyed by function digest.
-
-    A record that cannot be read, lacks a field, was written by another
-    sweep version or holds a witness that does not rebuild f is treated as
-    absent: the sweep starts over (with a warning, unless only the version
-    or the digest differs).
-    """
-
-    def __init__(self, path: Path | None, f: BooleanFunction) -> None:
-        self.path = path
-        self.digest = f.digest()
-        self.next_b = 0
-        self.finished = False
-        self.witness: PsSharpWitness | None = None
-        if path is not None and path.exists():
-            try:
-                self._load(f)
-            except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
-                warnings.warn(f"ignoring unreadable PS# checkpoint {path}: {exc!r}", stacklevel=3)
-
-    def _load(self, f: BooleanFunction) -> None:
-        data = json.loads(self.path.read_text())
-        if not isinstance(data, dict):
-            raise TypeError("checkpoint is not a JSON object")
-        if data.get("version") != _SWEEP_VERSION or data.get("digest") != self.digest:
-            return
-        next_b, finished, witness = data["next_b"], data["finished"], data["witness"]
-        if type(next_b) is not int or not 0 <= next_b <= 1 << f.n or type(finished) is not bool:
-            raise ValueError(f"bad next_b {next_b!r} or finished {finished!r}")
-        if witness is not None:
-            witness = _witness_from_dict(witness, f.n)
-            if not _witness_holds(f, witness):
-                raise ValueError("saved witness does not rebuild the function")
-        self.next_b, self.finished, self.witness = next_b, finished, witness
-
-    def save(self, witness=None, finished=False) -> None:
-        if self.path is None:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": _SWEEP_VERSION,
-            "digest": self.digest,
-            "next_b": self.next_b,
-            "finished": finished,
-            "witness": witness,
-        }
-        # a unique temporary name, so concurrent sweeps sharing a cache
-        # directory never write into each other's file
-        tmp = self.path.with_name(f"{self.path.name}.{uuid.uuid4().hex}.tmp")
-        try:
-            tmp.write_text(json.dumps(payload))
-            tmp.replace(self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-
-def _cache_path(f: BooleanFunction, resume: str | Path | None) -> Path | None:
-    if resume is not None:
-        return Path(resume)
-    cache_dir = os.environ.get(CACHE_ENV)
-    if cache_dir:
-        return Path(cache_dir) / f"ps_sharp_{f.digest()}.json"
-    return None
-
-
 def check_sweep_size(n: int) -> None:
     """Raise ValueError for a variable count the PS# sweep does not support."""
     if n > 8:
@@ -603,59 +535,33 @@ def check_sweep_size(n: int) -> None:
 
 
 def is_in_ps_sharp(
-    f: BooleanFunction,
-    jobs: int = 1,
-    resume: str | Path | None = None,
-    progress=None,
+    f: BooleanFunction, jobs=1, resume=None, progress=None
 ) -> PsSharpWitness | None:
     """Sweep all shifts b and linear parts a for PS membership of
     x -> f(x+b) + a.x + c, with c forced by the subclass.
 
     Returns the first witness in (b, a) order, or None after the exhaustive
-    sweep.  Shifts are taken in aligned blocks of up to 16 (see
-    `_shift_blocks`), so a sweep resumed at any shift takes the same steps.
-    Checkpoints every 2^12 (b, a) pairs when a cache path is set via
-    `resume` or the BENTFORGE_CACHE_DIR environment variable.  `progress` is
-    called with b, in order, for every shift that yields no witness, once
-    the block holding that shift is done.  The sweep runs on one thread;
-    `jobs` is accepted for callers that still pass it, and ignored.
+    sweep.  Shifts are taken in aligned blocks of up to 8 (see
+    `_shift_blocks`).  `progress` is called with b, in order, for every
+    shift that yields no witness, once the block holding that shift is
+    done.  `jobs` and `resume` are accepted and ignored: they exist only
+    for the call shape of `perfbench/tracer.py`, and go with the benchmark
+    change of ROADMAP item 1.
     """
     if not is_bent(f):
         raise ValueError("PS# membership is defined for bent functions")
     n = f.n
     check_sweep_size(n)
-    state = _SweepState(_cache_path(f, resume), f)
-    if state.finished:
-        return state.witness
-
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, n)
-    checkpoint_every = max(1, _CHECKPOINT_PAIRS >> n)
-
-    found = None
-    for lo, hi in _shift_blocks(state.next_b, n):
+    for lo, hi in _shift_blocks(n):
         found = _sweep_block(f, cells, dual_table, lo, hi)
         for b in range(lo, hi if found is None else found.shift):
             if progress:
                 progress(b)
-            if (b + 1) % checkpoint_every == 0:
-                state.next_b = b + 1
-                state.save()
-        state.next_b = hi if found is None else found.shift + 1
         if found is not None:
-            break
-    state.save(
-        witness=None if found is None else found.as_dict(), finished=True
-    )
-    return found
-
-
-def _witness_from_dict(d: dict, n: int) -> PsSharpWitness:
-    inner = PartialSpreadWitness(
-        d["subclass"],
-        tuple(Subspace.from_text("\n".join(rows), n) for rows in d["subspaces"]),
-    )
-    return PsSharpWitness(d["shift"], d["affine"], d["constant"], inner)
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

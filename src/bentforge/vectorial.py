@@ -15,7 +15,6 @@ import numpy as np
 from . import gf2
 from .boolfun import (
     BooleanFunction,
-    format_anf,
     from_anf,
     parse_anf,
     to_anf,
@@ -96,13 +95,6 @@ def is_permutation(F: VectorialFunction) -> bool:
 def derivative_vf(F: VectorialFunction, a: int) -> np.ndarray:
     idx = np.arange(1 << F.m)
     return F.table ^ F.table[idx ^ a]
-
-
-def second_derivative_vanishes_vf(F: VectorialFunction, a: int, b: int) -> bool:
-    """Whether D_a D_b F is identically 0_m."""
-    idx = np.arange(1 << F.m)
-    d = F.table ^ F.table[idx ^ a]
-    return bool(np.array_equal(d, d[idx ^ b]))
 
 
 # Entries in one chunk of rows a x 2^n columns b of the vanishing-pair graph:
@@ -312,7 +304,3 @@ def from_coordinate_anfs(text: str) -> VectorialFunction:
     rows = [line.strip() for line in text.splitlines() if line.strip()]
     m = len(rows)
     return from_coordinates([from_anf(parse_anf(r, m)) for r in rows])
-
-
-def to_coordinate_anfs(F: VectorialFunction, var: str = "y") -> str:
-    return "\n".join(format_anf(to_anf(c), var=var) for c in coordinates(F))

@@ -12,7 +12,6 @@ from bentforge.boolfun import (
     BooleanFunction,
     _parity_array,
     algebraic_degree,
-    constant_one,
     derivative,
     dual,
     format_anf,
@@ -46,6 +45,10 @@ def naive_walsh(f: BooleanFunction, a: int) -> int:
     return sum(
         (-1) ** ((int(f.table[x]) + (x & a).bit_count()) & 1) for x in range(1 << f.n)
     )
+
+
+def constant_one(n: int) -> BooleanFunction:
+    return BooleanFunction(n, np.ones(1 << n, dtype=np.uint8))
 
 
 def test_from_anf_constants():

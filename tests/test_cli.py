@@ -90,12 +90,22 @@ def test_truth_table_literal_longer_than_a_file_name():
     assert load_boolean_source(to_tt_hex(f)) == f
 
 
-@pytest.mark.parametrize("command", ["analyze", "psclass", "verify-paper"])
-def test_jobs_flag_is_rejected(capsys, command):
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param("analyze", "--jobs", id="analyze"),
+        pytest.param("psclass", "--jobs", id="psclass"),
+        pytest.param("verify-paper", "--jobs", id="verify-paper"),
+        # removed with the PS# sweep's checkpoints
+        pytest.param("analyze", "--resume", id="analyze-resume"),
+        pytest.param("psclass", "--resume", id="psclass-resume"),
+    ],
+)
+def test_jobs_flag_is_rejected(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--jobs", "2"])
+        main([command, flag, "x"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_analyze_parse_error_reports_position(capsys):

@@ -8,14 +8,20 @@ from bentforge import fixtures as fx
 from bentforge.gf2 import (
     Subspace,
     enumerate_subspaces,
-    full_space,
     gaussian_binomial,
     intersect,
     orthogonal_complement,
     span,
-    subspace_sum,
     zero_subspace,
 )
+
+
+def full_space(n: int) -> Subspace:
+    return span([1 << j for j in range(n)], n)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    return span(list(a.basis) + list(b.basis), a.n)
 
 
 def test_span_empty():

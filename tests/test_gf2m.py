@@ -1,17 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 
+from bentforge.boolfun import BooleanFunction
 from bentforge.gf2m import (
     Field,
     default_modulus,
     is_irreducible,
-    is_permutation_exponent,
     parse_field,
     power_map,
-    trace_component,
 )
 from bentforge.vectorial import is_permutation
+
+
+def is_permutation_exponent(field: Field, d: int) -> bool:
+    return math.gcd(d, field.order) == 1
+
+
+def trace_component(field: Field, delta: int) -> BooleanFunction:
+    """The Boolean function y -> Tr(delta * y) on F_2^m."""
+    t = [field.trace(field.mul(delta, y)) for y in range(1 << field.m)]
+    return BooleanFunction(field.m, np.array(t, dtype=np.uint8))
 
 
 def test_default_moduli_are_the_smallest_irreducibles():

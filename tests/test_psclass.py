@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 import tracemalloc
 
@@ -20,7 +19,6 @@ from bentforge.gf2 import (
 )
 from bentforge.psclass import (
     _BLOCK,
-    CACHE_ENV,
     _block_groups,
     _block_hits,
     _bounded_cliques,
@@ -129,21 +127,7 @@ def test_ps_sharp_consistency_audit(rng):
         assert is_partial_spread(g) is None
 
 
-def test_ps_sharp_checkpoint_resume(tmp_path):
-    f = mm_bent(identity_map(3), zero_function(3))
-    path = tmp_path / "sweep.json"
-    assert is_in_ps_sharp(f, resume=path) is None
-    data = json.loads(path.read_text())
-    assert data["finished"] and data["witness"] is None
-    # a finished checkpoint short-circuits the whole sweep
-    assert is_in_ps_sharp(f, resume=path) is None
-    # a fresh partial checkpoint resumes mid-sweep
-    path.write_text(json.dumps({**data, "next_b": 60, "finished": False}))
-    assert is_in_ps_sharp(f, resume=path) is None
-
-
 def test_ps_sharp_progress_reports_every_shift_before_the_witness():
-    # the call shape of an outside caller: jobs (ignored), resume, progress;
     # n = 8, since the disguises of ps_ap(3, h) tried all have a witness at b = 0
     rng = random.Random(3)
     f = ps_ap4()
@@ -153,7 +137,7 @@ def test_ps_sharp_progress_reports_every_shift_before_the_witness():
     plain = is_in_ps_sharp(g)
     assert plain is not None and plain.shift > 0
     seen = []
-    w = is_in_ps_sharp(g, jobs=1, resume=None, progress=seen.append)
+    w = is_in_ps_sharp(g, progress=seen.append)
     assert w == plain
     assert seen == list(range(plain.shift))
     seen.clear()
@@ -166,49 +150,6 @@ def test_candidate_filter_counts():
     cands = ps_candidates(f)
     # the defining spread lines are all candidates
     assert len(cands) >= 4
-
-
-def test_ps_sharp_truncated_checkpoint_recomputes(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    f = ps_ap(3, balanced_h3())
-    g = _shifted_affine(f, 0b100101, 0b010011, 1)
-    want = is_in_ps_sharp(g)
-    path = tmp_path / f"ps_sharp_{g.digest()}.json"
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    with pytest.warns(UserWarning, match="unreadable PS# checkpoint"):
-        got = is_in_ps_sharp(g)
-    assert got == want
-    assert json.loads(path.read_text())["witness"] == want.as_dict()
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: {k: v for k, v in d.items() if k != "next_b"},
-        lambda d: {**d, "next_b": "60"},
-        lambda d: {**d, "witness": {**d["witness"], "affine": d["witness"]["affine"] ^ 1}},
-        lambda d: {**d, "witness": {"shift": 0}},
-        lambda d: [d],
-    ],
-)
-def test_ps_sharp_malformed_checkpoint_recomputes(tmp_path, edit):
-    g = _shifted_affine(ps_ap(3, balanced_h3()), 5, 9, 0)
-    path = tmp_path / "sweep.json"
-    want = is_in_ps_sharp(g, resume=path)
-    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.warns(UserWarning, match="unreadable PS# checkpoint"):
-        assert is_in_ps_sharp(g, resume=path) == want
-
-
-def test_ps_sharp_ignores_checkpoint_of_other_version(tmp_path):
-    # a finished negative record without the current version is not trusted
-    g = _shifted_affine(ps_ap(3, balanced_h3()), 5, 9, 0)
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps({"digest": g.digest(), "next_b": 64, "finished": True, "witness": None}))
-    w = is_in_ps_sharp(g, resume=path)
-    assert w is not None
-    assert json.loads(path.read_text())["witness"] == w.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +284,7 @@ def assert_block_pass_matches(f: BooleanFunction, direct_shifts=()) -> None:
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, f.n)
     seen = []
-    for b, hits, groups in block_pass(f, cells, dual_table, _shift_blocks(0, f.n)):
+    for b, hits, groups in block_pass(f, cells, dual_table, _shift_blocks(f.n)):
         (phi, *want_hits), want_groups = reference_shift_groups(f, cells, dual_table, b)
         if f.n < 8 or b in direct_shifts:
             direct = direct_coset_hits(f, dual_table, b)
@@ -399,13 +340,12 @@ def test_block_groups_match_per_shift_grouping_on_random_hits():
 
 
 def test_shift_blocks_are_aligned_and_capped():
-    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 48)]
-    assert list(_shift_blocks(0, 6))[:7] == starts
-    assert list(_shift_blocks(37, 8))[:4] == [(37, 38), (38, 40), (40, 48), (48, 64)]
-    for start in range(256):
-        blocks = list(_shift_blocks(start, 8))
+    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 24), (24, 32)]
+    assert list(_shift_blocks(6))[:7] == starts
+    for n in (2, 4, 6, 8):
+        blocks = list(_shift_blocks(n))
         assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
-        assert blocks[0][0] == start and blocks[-1][1] == 256
+        assert blocks[0][0] == 0 and blocks[-1][1] == 1 << n
         for lo, hi in blocks:
             size = hi - lo
             assert size & (size - 1) == 0 and size <= _BLOCK and lo % size == 0
@@ -501,11 +441,39 @@ def test_coset_cells_peak_memory_n8():
     assert peak < 8 << 20, peak
 
 
-def test_ps_sharp_sweep_peak_memory_n8(monkeypatch):
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m, monkeypatch):
+    # a cold build peaks at 5.1 MiB at m = 4 (16 MiB through an int64 grid
+    # of the words' bits)
+    monkeypatch.setattr(psclass, "_WHT", {})
+    tracemalloc.start()
+    try:
+        spectra, near = _coset_wht(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    size = 1 << m
+    words = np.arange(1 << size)
+    bits = (words[:, None] >> np.arange(size)) & 1
+    want = 1 - 2 * bits
+    h = 1
+    while h < size:  # per-word fast WHT: S(u) = sum_j (-1)^(w_j + u.j)
+        x = want.reshape(len(words), -1, 2, h)
+        want = np.stack([x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]], axis=2)
+        h *= 2
+    assert spectra.dtype == np.int8 and np.array_equal(spectra, want.reshape(len(words), size))
+    # near: Hamming distance at most 1 from some affine word u.j + c
+    affine = (_parity_array(np.arange(size)[:, None] & np.arange(size)) << np.arange(size)).sum(1)
+    affine = np.concatenate([affine, affine ^ words[-1]])
+    dist = np.bitwise_count(words[:, None] ^ affine).min(axis=1)
+    assert np.array_equal(near, dist <= 1)
+
+
+def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built, a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 5.7 MiB with blocks of 16
-    # shifts, 42 MiB with one block of 128
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+    # arrays, then one block's tables at a time: 3.1 MiB with blocks of 8
+    # shifts, 5.7 MiB with 16, 42 MiB with one block of 128
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _head_index(8)  # builds the coset table too
     _coset_wht(4)
@@ -515,7 +483,7 @@ def test_ps_sharp_sweep_peak_memory_n8(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 << 20, peak
+    assert peak < 4 << 20, peak
 
 
 def reference_first_witness(f: BooleanFunction):
@@ -540,38 +508,20 @@ def reference_first_witness(f: BooleanFunction):
 
 
 # seeds of ea_disguise(ps_ap4()) by the shift of their first witness: block
-# edges and the middle of the blocks [2, 3], [4..7], [8..15], [16..31], [48..63]
+# edges and the middle of the blocks [2, 3], [4..7], [8..15], [16..23], [48..55]
 WITNESS_SHIFT_SEEDS = {
     1: 89, 2: 39, 3: 436, 4: 523, 7: 44, 8: 81, 15: 136, 16: 133, 17: 82, 53: 29
 }
 
 
 @pytest.mark.parametrize("shift, seed", WITNESS_SHIFT_SEEDS.items())
-def test_ps_sharp_block_edges_keep_first_witness_and_progress(shift, seed, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_ps_sharp_block_edges_keep_first_witness_and_progress(shift, seed):
     g = ea_disguise(ps_ap4(), random.Random(seed))
     want = reference_first_witness(g)
     assert want is not None and want.shift == shift
     seen = []
     assert is_in_ps_sharp(g, progress=seen.append) == want
     assert seen == list(range(shift))
-
-
-def test_ps_sharp_resumes_from_unaligned_shift_n8(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    g = ea_disguise(ps_ap4(), random.Random(WITNESS_SHIFT_SEEDS[53]))
-    full = is_in_ps_sharp(g)
-    assert full.shift == 53
-    path = tmp_path / "sweep.json"
-    record = {
-        "version": psclass._SWEEP_VERSION, "digest": g.digest(), "finished": False, "witness": None
-    }
-    path.write_text(json.dumps({**record, "next_b": 37}))
-    seen = []
-    assert is_in_ps_sharp(g, resume=path, progress=seen.append) == full
-    assert seen == list(range(37, 53))
-    saved = {**record, "next_b": 54, "finished": True, "witness": full.as_dict()}
-    assert json.loads(path.read_text()) == saved
 
 
 def first_direct_witness(f: BooleanFunction):
@@ -598,9 +548,8 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
 
 
 @pytest.mark.parametrize("name", PUBLISHED)
-def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name, monkeypatch):
-    # PS# is closed under f -> f* and under f(x) -> f(Ax); no saved verdict is read
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name):
+    # PS# is closed under f -> f* and under f(x) -> f(Ax)
     f = published_bent8(name)
     A = random_invertible(8, random.Random(8))
     linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
@@ -762,7 +711,7 @@ def batched_and_reference_cliques(f: BooleanFunction):
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, f.n)
     total = 0
-    for lo, hi in _shift_blocks(0, f.n):
+    for lo, hi in _shift_blocks(f.n):
         d, c, tag = _block_hits(f, cells, lo, hi)
         d, _, _, need, rows, owner, pairs = _block_groups(
             f, dual_table, lo, hi, d, cells.w_idx[c], cells.block[c], tag

@@ -5,7 +5,7 @@ import pytest
 
 from bentforge import fixtures as fx
 from bentforge import vectorial
-from bentforge.boolfun import from_anf, parse_anf, zero_function
+from bentforge.boolfun import format_anf, from_anf, parse_anf, to_anf, zero_function
 from bentforge.construct import mm_bent
 from bentforge.gf2 import apply_linear, enumerate_subspaces, random_invertible, span
 from bentforge.gf2m import Field, power_map
@@ -25,8 +25,6 @@ from bentforge.vectorial import (
     is_permutation,
     iter_clique_subspaces,
     linear_structures_vf,
-    second_derivative_vanishes_vf,
-    to_coordinate_anfs,
     to_vf_text,
     vanishing_flats_count,
     vanishing_pair_adjacency,
@@ -34,6 +32,17 @@ from bentforge.vectorial import (
 )
 from conftest import random_function, random_permutation_table
 from test_psclass import oracle_functions
+
+
+def second_derivative_vanishes_vf(F: VectorialFunction, a: int, b: int) -> bool:
+    """Whether D_a D_b F is identically 0_m."""
+    idx = np.arange(1 << F.m)
+    d = F.table ^ F.table[idx ^ a]
+    return bool(np.array_equal(d, d[idx ^ b]))
+
+
+def to_coordinate_anfs(F: VectorialFunction) -> str:
+    return "\n".join(format_anf(to_anf(c), var="y") for c in coordinates(F))
 
 
 def test_from_coordinates_identity():
