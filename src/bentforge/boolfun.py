@@ -216,13 +216,6 @@ def _parity_array(x: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(x) & 1).astype(np.uint8)
 
 
-def indicator(elements, n: int) -> BooleanFunction:
-    t = np.zeros(1 << n, dtype=np.uint8)
-    for e in elements:
-        t[e] = 1
-    return BooleanFunction(n, t)
-
-
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------

@@ -80,15 +80,11 @@ def _infer_n(anf_text: str) -> int:
     return max(indices)
 
 
-def load_boolean(args, attr: str = "tt", anf_attr: str = "anf") -> BooleanFunction:
-    tt = getattr(args, attr, None)
-    anf = getattr(args, anf_attr, None)
-    if tt:
-        return from_tt_hex(_maybe_file(tt).strip())
-    if anf:
-        text = _maybe_file(anf)
-        n = getattr(args, "n", None) or _infer_n(text)
-        return from_anf(parse_anf(text, n))
+def load_boolean(args) -> BooleanFunction:
+    if args.tt:
+        return from_tt_hex(_maybe_file(args.tt).strip())
+    if args.anf:
+        return load_boolean_source(args.anf, args.n)
     raise SystemExit("need --tt or --anf")
 
 
@@ -97,6 +93,12 @@ def load_boolean_source(source: str, n: int | None = None) -> BooleanFunction:
     if text.startswith("tt:"):
         return from_tt_hex(text)
     return from_anf(parse_anf(text, n or _infer_n(text)))
+
+
+def _load_quadruple(args) -> ConcatQuadruple:
+    return ConcatQuadruple(
+        *(load_boolean_source(getattr(args, k), n=args.n) for k in ("f1", "f2", "f3", "f4"))
+    )
 
 
 def load_vectorial(source: str) -> VectorialFunction:
@@ -213,9 +215,7 @@ def _cmd_construct(args) -> int:
         _emit({"tt": to_tt_hex(f), "is_bent": is_bent(f)})
         return 0
     if args.mode == "concat":
-        q = ConcatQuadruple(
-            *(load_boolean_source(getattr(args, k), n=args.n) for k in ("f1", "f2", "f3", "f4"))
-        )
+        q = _load_quadruple(args)
         f = concat4(q)
         _emit(
             {
@@ -255,9 +255,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    q = ConcatQuadruple(
-        *(load_boolean_source(getattr(args, k), n=args.n) for k in ("f1", "f2", "f3", "f4"))
-    )
+    q = _load_quadruple(args)
     cert = theorem53_certify(q) if args.theorem == "thm53" else theorem57_check(q)
     _emit(cert.as_dict())
     return 0 if cert.verdict == "outside_mm_sharp" else 1
@@ -287,7 +285,7 @@ def _cmd_perm_check(args) -> int:
 def _cmd_verify_paper(args) -> int:
     from .verify import run_claims
 
-    failures = run_claims(fast=args.fast)
+    failures = run_claims()
     print(f"# {'OK' if failures == 0 else f'{failures} FAILURES'}")
     return 0 if failures == 0 else 1
 
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_perm_check)
 
     p = sub.add_parser("verify-paper", help="run the published-fixture regression battery")
-    p.add_argument("--fast", action="store_true", help="skip the PS# sweeps")
     p.set_defaults(fn=_cmd_verify_paper)
 
     return ap

@@ -66,7 +66,7 @@ def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:
     top = max(2, f.n // 2)
     counts = {r: 0 for r in range(2, top + 1)}
     adj = _adjacency(f)
-    for gens in iter_clique_subspaces(adj, 1 << f.n, 2, top):
+    for gens in iter_clique_subspaces(adj, 2, top):
         counts[len(gens)] += 1
     return MSubspaceProfile(f.n, counts)
 
@@ -79,7 +79,7 @@ def is_in_mm_sharp(f: BooleanFunction) -> Subspace | None:
     if not is_bent(f):
         raise ValueError("MM# membership is defined for bent functions")
     adj = _adjacency(f)
-    for gens in iter_clique_subspaces(adj, 1 << f.n, f.n // 2):
+    for gens in iter_clique_subspaces(adj, f.n // 2):
         return span(list(gens), f.n)
     return None
 

@@ -180,13 +180,14 @@ def vanishing_subspaces(table: np.ndarray, n: int, r: int) -> list[Subspace]:
     bits' graphs.
     """
     adj = vanishing_pair_adjacency(table)
-    out = [span(list(gens), n) for gens in iter_clique_subspaces(adj, 1 << n, r)]
+    out = [span(list(gens), n) for gens in iter_clique_subspaces(adj, r)]
     return sorted(out, key=lambda s: s.basis)
 
 
-def iter_clique_subspaces(adj: list[int], N: int, lo: int, hi: int | None = None):
+def iter_clique_subspaces(adj: list[int], lo: int, hi: int | None = None):
     """Yield generator tuples of subspaces whose nonzero elements are
-    pairwise adjacent in adj (a "clique that is a subspace").
+    pairwise adjacent in adj (a "clique that is a subspace"); adj has one
+    bitmask row per point of the space.
 
     Generators form the unique increasing tower of the subspace (each new
     generator is the minimum of its coset), so every subspace is produced
@@ -216,7 +217,7 @@ def iter_clique_subspaces(adj: list[int], N: int, lo: int, hi: int | None = None
                     cand & adj[v] & ~((low << 1) - 1),
                 )
 
-    yield from extend({0}, (), (1 << N) - 2)
+    yield from extend({0}, (), (1 << len(adj)) - 2)
 
 
 def has_p1(F: VectorialFunction) -> tuple[bool, Subspace | None]:
@@ -225,7 +226,7 @@ def has_p1(F: VectorialFunction) -> tuple[bool, Subspace | None]:
     Returns (True, None) or (False, witness 2-space).
     """
     adj = vanishing_pair_adjacency(F.table)
-    for gens in iter_clique_subspaces(adj, 1 << F.m, 2):
+    for gens in iter_clique_subspaces(adj, 2):
         return False, span(list(gens), F.m)
     return True, None
 
@@ -262,7 +263,7 @@ def check_p2(F: VectorialFunction) -> P2Report:
     records = []
     top = 0
     ok_all = True
-    for gens in iter_clique_subspaces(adj, 1 << m, 1, m - 1):
+    for gens in iter_clique_subspaces(adj, 1, m - 1):
         S = span(list(gens), m)
         top = max(top, S.dim)
         if S.dim > m - 2:

@@ -57,14 +57,19 @@ from .vectorial import (
 class Claim:
     name: str
     criterion: int
-    needs_sharp: bool
     run: Callable[[], tuple[bool, str]]
 
 
 # --- criterion 1: fixture reproduction -------------------------------------
 
-def _claim_anf(name: str, builder, varmap) -> Callable:
+def _quadruple(name: str) -> ConcatQuadruple:
+    builder, _ = fx.QUADRUPLES[name]
+    return builder()
+
+
+def _claim_anf(name: str) -> Callable:
     def run():
+        builder, varmap = fx.QUADRUPLES[name]
         built = fx.to_paper_variables(concat4(builder()), varmap)
         target = fx.published_bent8(name)
         ok = built == target
@@ -385,57 +390,54 @@ def _claim_mix_degree():
 
 
 def _claim_dual_condition_mix():
-    ok = dual_bent_condition(fx.delta0_mix_quadruple())
+    ok = dual_bent_condition(_quadruple("delta0_mix"))
     return ok, "f1*+f2*+f3*+f4* = 1" if ok else "dual condition fails"
 
 
 def _claim_thm53_mix():
-    cert = theorem53_certify(fx.delta0_mix_quadruple())
+    cert = theorem53_certify(_quadruple("delta0_mix"))
     return cert.verdict == "outside_mm_sharp", cert.verdict
 
 
 def _claim_thm57_family():
-    cert = theorem57_check(fx.apn_family_quadruple())
+    cert = theorem57_check(_quadruple("apn_family"))
     return cert.verdict == "outside_mm_sharp", cert.verdict
 
 
 CLAIMS: list[Claim] = [
-    Claim("delta0-mix-anf-reproduction", 1, False, _claim_anf("delta0_mix", fx.delta0_mix_quadruple, fx.DELTA0_MIX_VARMAP)),
-    Claim("transposed-anf-reproduction", 1, False, _claim_anf("transposed", fx.transposed_quadruple, fx.CONCAT_VARMAP)),
-    Claim("apn-family-anf-reproduction", 1, False, _claim_anf("apn_family", fx.apn_family_quadruple, fx.CONCAT_VARMAP)),
-    Claim("delta0-mix-bent-outside-mm", 2, False, _claim_verdicts("delta0_mix")),
-    Claim("transposed-bent-outside-mm", 2, False, _claim_verdicts("transposed")),
-    Claim("apn-family-bent-outside-mm", 2, False, _claim_verdicts("apn_family")),
-    Claim("delta0-mix-outside-ps", 2, True, _claim_ps_none("delta0_mix")),
-    Claim("transposed-outside-ps", 2, True, _claim_ps_none("transposed")),
-    Claim("apn-family-outside-ps", 2, True, _claim_ps_none("apn_family")),
-    Claim("quadratic-msubspace-count-135", 3, False, _claim_quadratic_count),
-    Claim("two-msubspace-permutation", 4, False, _claim_two_msubspaces),
-    Claim("p1-apn-battery", 5, False, _claim_p1_battery),
-    Claim("gold-vanishing-flat-count", 6, False, _claim_thm44),
-    Claim("gold-p2-and-extension-p1", 7, False, _claim_prop46_cor48),
-    Claim("p1-unique-msubspace-suite", 8, False, _claim_theorem31),
-    Claim("linear-structure-witness-suite", 9, False, _claim_prop21_witnesses),
-    Claim("concatenation-algebra", 10, False, _claim_concat_algebra),
-    Claim("oracle-equivalences", 11, False, _claim_oracles),
-    Claim("core-identities", 12, False, _claim_core_identities),
-    Claim("trace-cubic-bent", 4, False, _claim_trace_cubic),
-    Claim("delta0-mix-degree", 2, False, _claim_mix_degree),
-    Claim("delta0-mix-dual-bent-condition", 10, False, _claim_dual_condition_mix),
-    Claim("thm53-certifies-delta0-mix", 10, False, _claim_thm53_mix),
-    Claim("thm57-certifies-apn-family", 10, False, _claim_thm57_family),
+    Claim("delta0-mix-anf-reproduction", 1, _claim_anf("delta0_mix")),
+    Claim("transposed-anf-reproduction", 1, _claim_anf("transposed")),
+    Claim("apn-family-anf-reproduction", 1, _claim_anf("apn_family")),
+    Claim("delta0-mix-bent-outside-mm", 2, _claim_verdicts("delta0_mix")),
+    Claim("transposed-bent-outside-mm", 2, _claim_verdicts("transposed")),
+    Claim("apn-family-bent-outside-mm", 2, _claim_verdicts("apn_family")),
+    Claim("delta0-mix-outside-ps", 2, _claim_ps_none("delta0_mix")),
+    Claim("transposed-outside-ps", 2, _claim_ps_none("transposed")),
+    Claim("apn-family-outside-ps", 2, _claim_ps_none("apn_family")),
+    Claim("quadratic-msubspace-count-135", 3, _claim_quadratic_count),
+    Claim("two-msubspace-permutation", 4, _claim_two_msubspaces),
+    Claim("p1-apn-battery", 5, _claim_p1_battery),
+    Claim("gold-vanishing-flat-count", 6, _claim_thm44),
+    Claim("gold-p2-and-extension-p1", 7, _claim_prop46_cor48),
+    Claim("p1-unique-msubspace-suite", 8, _claim_theorem31),
+    Claim("linear-structure-witness-suite", 9, _claim_prop21_witnesses),
+    Claim("concatenation-algebra", 10, _claim_concat_algebra),
+    Claim("oracle-equivalences", 11, _claim_oracles),
+    Claim("core-identities", 12, _claim_core_identities),
+    Claim("trace-cubic-bent", 4, _claim_trace_cubic),
+    Claim("delta0-mix-degree", 2, _claim_mix_degree),
+    Claim("delta0-mix-dual-bent-condition", 10, _claim_dual_condition_mix),
+    Claim("thm53-certifies-delta0-mix", 10, _claim_thm53_mix),
+    Claim("thm57-certifies-apn-family", 10, _claim_thm57_family),
 ]
 
 
-def run_claims(fast: bool = False, report=print) -> int:
+def run_claims(report=print) -> int:
     """Run every claim, print one PASS/FAIL line each, return failure count."""
     import time
 
     failures = 0
     for claim in CLAIMS:
-        if fast and claim.needs_sharp:
-            report(f"SKIP {claim.name} (PS# stage, --fast)")
-            continue
         t0 = time.perf_counter()
         try:
             ok, detail = claim.run()

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -99,6 +100,8 @@ def test_truth_table_literal_longer_than_a_file_name():
         # removed with the PS# sweep's checkpoints
         pytest.param("analyze", "--resume", id="analyze-resume"),
         pytest.param("psclass", "--resume", id="psclass-resume"),
+        # verify-paper always runs the PS# sweeps
+        pytest.param("verify-paper", "--fast", id="verify-paper-fast"),
     ],
 )
 def test_jobs_flag_is_rejected(capsys, command, flag):
@@ -106,6 +109,13 @@ def test_jobs_flag_is_rejected(capsys, command, flag):
         main([command, flag, "x"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_anf_flag_accepts_tt_literal(capsys):
+    tt = to_tt_hex(fx.published_bent8("transposed"))
+    _, by_anf, _ = run_cli(capsys, "profile", "--anf", tt)
+    _, by_tt, _ = run_cli(capsys, "profile", "--tt", tt)
+    assert json.loads(by_anf) == json.loads(by_tt) == {"2": 91, "3": 0, "4": 0}
 
 
 def test_analyze_parse_error_reports_position(capsys):
@@ -294,13 +304,42 @@ def test_perm_check_field_with_non_integer_power_names_the_suffix(capsys):
     assert ",pow=<d>" in err
 
 
-def test_verify_paper_fast(capsys):
-    code, out, _ = run_cli(capsys, "verify-paper", "--fast")
+VERIFY_PAPER_LINES = [
+    "PASS delta0-mix-anf-reproduction: bit-exact",
+    "PASS transposed-anf-reproduction: bit-exact",
+    "PASS apn-family-anf-reproduction: bit-exact",
+    "PASS delta0-mix-bent-outside-mm: bent, no 4-dimensional M-subspace",
+    "PASS transposed-bent-outside-mm: bent, no 4-dimensional M-subspace",
+    "PASS apn-family-bent-outside-mm: bent, no 4-dimensional M-subspace",
+    "PASS delta0-mix-outside-ps: exhaustive sweep none",
+    "PASS transposed-outside-ps: exhaustive sweep none",
+    "PASS apn-family-outside-ps: exhaustive sweep none",
+    "PASS quadratic-msubspace-count-135: count 135, expect 135",
+    "PASS two-msubspace-permutation: two without h, canonical only with h",
+    "PASS p1-apn-battery: APN/P1 verdicts and S1/S2/P2 all as published",
+    "PASS gold-vanishing-flat-count: count 336; the published n means m",
+    "PASS gold-p2-and-extension-p1: Gold quintic P2 and extended permutation P1",
+    "PASS p1-unique-msubspace-suite: unique canonical M-subspace for 10 random h at m=3 and m=4",
+    "PASS linear-structure-witness-suite: 10 verified non-canonical witnesses",
+    "PASS concatenation-algebra: 200 dual-condition and 500 closed-form samples agree",
+    "PASS oracle-equivalences: search equivalences and PS_ap control hold",
+    "PASS core-identities: Parseval, naive-WHT, ANF round trip, derivative identities hold",
+    "PASS trace-cubic-bent: bent with the unique canonical M-subspace",
+    "PASS delta0-mix-degree: degree 4",
+    "PASS delta0-mix-dual-bent-condition: f1*+f2*+f3*+f4* = 1",
+    "PASS thm53-certifies-delta0-mix: outside_mm_sharp",
+    "PASS thm57-certifies-apn-family: outside_mm_sharp",
+    "# OK",
+]
+
+
+def test_verify_paper(capsys):
+    code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     lines = out.strip().splitlines()
-    assert all(l.startswith(("PASS", "SKIP", "#")) for l in lines)
-    assert any(l.startswith("SKIP") for l in lines)  # PS# stages skipped
-    assert lines[-1] == "# OK"
+    timing = re.compile(r" \[\d+\.\ds\]$")
+    assert all(timing.search(l) for l in lines[:-1])
+    assert [timing.sub("", l) for l in lines] == VERIFY_PAPER_LINES
 
 
 def test_verify_paper_flags_tampered_fixture(capsys, monkeypatch):
@@ -318,6 +357,6 @@ def test_verify_paper_flags_tampered_fixture(capsys, monkeypatch):
 
     monkeypatch.setattr(verify.fx, "published_bent8", tampered)
     failures = []
-    count = verify.run_claims(fast=True, report=failures.append)
+    count = verify.run_claims(report=failures.append)
     assert count > 0
     assert any(line.startswith("FAIL") for line in failures)

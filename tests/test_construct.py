@@ -266,6 +266,15 @@ def test_theorem55_outside_mm_sharp_n10():
     assert msubspace_profile(f).counts == {2: 255, 3: 0, 4: 0, 5: 0}
 
 
+def test_theorem55_outside_mm_sharp_n12():
+    pi = power_map(Field(5), 3)
+    res = theorem55_construct(pi, pi, zero_function(5), zero_function(5))
+    f = res.function
+    assert res.certificate.verdict == "outside_mm_sharp"
+    assert f.n == 12 and is_bent(f) and algebraic_degree(f) == 4
+    assert is_in_mm_sharp(f) is None
+
+
 def test_theorem55_matches_example56():
     pi = fx.apn_perm_m3()
     from bentforge.boolfun import from_anf, parse_anf

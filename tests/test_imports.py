@@ -1,7 +1,12 @@
-"""Every module-level or local import in the package and the tests is used.
+"""Every module-level or local import in the package and the tests is used,
+and every top-level function and class of the package is referenced.
 
 Parsed with `ast`, so it needs no linter.  Package `__init__.py` files are
-skipped (their imports are re-exports), and so is `from __future__`.
+skipped by the import check (their imports are re-exports), and so is
+`from __future__`.  A definition counts as referenced when its name appears
+as a name, an attribute, a string constant or a `from ... import` name
+anywhere in the package, the tests or perfbench/ (strings cover the
+tracer's (module, attribute) tables and `__all__`).
 """
 
 import ast
@@ -15,6 +20,8 @@ FILES = sorted(
     for p in [*ROOT.glob("src/bentforge/*.py"), *ROOT.glob("tests/*.py")]
     if p.name != "__init__.py"
 )
+PACKAGE = sorted(ROOT.glob("src/bentforge/*.py"))
+SCANNED = [*PACKAGE, *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +46,40 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(sources) -> set[str]:
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+    ]
+
+
+def test_checker_flags_an_unreferenced_definition():
+    source = "def used():\n    pass\n\ndef dead():\n    used()\n\nclass Named:\n    pass\n"
+    referenced = referenced_names([source, "x = getattr(m, 'Named')\n"])
+    assert unreferenced_definitions(source, referenced) == ["line 4: dead"]
+
+
+REFERENCED = referenced_names(p.read_text() for p in SCANNED)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_unreferenced_definitions(path):
+    assert unreferenced_definitions(path.read_text(), REFERENCED) == []

@@ -12,7 +12,7 @@ from bentforge.boolfun import (
     parse_anf,
     zero_function,
 )
-from bentforge.construct import delta0, mm_bent
+from bentforge.construct import delta0, mm_bent, mm_bent_transposed, theorem55_construct
 from bentforge.gf2 import (
     apply_linear,
     enumerate_subspaces,
@@ -28,7 +28,15 @@ from bentforge.msub import (
     msubspace_profile,
     msubspaces,
 )
-from bentforge.vectorial import VectorialFunction, identity_map, linear_structures_vf
+from bentforge.psclass import (
+    _coset_table,
+    _coset_wht,
+    _coset_words,
+    _head_words,
+    _midspace,
+    ps_ap,
+)
+from bentforge.vectorial import VectorialFunction, has_p1, identity_map, linear_structures_vf
 from conftest import random_function, random_permutation_table
 
 
@@ -166,6 +174,15 @@ def test_theorem31_unique_subspace_suite(rng):
         assert msubspaces(mm_bent(pi, h), 3) == [canon]
 
 
+def test_theorem31_unique_subspace_m5(rng):
+    # x^3 is APN on GF(2^5), so it has P1 and every h keeps one M-subspace
+    pi = power_map(Field(5), 3)
+    assert has_p1(pi)[0]
+    canon = canonical_msubspace(5)
+    for _ in range(3):
+        assert msubspaces(mm_bent(pi, random_function(5, rng)), 5) == [canon]
+
+
 def test_cor32_all_msubspaces_inside_canonical():
     # P1 permutation whose nonzero components have no linear structures
     pi = fx.apn_perm_m3()
@@ -255,3 +272,76 @@ def test_profile_is_equivalence_invariant_n8(name):
     g = ea_image(f, A, rng.randrange(256), rng.randrange(1, 256), 1)
     assert g != f
     assert msubspace_profile(g).counts == msubspace_profile(f).counts
+
+
+# ---------------------------------------------------------------------------
+# an independent MM# oracle from the coset table
+# ---------------------------------------------------------------------------
+
+def coset_table_msubspaces(f: BooleanFunction) -> set:
+    """The n/2-dimensional M-subspaces of f, without the clique search.
+
+    V is an M-subspace iff every second derivative inside V vanishes iff f
+    is affine on every coset of V, that is iff every coset word of f has a
+    Walsh value S(u) with |S(u)| = 2^(n/2).  The words are read through
+    the PS# cell pass's head table, the spectra from its word table.
+    """
+    n = f.n
+    size = 1 << (n // 2)
+    rows = _coset_table(n).shape[0]
+    spectra, _ = _coset_wht(n // 2)
+    head_words = _head_words(f.table, n)
+    out = set()
+    for lo in range(0, rows, 1 << 11):
+        words = _coset_words(head_words, lo, lo + (1 << 11), n).reshape(-1, size)
+        affine = (np.abs(spectra[words]) == size).any(axis=2)
+        out.update(_midspace(n, lo + int(i)) for i in np.flatnonzero(affine.all(axis=1)))
+    return out
+
+
+def disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
+    n = f.n
+    A = random_invertible(n, rng)
+    return ea_image(f, A, rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(2))
+
+
+def mm_oracle_cases():
+    cases = []
+    for n in (4, 6, 8):
+        m = n // 2
+        rng = random.Random(n)
+        ones = [1] * (1 << (m - 1)) + [0] * ((1 << (m - 1)) - 1)
+        rng.shuffle(ones)
+        h = BooleanFunction(m, [0, *ones])  # balanced, h(0) = 0
+        cases += [
+            pytest.param(xy_bent(m), id=f"xy-n{n}"),
+            pytest.param(
+                mm_bent(VectorialFunction(m, random_permutation_table(m, rng)), random_function(m, rng)),
+                id=f"mm-n{n}",
+            ),
+            pytest.param(
+                mm_bent_transposed(
+                    VectorialFunction(m, random_permutation_table(m, rng)), random_function(m, rng)
+                ),
+                id=f"transposed-mm-n{n}",
+            ),
+            pytest.param(disguise(ps_ap(m, h), rng), id=f"disguised-ps-ap-n{n}"),
+        ]
+    rng = random.Random(88)
+    for name in fx.PUBLISHED:
+        f = fx.published_bent8(name)
+        cases += [pytest.param(f, id=name), pytest.param(disguise(f, rng), id=f"disguised-{name}")]
+    pi = fx.apn_perm_m3()
+    cases += [
+        pytest.param(dual(fx.published_bent8("apn_family")), id="apn_family-dual"),
+        pytest.param(
+            theorem55_construct(pi, pi, zero_function(3), zero_function(3)).function,
+            id="theorem55-n8",
+        ),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("f", mm_oracle_cases())
+def test_top_msubspaces_match_coset_table_oracle(f):
+    assert set(msubspaces(f, f.n // 2)) == coset_table_msubspaces(f)

@@ -238,7 +238,7 @@ def test_iter_clique_subspaces_yields_each_msubspace_once(n):
         adj = vanishing_pair_adjacency(f.table)
         for lo, hi in ((1, None), (1, 2), (1, n), (2, None), (2, 3), (3, n), (n, None)):
             top = lo if hi is None else hi
-            gens = list(iter_clique_subspaces(adj, 1 << n, lo, hi))
+            gens = list(iter_clique_subspaces(adj, lo, hi))
             got = [span(list(g), n) for g in gens]
             assert [V.dim for V in got] == [len(g) for g in gens]
             assert len(set(got)) == len(got)
