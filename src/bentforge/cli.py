@@ -82,7 +82,7 @@ def _infer_n(anf_text: str) -> int:
 
 def load_boolean(args) -> BooleanFunction:
     if args.tt:
-        return from_tt_hex(_maybe_file(args.tt).strip())
+        return _sized(from_tt_hex(_maybe_file(args.tt).strip()), args.n)
     if args.anf:
         return load_boolean_source(args.anf, args.n)
     raise SystemExit("need --tt or --anf")
@@ -91,8 +91,14 @@ def load_boolean(args) -> BooleanFunction:
 def load_boolean_source(source: str, n: int | None = None) -> BooleanFunction:
     text = _maybe_file(source).strip()
     if text.startswith("tt:"):
-        return from_tt_hex(text)
+        return _sized(from_tt_hex(text), n)
     return from_anf(parse_anf(text, n or _infer_n(text)))
+
+
+def _sized(f: BooleanFunction, n: int | None) -> BooleanFunction:
+    if n is not None and f.n != n:
+        raise ValueError(f"truth table has n = {f.n}, but n = {n} was asked for")
+    return f
 
 
 def _load_quadruple(args) -> ConcatQuadruple:
@@ -207,51 +213,52 @@ def _cmd_psclass(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    if args.mode == "mm":
-        pi = load_vectorial(args.pi)
-        h = load_boolean_source(args.h, n=pi.m)
-        f = mm_bent(pi, h)
-        _emit({"tt": to_tt_hex(f), "is_bent": is_bent(f)})
-        return 0
-    if args.mode == "concat":
-        q = _load_quadruple(args)
-        f = concat4(q)
-        _emit(
-            {
-                "tt": to_tt_hex(f),
-                "is_bent": is_bent(f),
-                "dual_bent_condition": dual_bent_condition(q)
-                if all(is_bent(g) for g in q.functions)
-                else None,
-                "anf": format_anf(to_anf(f)),
-            }
-        )
-        return 0
-    if args.mode == "extend-perm":
-        s1 = load_vectorial(args.sigma1)
-        s2 = load_vectorial(args.sigma2)
-        try:
-            ext = extend_permutation(s1, s2)
-        except PreconditionError as exc:
-            _emit({"error": str(exc), "witness": exc.witness.to_text().split("\n")})
-            return 2
-        _emit({"vf": to_vf_text(ext), "has_p1": has_p1(ext)[0]})
-        return 0
-    if args.mode == "thm55":
-        pi = load_vectorial(args.pi)
-        sigma = load_vectorial(args.sigma)
-        h1 = load_boolean_source(args.h1, n=pi.m)
-        h2 = load_boolean_source(args.h2, n=pi.m)
-        try:
-            res = theorem55_construct(pi, sigma, h1, h2)
-        except PreconditionError as exc:
-            witness = exc.witness.to_text().split("\n") if exc.witness else None
-            _emit({"error": str(exc), "witness": witness})
-            return 2
-        _emit({"tt": to_tt_hex(res.function), "certificate": res.certificate.as_dict()})
-        return 0
-    raise SystemExit(f"unknown construct mode {args.mode}")
+def _cmd_construct_mm(args) -> int:
+    pi = load_vectorial(args.pi)
+    f = mm_bent(pi, load_boolean_source(args.h, n=pi.m))
+    _emit({"tt": to_tt_hex(f), "is_bent": is_bent(f)})
+    return 0
+
+
+def _cmd_construct_concat(args) -> int:
+    q = _load_quadruple(args)
+    f = concat4(q)
+    _emit(
+        {
+            "tt": to_tt_hex(f),
+            "is_bent": is_bent(f),
+            "dual_bent_condition": dual_bent_condition(q)
+            if all(is_bent(g) for g in q.functions)
+            else None,
+            "anf": format_anf(to_anf(f)),
+        }
+    )
+    return 0
+
+
+def _cmd_construct_extend_perm(args) -> int:
+    try:
+        ext = extend_permutation(load_vectorial(args.sigma1), load_vectorial(args.sigma2))
+    except PreconditionError as exc:
+        _emit({"error": str(exc), "witness": exc.witness.to_text().split("\n")})
+        return 2
+    _emit({"vf": to_vf_text(ext), "has_p1": has_p1(ext)[0]})
+    return 0
+
+
+def _cmd_construct_thm55(args) -> int:
+    pi = load_vectorial(args.pi)
+    sigma = load_vectorial(args.sigma)
+    h1 = load_boolean_source(args.h1, n=pi.m)
+    h2 = load_boolean_source(args.h2, n=pi.m)
+    try:
+        res = theorem55_construct(pi, sigma, h1, h2)
+    except PreconditionError as exc:
+        witness = exc.witness.to_text().split("\n") if exc.witness else None
+        _emit({"error": str(exc), "witness": witness})
+        return 2
+    _emit({"tt": to_tt_hex(res.function), "certificate": res.certificate.as_dict()})
+    return 0
 
 
 def _cmd_certify(args) -> int:
@@ -293,7 +300,21 @@ def _cmd_verify_paper(args) -> int:
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tt", help="truth table literal tt:n=..:<hex>, or a file holding one")
     p.add_argument("--anf", help="ANF text (or a file): monomials joined by +, products with *")
-    p.add_argument("--n", type=int, help="variable count for ANF input (default: inferred)")
+    p.add_argument("--n", type=int, help="variable count (ANF: default inferred; tt: must match)")
+
+
+def _add_quadruple_flags(p: argparse.ArgumentParser) -> None:
+    for k in ("f1", "f2", "f3", "f4"):
+        p.add_argument(f"--{k}", required=True)
+    p.add_argument("--n", type=int)
+
+
+def _add_recipe(recipes, name: str, fn, *flags: str) -> argparse.ArgumentParser:
+    r = recipes.add_parser(name)
+    for k in flags:
+        r.add_argument(f"--{k}", required=True)
+    r.set_defaults(fn=fn)
+    return r
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,26 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_psclass)
 
     p = sub.add_parser("construct", help="run one of the generative recipes")
-    p.add_argument("mode", choices=["mm", "concat", "extend-perm", "thm55"])
-    p.add_argument("--pi", help="permutation (vf literal or coordinate ANF file)")
-    p.add_argument("--h", help="ANF of h")
-    p.add_argument("--sigma")
-    p.add_argument("--sigma1")
-    p.add_argument("--sigma2")
-    p.add_argument("--h1")
-    p.add_argument("--h2")
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--f3")
-    p.add_argument("--f4")
-    p.add_argument("--n", type=int)
-    p.set_defaults(fn=_cmd_construct)
+    recipes = p.add_subparsers(dest="recipe", required=True)
+    _add_recipe(recipes, "mm", _cmd_construct_mm, "pi", "h")
+    _add_quadruple_flags(_add_recipe(recipes, "concat", _cmd_construct_concat))
+    _add_recipe(recipes, "extend-perm", _cmd_construct_extend_perm, "sigma1", "sigma2")
+    _add_recipe(recipes, "thm55", _cmd_construct_thm55, "pi", "sigma", "h1", "h2")
 
     p = sub.add_parser("certify", help="outside-MM# certificates for a quadruple")
     p.add_argument("theorem", choices=["thm53", "thm57"])
-    for k in ("f1", "f2", "f3", "f4"):
-        p.add_argument(f"--{k}", required=True)
-    p.add_argument("--n", type=int)
+    _add_quadruple_flags(p)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("perm-check", help="permutation property checks")

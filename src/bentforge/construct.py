@@ -29,6 +29,7 @@ from .vectorial import (
     has_p1,
     is_permutation,
     linear_structures_vf,
+    vanishing_pair_adjacency,
     vanishing_subspaces,
     vanishing_subspaces_vf,
 )
@@ -304,14 +305,6 @@ def _common_vanishing_subspaces(q: ConcatQuadruple, r: int) -> list[Subspace]:
     return vanishing_subspaces(packed, q.n, r)
 
 
-def _derivatives_differ(ta: np.ndarray, tb: np.ndarray, u: int, v: int) -> bool:
-    """True iff D_u fa(x) + D_u fb(x + v) is not identically zero."""
-    idx = np.arange(len(ta))
-    da = ta ^ ta[idx ^ u]
-    db = tb ^ tb[idx ^ u]
-    return bool((da ^ db[idx ^ v]).any())
-
-
 def theorem53_certify(q: ConcatQuadruple) -> OutsideCertificate:
     """Outside-MM# certificate: no (n/2-1)-dimensional subspace is an
     M-subspace of all four pieces.
@@ -382,6 +375,14 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
     common vanishing (n/2-1)-dimensional V and every shift v it searches
     u1, u2, u3 in V making the three derivative conditions hold, where
     "nonzero" means not identically zero as a function of x.
+
+    The conditions are read off the vanishing-pair graph adj of
+    concat4(q): on the block of fi, the second derivative in directions
+    (u, 0, 0) and (v, c) is D_u fi(x) + D_u fj(x + v) with
+    j - 1 = (i - 1) xor c.  So condition c fails at (V, v) iff bit
+    v | c << n is set in adj[u] for every nonzero u in V.  c = 1 flips y2
+    and pairs f1,f2 and f3,f4; c = 2 flips y1 and pairs f1,f3 and f2,f4;
+    c = 3 flips both and pairs f2,f3 and f1,f4.
     """
     n = q.n
     m = n // 2
@@ -397,38 +398,30 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
             f"pieces share {len(shared_top)} {m}-dimensional M-subspaces, need exactly 1",
         )
     U = shared_top[0]
-    concat_bent = is_bent(concat4(q))
-
-    t1, t2, t3, t4 = (f_.table for f_ in q.functions)
-    condition_pairs = (
-        ((t1, t2), (t3, t4)),
-        ((t1, t3), (t2, t4)),
-        ((t2, t3), (t1, t4)),
-    )
+    f = concat4(q)
+    concat_bent = is_bent(f)
+    adj = vanishing_pair_adjacency(f.table)
 
     common = _common_vanishing_subspaces(q, m - 1)
     failures = []
-    checked = 0
     for V in common:
-        nonzero = [u for u in V.elements() if u]
+        vanish = -1  # bit v | c << n: condition c's sums vanish for every u in V
+        for u in V.elements()[1:]:
+            vanish &= adj[u]
         for v in range(1 << n):
-            checked += 1
-            for ci, (pair_a, pair_b) in enumerate(condition_pairs, 1):
-                if not any(
-                    _derivatives_differ(*pair_a, u, v) or _derivatives_differ(*pair_b, u, v)
-                    for u in nonzero
-                ):
-                    failures.append({"V": V.to_text().split("\n"), "v": v, "condition": ci})
+            for c in (1, 2, 3):
+                if vanish >> (v | c << n) & 1:
+                    failures.append({"V": V.to_text().split("\n"), "v": v, "condition": c})
                     break
 
     evidence: list = [
         {
             "shared_top_subspace": U.to_text().split("\n"),
             "common_vanishing_count": len(common),
-            "pairs_checked": checked,
+            "pairs_checked": len(common) << n,
         }
     ]
-    is_special = bool(np.array_equal(t4, t1 ^ t2 ^ t3))
+    is_special = bool(np.array_equal(q.f4.table, q.f1.table ^ q.f2.table ^ q.f3.table))
     evidence.append({"f4_equals_f1_f2_f3": is_special})
     if is_special:
         evidence.append(
@@ -455,21 +448,19 @@ def _corollary_dim2_witness(
 ) -> list[str] | None:
     """The dim-2 sufficient condition: a 2-dimensional S inside the shared
     subspace whose nonzero directions separate f1, f2, f3 under every shift.
-    Requires every common vanishing subspace to sit inside U."""
+    Requires every common vanishing subspace to sit inside U.
+
+    D_u fa(x) + D_u fb(x + v) vanishes iff bit v | 1 << n is set in row u
+    of the vanishing-pair graph of fa || fb, so u separates the pair iff
+    that row has no bit at or above 2^n."""
     n = q.n
     if not all(all(U.contains(b) for b in V.basis) for V in common):
         return None
-
-    def separates(u: int) -> bool:
-        pairs = ((q.f1, q.f2), (q.f1, q.f3), (q.f2, q.f3))
-        return all(
-            _derivatives_differ(fa.table, fb.table, u, v)
-            for fa, fb in pairs
-            for v in range(1 << n)
-        )
-
-    elems = [u for u in U.elements() if u]
-    good = [u for u in elems if separates(u)]
+    graphs = [
+        vanishing_pair_adjacency(np.concatenate([fa.table, fb.table]))
+        for fa, fb in ((q.f1, q.f2), (q.f1, q.f3), (q.f2, q.f3))
+    ]
+    good = [u for u in U.elements()[1:] if not any(adj[u] >> (1 << n) for adj in graphs)]
     good_set = set(good)
     for i, u1 in enumerate(good):
         for u2 in good[i + 1 :]:

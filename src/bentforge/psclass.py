@@ -568,7 +568,7 @@ def is_in_ps_sharp(
 # PS_ap construction
 # ---------------------------------------------------------------------------
 
-def ps_ap(m: int, h: BooleanFunction, field=None) -> BooleanFunction:
+def ps_ap(m: int, h: BooleanFunction) -> BooleanFunction:
     """Desarguesian partial spread bent function f(x, y) = h(x / y) on
     F_{2^m} x F_{2^m}, with x/0 = 0; h balanced with h(0) = 0."""
     from .gf2m import Field
@@ -579,7 +579,7 @@ def ps_ap(m: int, h: BooleanFunction, field=None) -> BooleanFunction:
         raise ValueError("need h(0) = 0")
     if not h.is_balanced():
         raise ValueError("need h balanced")
-    fld = field if field is not None else Field(m)
+    fld = Field(m)
     table = np.zeros(1 << (2 * m), dtype=np.uint8)
     for y in range(1 << m):
         for x in range(1 << m):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,13 +31,14 @@ from .construct import (
     ConcatQuadruple,
     concat4,
     dual_bent_condition,
+    extend_permutation,
     mm_bent,
     second_derivative_concat,
     theorem53_certify,
     theorem57_check,
     witness_second_msubspace,
 )
-from .gf2 import apply_linear, enumerate_subspaces, span
+from .gf2 import apply_linear, enumerate_subspaces, random_invertible, span
 from .gf2m import Field, power_map
 from .msub import canonical_msubspace, is_in_mm_sharp, is_msubspace, msubspaces
 from .psclass import _midspace, is_in_ps_sharp, is_partial_spread, ps_ap, ps_candidates
@@ -185,8 +187,6 @@ def _claim_prop46_cor48():
     if not report.fully_satisfies or report.max_vanishing_dim > 2:
         return False, f"P2 {report.fully_satisfies}, max dim {report.max_vanishing_dim}"
     x3 = power_map(Field(3), 3)
-    from .construct import extend_permutation
-
     ext = extend_permutation(identity_map(3), x3)
     ok, _ = has_p1(ext)
     return ok, "Gold quintic P2 and extended permutation P1" if ok else "extension fails P1"
@@ -197,8 +197,6 @@ def _claim_prop46_cor48():
 def _p1_fixture(m: int) -> VectorialFunction:
     if m == 3:
         return fx.apn_perm_m3()
-    from .construct import extend_permutation
-
     return extend_permutation(identity_map(3), power_map(Field(3), 3))
 
 
@@ -224,8 +222,6 @@ def _lifted_permutation(m: int, rng: random.Random) -> VectorialFunction:
     rng.shuffle(low)
     table = [low[y & (half - 1)] | (y & half) for y in range(1 << m)]
     # conjugate by random invertible maps to vary where the structure sits
-    from .gf2 import random_invertible
-
     A = random_invertible(m, rng)
     B = random_invertible(m, rng)
     conj = [0] * (1 << m)
@@ -434,8 +430,6 @@ CLAIMS: list[Claim] = [
 
 def run_claims(report=print) -> int:
     """Run every claim, print one PASS/FAIL line each, return failure count."""
-    import time
-
     failures = 0
     for claim in CLAIMS:
         t0 = time.perf_counter()

@@ -118,6 +118,16 @@ def test_anf_flag_accepts_tt_literal(capsys):
     assert json.loads(by_anf) == json.loads(by_tt) == {"2": 91, "3": 0, "4": 0}
 
 
+@pytest.mark.parametrize("flag", ["--tt", "--anf"])
+def test_n_must_match_a_truth_table_literal(capsys, flag):
+    tt = to_tt_hex(fx.published_bent8("transposed"))
+    code, out, err = run_cli(capsys, "profile", flag, tt, "--n", "6")
+    assert (code, out) == (2, "")
+    assert "n = 8" in err and "n = 6" in err
+    code, out, _ = run_cli(capsys, "profile", flag, tt, "--n", "8")
+    assert code == 0 and json.loads(out)["2"] == 91
+
+
 def test_analyze_parse_error_reports_position(capsys):
     code, _, err = run_cli(capsys, "analyze", "--anf", "x1 + bogus")
     assert code == 2
@@ -227,6 +237,46 @@ def test_construct_extend_perm(capsys):
     )
     assert code == 2
     assert "witness" in json.loads(out)
+
+
+PI3 = "gf2m:m=3,pow=3"
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        pytest.param(["mm"], "--pi, --h", id="mm"),
+        pytest.param(["concat", "--f1", "x1*x2"], "--f2, --f3, --f4", id="concat"),
+        pytest.param(["extend-perm", "--sigma1", PI3], "--sigma2", id="extend-perm"),
+        pytest.param(["thm55", "--pi", PI3], "--sigma, --h1, --h2", id="thm55"),
+    ],
+)
+def test_construct_missing_flag_is_a_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *argv])
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(["mm", "--pi", PI3, "--h", "0", "--sigma", "x"], "--sigma", id="mm"),
+        pytest.param(
+            ["extend-perm", "--sigma1", PI3, "--sigma2", PI3, "--n", "3"], "--n", id="extend-perm"
+        ),
+        pytest.param(
+            ["thm55", "--pi", PI3, "--sigma", PI3, "--h1", "0", "--h2", "0", "--f1", "x"],
+            "--f1",
+            id="thm55",
+        ),
+    ],
+)
+def test_construct_rejects_flags_the_recipe_never_reads(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_certify_thm53(capsys, tmp_path):

@@ -6,6 +6,7 @@ from bentforge.boolfun import (
     algebraic_degree,
     is_bent,
     second_derivative,
+    shift,
     zero_function,
 )
 from bentforge.construct import (
@@ -13,6 +14,7 @@ from bentforge.construct import (
     HypothesisError,
     PreconditionError,
     _common_vanishing_subspaces,
+    _corollary_dim2_witness,
     concat4,
     dual_bent_condition,
     extend_permutation,
@@ -40,6 +42,7 @@ from bentforge.vectorial import (
     identity_map,
     is_apn,
     is_permutation,
+    vanishing_pair_adjacency,
 )
 from conftest import random_function, random_permutation_table
 
@@ -400,23 +403,29 @@ def test_theorem57_shared_top_is_the_four_way_intersection(rng):
     assert unique > 0
 
 
-def test_theorem57_agrees_with_direct_search(rng):
-    # randomized variants of the sharing-family quadruple: shifting piece i
-    # by t_i and complementing by c_i preserves bentness of the
-    # concatenation when the t_i and c_i sum to zero, and preserves all the
-    # theorem hypotheses, so the verdict must agree with the direct search
-    from bentforge.boolfun import shift
-
+def apn_family_variants(rng, count: int) -> list[ConcatQuadruple]:
+    """Randomized variants of the sharing-family quadruple: shifting piece i
+    by t_i and complementing by c_i preserves bentness of the concatenation
+    when the t_i and c_i sum to zero, and preserves all the theorem 5.7
+    hypotheses."""
     base = fx.apn_family_quadruple()
-    outsides = 0
-    for _ in range(6):
+    out = []
+    for _ in range(count):
         ts = [rng.randrange(64) for _ in range(3)]
         ts.append(ts[0] ^ ts[1] ^ ts[2])
         cs = [rng.randrange(2) for _ in range(3)]
         cs.append(cs[0] ^ cs[1] ^ cs[2])
-        q = ConcatQuadruple(
-            *(shift(f, t) ^ c for f, t, c in zip(base.functions, ts, cs))
+        out.append(
+            ConcatQuadruple(*(shift(f, t) ^ c for f, t, c in zip(base.functions, ts, cs)))
         )
+    return out
+
+
+def test_theorem57_agrees_with_direct_search(rng):
+    # the variants keep the hypotheses, so the verdict must agree with the
+    # direct search
+    outsides = 0
+    for q in apn_family_variants(rng, 6):
         assert is_bent(concat4(q))
         cert = theorem57_check(q)
         direct = is_in_mm_sharp(concat4(q))
@@ -424,3 +433,152 @@ def test_theorem57_agrees_with_direct_search(rng):
             outsides += 1
             assert direct is None
     assert outsides > 0
+
+
+def _derivatives_differ(ta: np.ndarray, tb: np.ndarray, u: int, v: int) -> bool:
+    """True iff D_u fa(x) + D_u fb(x + v) is not identically zero."""
+    idx = np.arange(len(ta))
+    da = ta ^ ta[idx ^ u]
+    db = tb ^ tb[idx ^ u]
+    return bool((da ^ db[idx ^ v]).any())
+
+
+def reference_dim2_witness(q: ConcatQuadruple, U, common) -> list[str] | None:
+    """The corollary's dim-2 witness, tested one (u, v) at a time."""
+    n = q.n
+    if not all(all(U.contains(b) for b in V.basis) for V in common):
+        return None
+
+    def separates(u: int) -> bool:
+        pairs = ((q.f1, q.f2), (q.f1, q.f3), (q.f2, q.f3))
+        return all(
+            _derivatives_differ(fa.table, fb.table, u, v)
+            for fa, fb in pairs
+            for v in range(1 << n)
+        )
+
+    good = [u for u in U.elements() if u and separates(u)]
+    for i, u1 in enumerate(good):
+        for u2 in good[i + 1 :]:
+            if (u1 ^ u2) in good:
+                return span([u1, u2], n).to_text().split("\n")
+    return None
+
+
+def reference_theorem57(q: ConcatQuadruple) -> dict | str:
+    """theorem57_check(q).as_dict(), or the code of the HypothesisError it
+    raises, with the three conditions tested one (u, v) at a time."""
+    n, m = q.n, q.n // 2
+    if not all(is_bent(f) for f in q.functions):
+        return "not_all_bent"
+    shared_top = _common_vanishing_subspaces(q, m)
+    if len(shared_top) != 1:
+        return "shared_subspace_not_unique"
+    U = shared_top[0]
+    t1, t2, t3, t4 = (f.table for f in q.functions)
+    condition_pairs = (((t1, t2), (t3, t4)), ((t1, t3), (t2, t4)), ((t2, t3), (t1, t4)))
+    common = _common_vanishing_subspaces(q, m - 1)
+    failures = []
+    for V in common:
+        nonzero = [u for u in V.elements() if u]
+        for v in range(1 << n):
+            for ci, (pair_a, pair_b) in enumerate(condition_pairs, 1):
+                if not any(
+                    _derivatives_differ(*pair_a, u, v) or _derivatives_differ(*pair_b, u, v)
+                    for u in nonzero
+                ):
+                    failures.append({"V": V.to_text().split("\n"), "v": v, "condition": ci})
+                    break
+    evidence = [
+        {
+            "shared_top_subspace": U.to_text().split("\n"),
+            "common_vanishing_count": len(common),
+            "pairs_checked": len(common) * (1 << n),
+        }
+    ]
+    is_special = bool(np.array_equal(t4, t1 ^ t2 ^ t3))
+    evidence.append({"f4_equals_f1_f2_f3": is_special})
+    if is_special:
+        evidence.append({"dim2_sufficient_subspace": reference_dim2_witness(q, U, common)})
+    concat_bent = is_bent(concat4(q))
+    if failures:
+        only_v0 = all(rec["v"] == 0 for rec in failures)
+        evidence.append(
+            {"failures": failures[:16], "only_v0_fails": only_v0, "concat_bent": concat_bent}
+        )
+        verdict = "inconclusive"
+    elif not concat_bent:
+        return "concat_not_bent"
+    else:
+        verdict = "outside_mm_sharp"
+    return {"verdict": verdict, "reason": "sharing_conditions_hold", "evidence": evidence}
+
+
+def special_quadruples(rng) -> list[ConcatQuadruple]:
+    """Pieces x.pi(y) + h_i(y) for one P1 permutation pi, each shifted by a
+    random point, with f4 = f1 + f2 + f3: theorem 5.7 runs its corollary."""
+    out = []
+    for _ in range(6):
+        fs = [shift(mm_bent(fx.apn_perm_m3(), random_function(3, rng)), rng.randrange(64))
+              for _ in range(3)]
+        out.append(ConcatQuadruple(*fs, fs[0] ^ fs[1] ^ fs[2]))
+    return out
+
+
+def test_pair_graph_matches_derivative_reference(rng):
+    # D_u fa(x) + D_u fb(x + v) vanishes iff bit v | 1 << n is set in row u
+    # of the vanishing-pair graph of the 2-concatenation fa || fb
+    vanishing = 0
+    for n in range(2, 7):
+        fa = random_function(n, rng)
+        t = rng.randrange(1 << n)
+        pairs = [(fa, random_function(n, rng)), (fa, fa), (fa, shift(fa, t) ^ 1)]
+        if n % 2 == 0:
+            # MM pieces with one pi: both D_(a,0) are a.pi(y) up to a shift
+            m = n // 2
+            pi = VectorialFunction(m, random_permutation_table(m, rng))
+            g, h = (mm_bent(pi, random_function(m, rng)) for _ in range(2))
+            pairs.append((g, shift(h, rng.randrange(1 << n))))
+        for ga, gb in pairs:
+            adj = vanishing_pair_adjacency(np.concatenate([ga.table, gb.table]))
+            for u in range(1, 1 << n):
+                for v in range(1 << n):
+                    differ = _derivatives_differ(ga.table, gb.table, u, v)
+                    assert differ != bool(adj[u] >> (v | 1 << n) & 1), (n, u, v)
+                    vanishing += not differ
+    assert vanishing > 0
+
+
+def test_theorem57_matches_per_pair_reference(rng):
+    equal = mm_bent(fx.apn_perm_m3(), zero_function(3))
+    quads = [fx.apn_family_quadruple(), ConcatQuadruple(equal, equal, equal, equal)]
+    quads += apn_family_variants(rng, 8) + special_quadruples(rng)
+    quads += seeded_quadruples(2, rng) + seeded_quadruples(3, rng)
+    verdicts = set()
+    for q in quads:
+        expected = reference_theorem57(q)
+        try:
+            got = theorem57_check(q).as_dict()
+        except HypothesisError as err:
+            got = err.code
+        assert got == expected
+        verdicts.add(expected if isinstance(expected, str) else expected["verdict"])
+    assert {"outside_mm_sharp", "inconclusive"} <= verdicts
+
+
+def test_corollary_dim2_witness_matches_reference(rng):
+    # the corollary's own search, also on quadruples outside its f4 = f1 +
+    # f2 + f3 case, where separating directions exist
+    found = 0
+    quads = apn_family_variants(rng, 8) + special_quadruples(rng) + seeded_quadruples(3, rng)
+    for q in quads:
+        m = q.n // 2
+        top = _common_vanishing_subspaces(q, m)
+        if len(top) != 1:
+            continue
+        U = top[0]
+        common = _common_vanishing_subspaces(q, m - 1)
+        witness = _corollary_dim2_witness(q, U, common)
+        assert witness == reference_dim2_witness(q, U, common)
+        found += witness is not None
+    assert found > 0
