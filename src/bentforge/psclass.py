@@ -10,12 +10,14 @@ when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
 r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
 the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
 sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
-shift b only selects the cells whose u matches it.  The pass builds each
-coset's 2^m-bit word of f* from 2^k-bit pieces, k = min(m, 2): a coset is
-listed in basis-coordinate order, so each run of 2^k points is
-t + span(w_1..w_k), and one per-function table indexed by that head span
-and t holds the run's bits.  u and b.r are linear in b, so the pass
-tabulates them, packed into one byte per cell, for the n unit vectors.
+shift b only selects the cells whose u matches it.  The pass builds the
+coset words of f* one pivot set at a time.  There the rows run over the
+free-entry digits d_i of the basis vectors, every coset minimum is 0 on
+the pivots, and entry c of block k is P(c) + minimum_(k + sum c_i d_i),
+P(c) the span of the pivot units.  So one 2^m x 2^m gather of f*, merged
+over the m basis vectors in turn, gives the words of every row, with no
+per-point index.  u and b.r are linear in b, so the pass tabulates them,
+packed into one byte per cell, for the n unit vectors.
 The sweep takes aligned blocks of up to 8 shifts: one comparison on the
 block's XORed-up table gives all its hits, and one count of (shift, a,
 subclass) keys over the hits' coset points gives all its viable groups.
@@ -43,9 +45,9 @@ from .gf2 import Subspace, orthogonal_complement, span
 # Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 1).
 enumerate_subspaces = gf2.enumerate_subspaces
 
-# Coset-table rows read at a time by the cell pass (at n = 8, 512 kB of
-# int32 lookup indices).
-_CELL_ROWS = 1 << 11
+# Coset-table rows the cell pass builds words for at a time (at n = 8,
+# 128 kB of uint16 words).
+_CELL_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,6 @@ class PsSharpWitness:
 
 _COSET: dict[int, np.ndarray] = {}
 _WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_HEAD: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _span_rows(vectors: np.ndarray) -> np.ndarray:
@@ -104,49 +105,50 @@ def _span_rows(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pivot_sets(n: int):
+    """(pivots, minima, free) per pivot set of the n/2-subspaces in RREF,
+    descending-lexicographic as in `enumerate_subspaces`; the one place
+    the row order of the coset table is fixed.
+
+    pivots descend.  minima lists the points that are zero on every pivot,
+    ascending, so minima[k] is the XOR of the off-pivot unit vectors that
+    the bits of k pick, bit j the j-th lowest.  The free entries of pivot
+    p are the off-pivot positions below it, the lowest free[i] units: basis
+    vector i is 1 << pivots[i] | minima[d_i] for its digit d_i <
+    2^free[i].  The set's rows are the digit tuples (d_0, .., d_{m-1}),
+    the last varying fastest.
+    """
+    for pivots in itertools.combinations(range(n - 1, -1, -1), n // 2):
+        on_pivots = np.arange(1 << n) & sum(1 << p for p in pivots)
+        minima = np.flatnonzero(on_pivots == 0).astype(np.uint8)
+        yield pivots, minima, [p - sum(q < p for q in pivots) for p in pivots]
+
+
 def _coset_table(n: int) -> np.ndarray:
     """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace;
     the one subspace index that subspaces, bases and PS candidates are read
     from.
 
-    Rows go pivot set by pivot set, descending-lexicographic, and within a
-    pivot set over the free-entry assignments with the last pivot's entries
-    varying fastest: exactly `enumerate_subspaces` order.  Each block of
-    2^(n/2) entries is a coset in basis-coordinate order, so block 0 is the
-    subspace and entry 2^j is basis vector j.  Block k is the coset with
-    the k-th smallest minimum: the basis is in RREF, so a coset's minimum
-    is its point that is zero on every pivot, and these minima are the span
-    of the off-pivot unit vectors, ascending, the same for every row of a
-    pivot set.  uint8 needs n <= 8.
+    Rows go in `_pivot_sets` order: exactly `enumerate_subspaces` order.
+    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
+    block 0 is the subspace and entry 2^j is basis vector j.  Block k is
+    the coset with the k-th smallest minimum: the basis is in RREF, so a
+    coset's minimum is its point that is zero on every pivot, and these
+    minima are the pivot set's `minima`.  uint8 needs n <= 8.
     """
     if n not in _COSET:
         if n > 8:
             raise ValueError("coset table only built for n <= 8")
         m = n // 2
-        # the free entries of pivot p are the off-pivot positions below it
-        pivot_sets = [
-            (pivots, [[j for j in range(p) if j not in pivots] for p in pivots])
-            for pivots in itertools.combinations(range(n - 1, -1, -1), m)
-        ]
-        sizes = [1 << sum(map(len, free)) for _, free in pivot_sets]
+        sets = list(_pivot_sets(n))
+        sizes = [1 << sum(free) for _, _, free in sets]
         perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
         start = 0
-        for (pivots, free), size in zip(pivot_sets, sizes):
-            index = np.arange(size)
-            bases = np.empty((size, m), dtype=np.uint8)
-            # index in mixed radix, the last pivot's digit lowest; bit k of
-            # pivot i's digit sets free[i][k]
-            t = 0
-            for i in reversed(range(m)):
-                col = 1 << pivots[i]
-                for j in free[i]:
-                    col = col | ((index >> t) & 1) << j
-                    t += 1
-                bases[:, i] = col
-            units = [1 << j for j in range(n) if j not in pivots]
-            minima = _span_rows(np.array([units], dtype=np.uint8))
+        for (pivots, minima, free), size in zip(sets, sizes):
+            digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
+            bases = minima[digits.T] | np.array([1 << p for p in pivots], dtype=np.uint8)
             np.bitwise_xor(
-                minima[:, :, None],
+                minima[:, None],
                 _span_rows(bases)[:, None, :],
                 out=perm[start : start + size].reshape(size, 1 << (n - m), 1 << m),
             )
@@ -328,72 +330,51 @@ class _CosetCells:
     unit: np.ndarray  # (n, cells): bit k is e_j.w_k, bit m is e_j.r, r the block's first point
 
 
-def _head_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct head spans of the coset table and each row's offset.
+def _pivot_set_words(dual_table: np.ndarray, n: int):
+    """The 2^m-bit word of f* on every coset, as (first row, words) for
+    runs of coset-table rows, words in (row, block) order; bit c is f* at
+    entry c of the block.
 
-    A row's head is entries 0 .. 2^k - 1 of block 0, k = min(n/2, 2): the
-    span of its first k basis vectors in basis-coordinate order.  Returns
-    (heads, offset): one head per row of `heads`, and per coset-table row
-    the index of its head shifted left by n, as int32.
-    """
-    if n not in _HEAD:
-        perm = _coset_table(n)
-        k = min(n // 2, 2)
-        key = np.zeros(perm.shape[0], dtype=np.uint32)
-        for s in range(1 << k):
-            key |= perm[:, s].astype(np.uint32) << (8 * s)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        _HEAD[n] = (perm[first, : 1 << k], inverse.astype(np.int32) << n)
-    return _HEAD[n]
-
-
-def _head_words(dual_table: np.ndarray, n: int) -> np.ndarray:
-    """Flat (heads x 2^n) table of 2^k-bit pieces: entry (h, t) has bit s
-    set when f*(t + head_h[s]) = 1.
-
-    Built from rows of the uint8 translate table f*(t + s), one row per
-    head point, so no per-point index grid is made.
-    """
-    heads, _ = _head_index(n)
-    points = np.arange(1 << n, dtype=np.uint8)
-    translate = dual_table[np.bitwise_xor.outer(points, points)]
-    words = np.zeros((len(heads), 1 << n), dtype=np.uint8)
-    for s in range(heads.shape[1]):
-        words |= translate[heads[:, s]] << s
-    return words.ravel()
-
-
-def _coset_words(head_words: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
-    """The 2^m-bit word of f* on every coset of rows lo .. hi - 1, in (row,
-    block) order; bit j is f* at entry j of the block.
-
-    Blocks are in basis-coordinate order, so entries 2^k i .. 2^k i + 2^k - 1
-    are t + head for t = entry 2^k i: one lookup gives those 2^k bits.
+    In a pivot set, entry c of block k is P(c) + minima[k + sum_i c_i d_i]
+    (`_pivot_sets`), P(c) the span of the pivot units.  So the words start
+    as the gather f*[P(c) + minima[k]] over (c, k), and stage i merges
+    basis vector i: it ORs the c_i = 0 half with the c_i = 1 half, read at
+    block k + d_i for each digit d_i, shifted left by 2^i.  Each stage
+    appends its digit to the row index, so the words come out in row
+    order; runs split the first digit to keep within _CELL_BUDGET rows.
     """
     m = n // 2
-    k = min(m, 2)
-    perm = _coset_table(n)
-    _, offset = _head_index(n)
-    pieces = head_words.take(perm[lo:hi, :: 1 << k] + offset[lo:hi, None])
-    pieces = pieces.reshape(-1, 1 << (m - k))
     dtype = np.min_scalar_type((1 << (1 << m)) - 1)
-    words = pieces[:, 0].astype(dtype)
-    for i in range(1, pieces.shape[1]):
-        words |= pieces[:, i].astype(dtype) << (i << k)
-    return words
+    blocks = np.arange(1 << m)
+    moved = np.bitwise_xor.outer(blocks, blocks)  # row d: block k + d
+    start = 0
+    for pivots, minima, free in _pivot_sets(n):
+        corners = _span_rows(np.array([[1 << p for p in pivots]]))[0]
+        gather = dual_table[corners[:, None] ^ minima].astype(dtype)
+        tail = 1 << (sum(free) - free[0])  # rows per first digit
+        step = max(_CELL_BUDGET // tail, 1)
+        firsts = moved[: 1 << free[0]]
+        for d0 in range(0, len(firsts), step):
+            digits = [firsts[d0 : d0 + step]] + [moved[: 1 << f] for f in free[1:]]
+            words = gather[:, None]  # (c_i .. c_{m-1}, row, block)
+            for i, shifted in enumerate(digits):
+                high = (words[1::2] << (1 << i)).take(shifted, axis=2)
+                high |= words[0::2, :, None]
+                words = high.reshape(len(high), -1, 1 << m)
+            yield start + d0 * tail, words.ravel()
+        start += tail * len(firsts)
 
 
 def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
-    """Every coset's word of f*, from one head-table lookup per 2^k points,
-    in row chunks; the near-affine words give the cells."""
+    """Every coset's word of f*, built per pivot set by merging the basis
+    vectors in turn (`_pivot_set_words`); the near-affine words give the
+    cells."""
     m = n // 2
     size = 1 << m
     perm = _coset_table(n)
     spectra, near = _coset_wht(m)
-    head_words = _head_words(dual_table, n)
     flat, us, ss = [], [], []
-    for lo in range(0, perm.shape[0], _CELL_ROWS):
-        words = _coset_words(head_words, lo, lo + _CELL_ROWS, n)
+    for lo, words in _pivot_set_words(dual_table, n):
         cosets = np.flatnonzero(near[words])
         spec = spectra[words[cosets]]
         row, u = np.nonzero(np.abs(spec) >= size - 2)

@@ -19,3 +19,11 @@ def random_permutation_table(m: int, rng: random.Random) -> np.ndarray:
     perm = list(range(1 << m))
     rng.shuffle(perm)
     return np.array(perm, dtype=np.int64)
+
+
+def packed_words(values: np.ndarray) -> np.ndarray:
+    """Each row of 2^m 0/1 values packed bit by bit into one word, bit j
+    the j-th value, as the smallest unsigned dtype that holds 2^m bits."""
+    words = np.packbits(values, axis=1, bitorder="little")
+    size = values.shape[1]
+    return words[:, 0] if size < 8 else words.view(f"<u{size // 8}")[:, 0]

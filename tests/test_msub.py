@@ -31,13 +31,11 @@ from bentforge.msub import (
 from bentforge.psclass import (
     _coset_table,
     _coset_wht,
-    _coset_words,
-    _head_words,
     _midspace,
     ps_ap,
 )
 from bentforge.vectorial import VectorialFunction, has_p1, identity_map, linear_structures_vf
-from conftest import random_function, random_permutation_table
+from conftest import packed_words, random_function, random_permutation_table
 
 
 def ea_image(f: BooleanFunction, A: list[int], b=0, a=0, c=0) -> BooleanFunction:
@@ -283,18 +281,17 @@ def coset_table_msubspaces(f: BooleanFunction) -> set:
 
     V is an M-subspace iff every second derivative inside V vanishes iff f
     is affine on every coset of V, that is iff every coset word of f has a
-    Walsh value S(u) with |S(u)| = 2^(n/2).  The words are read through
-    the PS# cell pass's head table, the spectra from its word table.
+    Walsh value S(u) with |S(u)| = 2^(n/2).  The words are read point by
+    point through the coset table, the spectra from the PS# word table.
     """
     n = f.n
     size = 1 << (n // 2)
-    rows = _coset_table(n).shape[0]
+    perm = _coset_table(n)
     spectra, _ = _coset_wht(n // 2)
-    head_words = _head_words(f.table, n)
     out = set()
-    for lo in range(0, rows, 1 << 11):
-        words = _coset_words(head_words, lo, lo + (1 << 11), n).reshape(-1, size)
-        affine = (np.abs(spectra[words]) == size).any(axis=2)
+    for lo in range(0, len(perm), 1 << 11):
+        words = packed_words(f.table[perm[lo : lo + (1 << 11)]].reshape(-1, size))
+        affine = (np.abs(spectra[words.reshape(-1, size)]) == size).any(axis=2)
         out.update(_midspace(n, lo + int(i)) for i in np.flatnonzero(affine.all(axis=1)))
     return out
 

@@ -19,6 +19,7 @@ from bentforge.gf2 import (
 )
 from bentforge.psclass import (
     _BLOCK,
+    _CELL_BUDGET,
     _block_groups,
     _block_hits,
     _bounded_cliques,
@@ -26,11 +27,10 @@ from bentforge.psclass import (
     _coset_table,
     _coset_wht,
     _CosetCells,
-    _head_index,
     _midspace,
+    _pivot_set_words,
     _shift_blocks,
     _shifted_affine,
-    _span_rows,
     _unit_xor,
     _witness_holds,
     PartialSpreadWitness,
@@ -41,6 +41,7 @@ from bentforge.psclass import (
     ps_candidates,
 )
 from bentforge.vectorial import identity_map
+from conftest import packed_words, random_function
 
 
 def balanced_h3() -> BooleanFunction:
@@ -372,12 +373,7 @@ def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     size = 1 << m
     perm = _coset_table(n)
     spectra, near = _coset_wht(m)
-    values = dual_table[perm].reshape(-1, size)
-    words = np.packbits(values, axis=1, bitorder="little")
-    if size < 8:
-        words = words[:, 0]
-    else:
-        words = words.view(f"<u{size // 8}")[:, 0]
+    words = packed_words(dual_table[perm].reshape(-1, size))
     cosets = np.flatnonzero(near[words])
     spec = spectra[words[cosets]]
     row, u = np.nonzero(np.abs(spec) >= size - 2)
@@ -416,20 +412,23 @@ def test_coset_cells_match_per_point_reference(f):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_head_index_selects_span_of_first_basis_vectors(n):
-    k = min(n // 2, 2)
+def test_pivot_set_words_match_per_point_packing(n):
+    # every (row, block) of a random table, not only the near-affine words
+    # that the cells keep; the runs tile the coset table in row order
+    table = random_function(n, random.Random(n)).table
     perm = _coset_table(n)
-    heads, offset = _head_index(n)
-    assert offset.dtype == np.int32 and offset.shape == (perm.shape[0],)
-    assert not (offset & ((1 << n) - 1)).any()
-    assert len(np.unique(heads, axis=0)) == len(heads)
-    first = perm[:, [1 << j for j in range(k)]]
-    assert np.array_equal(heads[offset >> n], _span_rows(first))
+    runs = list(_pivot_set_words(table, n))
+    rows = [len(words) >> (n // 2) for _, words in runs]
+    assert [lo for lo, _ in runs] == np.cumsum([0] + rows[:-1]).tolist()
+    assert max(rows) <= _CELL_BUDGET
+    got = np.concatenate([words for _, words in runs])
+    want = packed_words(table[perm].reshape(-1, 1 << (n // 2)))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_coset_cells_peak_memory_n8():
-    # once the per-dimension tables exist, the pass allocates only its
-    # per-function head table and one chunk at a time
+    # once the per-dimension tables exist, the pass holds one run of words
+    # at a time: 1.0 MiB traced with runs of 4,096 rows
     dual_table = dual(published_bent8("delta0_mix")).table
     _coset_cells(dual_table, 8)
     tracemalloc.start()
@@ -438,7 +437,7 @@ def test_coset_cells_peak_memory_n8():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20, peak
+    assert peak < 2 << 20, peak
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -475,7 +474,7 @@ def test_ps_sharp_sweep_peak_memory_n8():
     # arrays, then one block's tables at a time: 3.1 MiB with blocks of 8
     # shifts, 5.7 MiB with 16, 42 MiB with one block of 128
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
-    _head_index(8)  # builds the coset table too
+    _coset_table(8)
     _coset_wht(4)
     tracemalloc.start()
     try:
