@@ -92,6 +92,7 @@ class PsSharpWitness:
 # ---------------------------------------------------------------------------
 
 _COSET: dict[int, np.ndarray] = {}
+_PIVOTS: dict[int, list[tuple]] = {}
 _WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -105,10 +106,10 @@ def _span_rows(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pivot_sets(n: int):
-    """(pivots, minima, free) per pivot set of the n/2-subspaces in RREF,
-    descending-lexicographic as in `enumerate_subspaces`; the one place
-    the row order of the coset table is fixed.
+def _pivot_sets(n: int) -> list[tuple]:
+    """(pivots, minima, free, corners) per pivot set of the n/2-subspaces
+    in RREF, descending-lexicographic as in `enumerate_subspaces`; the one
+    place the row order of the coset table is fixed.  Built once per n.
 
     pivots descend.  minima lists the points that are zero on every pivot,
     ascending, so minima[k] is the XOR of the off-pivot unit vectors that
@@ -116,12 +117,19 @@ def _pivot_sets(n: int):
     p are the off-pivot positions below it, the lowest free[i] units: basis
     vector i is 1 << pivots[i] | minima[d_i] for its digit d_i <
     2^free[i].  The set's rows are the digit tuples (d_0, .., d_{m-1}),
-    the last varying fastest.
+    the last varying fastest.  corners[c] is the span of the pivot units,
+    pivot i picked by bit i of c.
     """
-    for pivots in itertools.combinations(range(n - 1, -1, -1), n // 2):
-        on_pivots = np.arange(1 << n) & sum(1 << p for p in pivots)
-        minima = np.flatnonzero(on_pivots == 0).astype(np.uint8)
-        yield pivots, minima, [p - sum(q < p for q in pivots) for p in pivots]
+    if n not in _PIVOTS:
+        sets = []
+        for pivots in itertools.combinations(range(n - 1, -1, -1), n // 2):
+            on_pivots = np.arange(1 << n) & sum(1 << p for p in pivots)
+            minima = np.flatnonzero(on_pivots == 0).astype(np.uint8)
+            free = [p - sum(q < p for q in pivots) for p in pivots]
+            corners = _span_rows(np.array([[1 << p for p in pivots]]))[0]
+            sets.append((pivots, minima, free, corners))
+        _PIVOTS[n] = sets
+    return _PIVOTS[n]
 
 
 def _coset_table(n: int) -> np.ndarray:
@@ -140,11 +148,11 @@ def _coset_table(n: int) -> np.ndarray:
         if n > 8:
             raise ValueError("coset table only built for n <= 8")
         m = n // 2
-        sets = list(_pivot_sets(n))
-        sizes = [1 << sum(free) for _, _, free in sets]
+        sets = _pivot_sets(n)
+        sizes = [1 << sum(free) for _, _, free, _ in sets]
         perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
         start = 0
-        for (pivots, minima, free), size in zip(sets, sizes):
+        for (pivots, minima, free, _), size in zip(sets, sizes):
             digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
             bases = minima[digits.T] | np.array([1 << p for p in pivots], dtype=np.uint8)
             np.bitwise_xor(
@@ -348,8 +356,7 @@ def _pivot_set_words(dual_table: np.ndarray, n: int):
     blocks = np.arange(1 << m)
     moved = np.bitwise_xor.outer(blocks, blocks)  # row d: block k + d
     start = 0
-    for pivots, minima, free in _pivot_sets(n):
-        corners = _span_rows(np.array([[1 << p for p in pivots]]))[0]
+    for _, minima, free, corners in _pivot_sets(n):
         gather = dual_table[corners[:, None] ^ minima].astype(dtype)
         tail = 1 << (sum(free) - free[0])  # rows per first digit
         step = max(_CELL_BUDGET // tail, 1)
@@ -375,8 +382,8 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     spectra, near = _coset_wht(m)
     flat, us, ss = [], [], []
     for lo, words in _pivot_set_words(dual_table, n):
-        cosets = np.flatnonzero(near[words])
-        spec = spectra[words[cosets]]
+        cosets = np.flatnonzero(near.take(words))
+        spec = spectra.take(words.take(cosets), axis=0)
         row, u = np.nonzero(np.abs(spec) >= size - 2)
         flat.append(lo * size + cosets[row])
         us.append(u)

@@ -7,6 +7,7 @@ permutation properties used to control M-subspaces of x.pi(y)+h(y).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -20,7 +21,6 @@ from .boolfun import (
     to_anf,
     _linear_structures,
     _parity_array,
-    _wht_butterfly,
 )
 from .gf2 import Subspace, orthogonal_complement, span
 
@@ -97,9 +97,36 @@ def derivative_vf(F: VectorialFunction, a: int) -> np.ndarray:
     return F.table ^ F.table[idx ^ a]
 
 
-# Entries in one chunk of rows a x 2^n columns b of the vanishing-pair graph:
-# each int64 array of a chunk takes 128 KB at most and stays in cache.
-_ADJ_CHUNK = 1 << 14
+# uint64 words per temporary of the pair tests (128 KiB); a chunk still
+# holds all the b of one a, which exceeds this only for n > 15.
+_PAIR_CHUNK = 1 << 14
+
+
+def _packed_derivatives(table: np.ndarray) -> np.ndarray:
+    """d[k, a]: word k of the derivative x -> t(x) + t(x + a), 64 points x
+    to a uint64 word (one word, high bits zero, when n < 6).  A table with
+    several output bits stacks one plane of words per bit, bit 0 first."""
+    table = np.asarray(table, dtype=np.int64)
+    N = len(table)
+    lanes = min(N, 64)
+    words = np.arange(N // lanes)
+    lane = np.arange(lanes)
+    bits = max(1, int(table.max()).bit_length())
+    d = np.empty((bits, len(words), N), dtype=np.uint64)
+    for j in range(bits):
+        plane = ((table >> j) & 1).astype(np.uint8).reshape(len(words), lanes)
+        packed = np.zeros((len(words), lanes, 8), dtype=np.uint8)
+        # packed[w, l]: word w of x -> t(x + l)
+        packed[..., : max(1, lanes // 8)] = np.packbits(
+            plane[:, lane[:, None] ^ lane], axis=2, bitorder="little"
+        )
+        shifts = packed.view("<u8")[..., 0]
+        # x + a moves word w to word w + (a >> 6), lane i to lane i + (a & 63)
+        for w in words:
+            d[j, w] = shifts.take(w ^ words, axis=0).ravel()
+    d = d.reshape(-1, N)
+    d ^= d[:, :1]
+    return d
 
 
 def vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
@@ -108,27 +135,46 @@ def vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
     adj[a] has bit b set iff D_a D_b(table) is identically zero, for
     nonzero a != b; adj[0] = 0.  Works for Boolean (0/1) and vectorial
     tables alike: a vectorial graph is the AND of the graphs of its output
-    bits.  For one output bit f and g_a = (-1)^(D_a f), D_b D_a f = 0
-    exactly when the autocorrelation of g_a at b is 2^n, that is when
-    sum_u W_{g_a}(u)^2 (-1)^(u.b) = 4^n (Carlet 2021).  So a chunk of rows
-    costs one batched WHT, a square and a second WHT: O(n 4^n) in all.
+    bits.
+
+    D_a D_b t = D_a t + D_b t + D_{a+b} t is symmetric in a, b and a + b,
+    so it is tested once per 2-dimensional subspace {0, a, b, a + b}, at
+    its representative a < b < a + b: with h the top bit of a, b >= 2^(h+1)
+    has bit h clear.  A vanishing test sets the six bits of its three
+    pairs.  The derivatives are packed 64 points to a uint64 word, word
+    major (`_packed_derivatives`, one plane per output bit), so a test
+    XORs three columns d[:, a], d[:, b], d[:, a + b] and asks for zero.
+    The first word screens every pair of a chunk; only the pairs it passes
+    read the other words, one word row at a time.
     """
-    table = np.asarray(table, dtype=np.int64)
-    N = len(table)
-    idx = np.arange(N)
-    rows = max(1, _ADJ_CHUNK // N)
-    adj = [0]
-    for lo in range(1, N, rows):
-        a = idx[lo : lo + rows]
-        d = table[a[:, None] ^ idx] ^ table
-        eq = np.ones(d.shape, dtype=bool)
-        for j in range(int(table.max()).bit_length()):
-            w = _wht_butterfly(1 - 2 * ((d >> j) & 1))
-            eq &= _wht_butterfly(w * w) == N * N
-        eq[:, 0] = False
-        eq[np.arange(len(a)), a] = False
-        adj += [int.from_bytes(r, "little") for r in np.packbits(eq, axis=1, bitorder="little")]
-    return adj
+    d = _packed_derivatives(table)
+    first, rest = d[0], d[1:]
+    N = d.shape[1]
+    row_words = max(1, N >> 6)
+    adj = np.zeros(N * row_words, dtype=np.uint64)
+    for h in range(N.bit_length() - 2):
+        low = 1 << h
+        bs = np.arange(2 * low, N).reshape(-1, 2 * low)[:, :low].ravel()
+        first_b = first.take(bs)
+        rows = max(1, _PAIR_CHUNK // len(bs))
+        for lo in range(low, 2 * low, rows):
+            a = np.arange(lo, min(lo + rows, 2 * low))
+            c = a[:, None] ^ bs
+            hit = np.flatnonzero((first.take(c) ^ first_b) == first.take(a)[:, None])
+            if not len(hit):
+                continue
+            i, j = np.divmod(hit, len(bs))
+            va, vb, vc = a.take(i), bs.take(j), c.take(hit)
+            diff = np.zeros(len(hit), dtype=np.uint64)
+            for row in rest:
+                diff |= row.take(va) ^ row.take(vb) ^ row.take(vc)
+            keep = diff == 0
+            for u, v in itertools.permutations((va[keep], vb[keep], vc[keep]), 2):
+                bit = np.uint64(1) << (v & 63).astype(np.uint64)
+                np.bitwise_or.at(adj, u * row_words + (v >> 6), bit)
+    raw = memoryview(adj).cast("B")
+    size = 8 * row_words
+    return [int.from_bytes(raw[r * size : (r + 1) * size], "little") for r in range(N)]
 
 
 def is_apn(F: VectorialFunction) -> bool:

@@ -1,12 +1,20 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bentforge import fixtures as fx
 from bentforge import vectorial
-from bentforge.boolfun import format_anf, from_anf, parse_anf, to_anf, zero_function
-from bentforge.construct import mm_bent
+from bentforge.boolfun import (
+    _wht_butterfly,
+    format_anf,
+    from_anf,
+    parse_anf,
+    to_anf,
+    zero_function,
+)
+from bentforge.construct import mm_bent, theorem55_construct
 from bentforge.gf2 import apply_linear, enumerate_subspaces, random_invertible, span
 from bentforge.gf2m import Field, power_map
 from bentforge.msub import is_msubspace
@@ -159,11 +167,109 @@ def test_adjacency_matches_all_pairs_reference(case):
         assert vanishing_pair_adjacency(table) == reference_vanishing_pair_adjacency(table)
 
 
-@pytest.mark.parametrize("rows", [1, 7])
-def test_adjacency_independent_of_chunk_rows(monkeypatch, rows):
-    for table in (fx.published_bent8("delta0_mix").table, power_map(Field(6), 7).table):
-        monkeypatch.setattr(vectorial, "_ADJ_CHUNK", rows * len(table))
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_adjacency_independent_of_chunk_rows(monkeypatch, chunk):
+    # x.y passes half of all pair tests, so its survivors span many chunks
+    monkeypatch.setattr(vectorial, "_PAIR_CHUNK", chunk)
+    for table in (
+        fx.published_bent8("delta0_mix").table,
+        power_map(Field(6), 7).table,
+        mm_bent(identity_map(4), zero_function(4)).table,
+    ):
         assert vanishing_pair_adjacency(table) == reference_vanishing_pair_adjacency(table)
+
+
+def carlet_vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
+    """Two-WHT builder: for one output bit f and g_a = (-1)^(D_a f),
+    D_b D_a f = 0 exactly when the autocorrelation of g_a at b is 2^n, that
+    is when sum_u W_{g_a}(u)^2 (-1)^(u.b) = 4^n (Carlet 2021); a vectorial
+    graph is the AND over the output bits.  Rows go in chunks of 2^14
+    entries, one batched WHT, a square and a second WHT each."""
+    table = np.asarray(table, dtype=np.int64)
+    N = len(table)
+    idx = np.arange(N)
+    rows = max(1, (1 << 14) // N)
+    adj = [0]
+    for lo in range(1, N, rows):
+        a = idx[lo : lo + rows]
+        d = table[a[:, None] ^ idx] ^ table
+        eq = np.ones(d.shape, dtype=bool)
+        for j in range(int(table.max()).bit_length()):
+            w = _wht_butterfly(1 - 2 * ((d >> j) & 1))
+            eq &= _wht_butterfly(w * w) == N * N
+        eq[:, 0] = False
+        eq[np.arange(len(a)), a] = False
+        adj += [int.from_bytes(r, "little") for r in np.packbits(eq, axis=1, bitorder="little")]
+    return adj
+
+
+def shared_msubspace_table(m: int, rng: random.Random) -> np.ndarray:
+    """f1 + 2 f2 + 4 f3 + 8 f4 for MM pieces x.pi(y) + h_i(y) with one pi,
+    as `construct` packs them: the AND graph keeps their shared pairs."""
+    pi = power_map(Field(m), 7)
+    pieces = [mm_bent(pi, random_function(m, rng)).table.astype(np.int64) for _ in range(4)]
+    return sum(f << j for j, f in enumerate(pieces))
+
+
+def theorem55_n10_table() -> np.ndarray:
+    pi = power_map(Field(4), 7)
+    return theorem55_construct(pi, pi, zero_function(4), zero_function(4)).function.table
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_adjacency_matches_two_wht_reference(n):
+    rng = random.Random(n)
+    gen = np.random.default_rng(n)
+    tables = [gen.integers(0, 2, 1 << n), gen.integers(0, 16, 1 << n)]
+    tables.append(shared_msubspace_table(n // 2, rng))
+    if n == 10:
+        tables.append(theorem55_n10_table())
+    for table in tables:
+        assert vanishing_pair_adjacency(table) == carlet_vanishing_pair_adjacency(table)
+    assert any(vanishing_pair_adjacency(tables[-1]))
+
+
+def adjacency_matrix(adj: list[int]) -> np.ndarray:
+    N = len(adj)
+    raw = b"".join(row.to_bytes(max(1, N // 8), "little") for row in adj)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(N, -1)
+    return np.unpackbits(rows, axis=1, count=N, bitorder="little").astype(bool)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_adjacency_relabels_under_linear_maps(n):
+    # D_a D_b t(Ax) = (D_{Aa} D_{Ab} t)(Ax): the graph of t(Ax) has edge
+    # (a, b) iff the graph of t has edge (Aa, Ab)
+    rng = random.Random(n)
+    m = n // 2
+    if n == 10:
+        table = theorem55_n10_table()
+    else:
+        table = mm_bent(power_map(Field(m), 5), random_function(m, rng)).table
+    A = random_invertible(n, rng)
+    image = np.array([apply_linear(A, x) for x in range(1 << n)])
+    graph = adjacency_matrix(vanishing_pair_adjacency(table))
+    assert graph.sum() >= 1000
+    relabelled = adjacency_matrix(vanishing_pair_adjacency(table[image]))
+    assert np.array_equal(relabelled, graph[np.ix_(image, image)])
+
+
+def test_adjacency_peak_memory_n8():
+    # the two-WHT builder (carlet_vanishing_pair_adjacency) peaks at
+    # 0.59 MiB traced; x.y passes half of all pair tests, the published
+    # functions almost none
+    for table in (
+        fx.published_bent8("delta0_mix").table,
+        mm_bent(identity_map(4), zero_function(4)).table,
+    ):
+        vanishing_pair_adjacency(table)
+        tracemalloc.start()
+        try:
+            vanishing_pair_adjacency(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * (1 << 20), peak
 
 
 def test_adjacency_of_constant_tables_is_complete():
