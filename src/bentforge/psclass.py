@@ -4,7 +4,10 @@ over shifts and affine offsets, and the Desarguesian PS_ap construction.
 The PS candidate filter is subspace-first: instead of hunting cliques among
 support vertices, every n/2-dimensional subspace U is tested for f = 1 on
 U \\ {0} (provably the same set of candidates, since a clique that forms a
-vector space is exactly such a subspace).  The full PS# sweep additionally
+vector space is exactly such a subspace).  Subspaces are the rows of one
+index (`_row_index`) that keeps each one's RREF basis and pivot set, not
+its points: a coset's points are its minimum, which depends only on the
+pivot set, XOR the span of the basis.  The full PS# sweep additionally
 moves to the dual side: U is a candidate for g(x) = f(x+b)+a.x+c exactly
 when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
 r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
@@ -20,7 +23,8 @@ per-point index.  u and b.r are linear in b, so the pass tabulates them,
 packed into one byte per cell, for the n unit vectors.
 The sweep takes aligned blocks of up to 8 shifts: one comparison on the
 block's XORed-up table gives all its hits, and one count of (shift, a,
-subclass) keys over the hits' coset points gives all its viable groups.
+subclass) keys over the hits' coset points, which the pass stores with
+each cell, gives all its viable groups.
 The disjointness search then runs on the hit subspaces W, not on their
 complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the
 whole space iff (W1 + W2)-perp, the intersection of W1-perp and W2-perp, is
@@ -45,7 +49,7 @@ from .gf2 import Subspace, orthogonal_complement, span
 # Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 1).
 enumerate_subspaces = gf2.enumerate_subspaces
 
-# Coset-table rows the cell pass builds words for at a time (at n = 8,
+# Subspace-index rows the cell pass builds words for at a time (at n = 8,
 # 128 kB of uint16 words).
 _CELL_BUDGET = 1 << 12
 
@@ -91,25 +95,26 @@ class PsSharpWitness:
 # per-dimension tables
 # ---------------------------------------------------------------------------
 
-_COSET: dict[int, np.ndarray] = {}
 _PIVOTS: dict[int, list[tuple]] = {}
+_ROWS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _span_rows(vectors: np.ndarray) -> np.ndarray:
     """Span of each row of m vectors in basis-coordinate order: entry k is
-    the XOR of the vectors j with bit j of k set."""
+    the XOR of the vectors j with bit j of k set.  Built one entry at a time
+    for all rows, so it is the transposed view of a (2^m, rows) array."""
     rows, m = vectors.shape
-    out = np.zeros((rows, 1 << m), dtype=vectors.dtype)
+    out = np.zeros((1 << m, rows), dtype=vectors.dtype)
     for j in range(m):
-        out[:, 1 << j : 2 << j] = out[:, : 1 << j] ^ vectors[:, j : j + 1]
-    return out
+        out[1 << j : 2 << j] = out[: 1 << j] ^ vectors[:, j]
+    return out.T
 
 
 def _pivot_sets(n: int) -> list[tuple]:
     """(pivots, minima, free, corners) per pivot set of the n/2-subspaces
     in RREF, descending-lexicographic as in `enumerate_subspaces`; the one
-    place the row order of the coset table is fixed.  Built once per n.
+    place the row order of the subspace index is fixed.  Built once per n.
 
     pivots descend.  minima lists the points that are zero on every pivot,
     ascending, so minima[k] is the XOR of the off-pivot unit vectors that
@@ -132,43 +137,51 @@ def _pivot_sets(n: int) -> list[tuple]:
     return _PIVOTS[n]
 
 
-def _coset_table(n: int) -> np.ndarray:
-    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace;
-    the one subspace index that subspaces, bases and PS candidates are read
-    from.
+def _row_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, pivot_set, minima): the one subspace index, one row per
+    n/2-subspace in `_pivot_sets` order, exactly `enumerate_subspaces`
+    order.  Built once per n.
 
-    Rows go in `_pivot_sets` order: exactly `enumerate_subspaces` order.
-    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
-    block 0 is the subspace and entry 2^j is basis vector j.  Block k is
-    the coset with the k-th smallest minimum: the basis is in RREF, so a
-    coset's minimum is its point that is zero on every pivot, and these
-    minima are the pivot set's `minima`.  uint8 needs n <= 8.
+    basis[i] holds row i's m basis vectors in RREF, pivots descending;
+    pivot_set[i] is its pivot set, and minima stacks each set's coset
+    minima.  The cosets of row i are its blocks: block k is the coset with
+    the k-th smallest minimum, since the point of a coset that is zero on
+    every pivot is its minimum.  So entry c of block k is
+    minima[pivot_set[i], k] XOR entry c of `_span_rows(basis[i])`
+    (`_coset_points`).  uint8 needs n <= 8.
     """
-    if n not in _COSET:
+    if n not in _ROWS:
         if n > 8:
-            raise ValueError("coset table only built for n <= 8")
+            raise ValueError("subspace index only built for n <= 8")
         m = n // 2
         sets = _pivot_sets(n)
         sizes = [1 << sum(free) for _, _, free, _ in sets]
-        perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
+        basis = np.empty((sum(sizes), m), dtype=np.uint8)
         start = 0
         for (pivots, minima, free, _), size in zip(sets, sizes):
             digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
-            bases = minima[digits.T] | np.array([1 << p for p in pivots], dtype=np.uint8)
-            np.bitwise_xor(
-                minima[:, None],
-                _span_rows(bases)[:, None, :],
-                out=perm[start : start + size].reshape(size, 1 << (n - m), 1 << m),
+            np.bitwise_or(
+                minima[digits.T],
+                np.array([1 << p for p in pivots], dtype=np.uint8),
+                out=basis[start : start + size],
             )
             start += size
-        _COSET[n] = perm
-    return _COSET[n]
+        pivot_set = np.repeat(np.arange(len(sets), dtype=np.uint8), sizes)
+        _ROWS[n] = basis, pivot_set, np.array([minima for _, minima, _, _ in sets])
+    return _ROWS[n]
+
+
+def _coset_points(n: int, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The points of coset block blocks[i] of row rows[i] of the subspace
+    index, in basis-coordinate order, as (len(rows), 2^(n/2)) uint8."""
+    basis, pivot_set, minima = _row_index(n)
+    first = minima[pivot_set.take(rows), blocks]
+    return np.ascontiguousarray(first[:, None] ^ _span_rows(basis.take(rows, axis=0)))
 
 
 def _midspace(n: int, i: int) -> Subspace:
-    """The i-th n/2-dimensional subspace, read from its coset-table row."""
-    row = _coset_table(n)[i]
-    return span([int(row[1 << j]) for j in range(n // 2)], n)
+    """The i-th n/2-dimensional subspace, spanned by its index row's basis."""
+    return span([int(v) for v in _row_index(n)[0][i]], n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +191,16 @@ def _midspace(n: int, i: int) -> Subspace:
 def ps_candidates(f: BooleanFunction) -> list[int]:
     """Indices of the n/2-subspaces U with f = 1 on U \\ {0}, ascending.
 
-    Block 0 of each coset-table row is U with 0 first, so its other
-    entries are the nonzero elements.
+    Spans every index row's basis in Gray-code order, one nonzero element
+    of each U per step, so no (rows, 2^(n/2)) table of elements is made.
     """
-    perm = _coset_table(f.n)
-    return np.flatnonzero(f.table[perm[:, 1 : 1 << (f.n // 2)]].all(axis=1)).tolist()
+    basis = _row_index(f.n)[0]
+    inside = np.ones(len(basis), dtype=bool)
+    point = np.zeros(len(basis), dtype=np.uint8)
+    for k in range(1, 1 << (f.n // 2)):
+        point ^= basis[:, (k & -k).bit_length() - 1]
+        inside &= f.table[point] != 0
+    return np.flatnonzero(inside).tolist()
 
 
 def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
@@ -216,28 +234,29 @@ def _bounded_cliques(
     rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
 ):
     """Clique stage: group g wants need[g] pairwise-disjoint subspaces among
-    the coset-table rows rows[i], (g, i) in the index arrays `pairs`.  Group
-    g and row i belong to batches batch[g] and owner[i] (both
+    the subspace-index rows rows[i], (g, i) in the index arrays `pairs`.
+    Group g and row i belong to batches batch[g] and owner[i] (both
     non-decreasing; in a sweep, shifts), and a batch lists a row once.
 
-    Per batch, the Gram matrix of the 0/1 membership rows of each block 0
-    without its 0 counts the shared points (exactly, in float32); a subspace
-    meets itself, so the diagonal of the disjointness matrix is clear.  The
-    matrices are stacked, padded with empty rows, so one batched product
-    gives every row's neighbour count in every group.  A row of an s-clique
-    has s - 1 neighbours in its group, so a group needs s such rows.  For
-    each group that passes this degree bound, in order, yields (g, the first
-    clique as a list of rows in index order, or None).
+    Per batch, the Gram matrix of the 0/1 membership rows of the nonzero
+    elements of each row's span counts the shared points (exactly, in
+    float32); a subspace meets itself, so the diagonal of the disjointness
+    matrix is clear.  The matrices are stacked, padded with empty rows, so
+    one batched product gives every row's neighbour count in every group.
+    A row of an s-clique has s - 1 neighbours in its group, so a group
+    needs s such rows.  For each group that passes this degree bound, in
+    order, yields (g, the first clique as a list of rows in index order, or
+    None).
     """
     if not len(need):
         return
-    table = _coset_table(n)
     start = np.searchsorted(owner, owner)
     local = np.arange(len(rows)) - start
     spots = np.arange(len(need)) - np.searchsorted(batch, batch)
     shape = (int(batch[-1]) + 1, int(spots.max()) + 1, int(local.max(initial=-1)) + 1)
     members = np.zeros((shape[0] * shape[2], 1 << n), dtype=np.float32)
-    members[(owner * shape[2] + local)[:, None], table[rows, 1 : 1 << (n // 2)]] = 1
+    nonzero = _span_rows(_row_index(n)[0].take(rows, axis=0))[:, 1:]
+    members[(owner * shape[2] + local)[:, None], nonzero] = 1
     members = members.reshape(shape[0], shape[2], 1 << n)
     disjoint = members @ members.transpose(0, 2, 1) == 0
     group, member = pairs
@@ -328,7 +347,8 @@ class _CosetCells:
 
     u_b = (b.w_1, ..., b.w_m) and b.r are linear in b, so they are
     tabulated for the n unit vectors b = e_j (one row per j), packed as
-    u_b | b.r << m, and XORed over the set bits of each shift.
+    u_b | b.r << m, and XORed over the set bits of each shift.  points
+    holds each cell's coset, so the sweep reads a hit's points by its cell.
     """
 
     w_idx: np.ndarray
@@ -336,11 +356,12 @@ class _CosetCells:
     u: np.ndarray  # uint8
     spectrum: np.ndarray  # S_{W,r}(u)
     unit: np.ndarray  # (n, cells): bit k is e_j.w_k, bit m is e_j.r, r the block's first point
+    points: np.ndarray  # (cells, 2^m) uint8: the coset in basis-coordinate order, r first
 
 
 def _pivot_set_words(dual_table: np.ndarray, n: int):
     """The 2^m-bit word of f* on every coset, as (first row, words) for
-    runs of coset-table rows, words in (row, block) order; bit c is f* at
+    runs of subspace-index rows, words in (row, block) order; bit c is f* at
     entry c of the block.
 
     In a pivot set, entry c of block k is P(c) + minima[k + sum_i c_i d_i]
@@ -378,7 +399,6 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     cells."""
     m = n // 2
     size = 1 << m
-    perm = _coset_table(n)
     spectra, near = _coset_wht(m)
     flat, us, ss = [], [], []
     for lo, words in _pivot_set_words(dual_table, n):
@@ -389,9 +409,10 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         us.append(u)
         ss.append(spec[row, u])
     w_idx, block = np.divmod(np.concatenate(flat), size)
+    points = _coset_points(n, w_idx, block)
+    basis = _row_index(n)[0].take(w_idx, axis=0)
     j = np.arange(n, dtype=np.uint8)[:, None]
-    basis = perm[w_idx[:, None], 1 << np.arange(m)]
-    unit = ((perm[w_idx, block << m] >> j) & 1) << m
+    unit = ((points[:, 0] >> j) & 1) << m
     for k in range(m):
         unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
@@ -400,6 +421,7 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         u=np.concatenate(us).astype(np.uint8),
         spectrum=np.concatenate(ss).astype(np.int64),
         unit=unit,
+        points=points,
     )
 
 
@@ -409,7 +431,7 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 3.1 MiB with 8, 5.7 MiB with 16.  With 16 the
+# a sweep's traced peak is 3.3 MiB with 8, 5.9 MiB with 16.  With 16 the
 # tables also outgrow glibc's trim threshold unless an earlier large free
 # has raised it, and each block faults them in again (12,500 page faults,
 # about 10% of a delta0_mix sweep).
@@ -454,11 +476,12 @@ def _block_hits(f: BooleanFunction, cells: _CosetCells, lo: int, hi: int):
     return d, c, (np.abs(s[c]) == size).astype(np.intp)
 
 
-def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, d, w, block, tag):
+def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, d, w, points, tag):
     """The viable (shift, a, subclass) groups of a block, from its hits in
-    (d, subspace index w) order: shift lo + d, coset block, tag.
+    (d, subspace index w) order: shift lo + d, the coset's points (a row of
+    `_CosetCells.points`), tag.
 
-    A hit (W, block) at shift lo + d makes W-perp a candidate for every a
+    A hit (W, coset) at shift lo + d makes W-perp a candidate for every a
     in that coset of W.  A group is viable when it has at least
     need = 2^(m-1) + tag hits and phi[a] = f(b) (otherwise the weight of g
     rules out PS).  Every coset point gets the key (d, a, tag), and one
@@ -470,7 +493,6 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     m = n // 2
     shifts = np.arange(lo, hi)
     phi = dual_table ^ _parity_array(shifts[:, None] & np.arange(1 << n))
-    points = _coset_table(n).reshape(-1, 1 << m)[(w << (n - m)) + block]
     keys = (((d << (n + 1)) | tag)[:, None] | points.astype(np.intp) << 1).ravel()
     counts = np.bincount(keys, minlength=(hi - lo) << (n + 1))
     viable = counts.reshape(-1, 2) >= (1 << (m - 1)) + np.arange(2)
@@ -500,7 +522,7 @@ def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     n = f.n
     d, c, tag = _block_hits(f, cells, lo, hi)
     d, a, tag, need, rows, owner, pairs = _block_groups(
-        f, dual_table, lo, hi, d, cells.w_idx[c], cells.block[c], tag
+        f, dual_table, lo, hi, d, cells.w_idx[c], cells.points[c], tag
     )
     for g, clique in _bounded_cliques(rows, owner, pairs, need, d, n):
         if clique is None:

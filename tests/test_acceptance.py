@@ -2,7 +2,7 @@
 pass/fail line per claim (pytest -v).
 
 The three PS# sweeps are exhaustive over all 2^17 (shift, affine) pairs
-each; after the one-time coset-table build they take about 0.3 seconds in
+each; after the one-time subspace-index build they take about 0.3 seconds in
 total (0.05-0.17 s each), and this file runs in about 1.2 seconds (2 vCPUs).
 """
 

@@ -29,13 +29,13 @@ from bentforge.msub import (
     msubspaces,
 )
 from bentforge.psclass import (
-    _coset_table,
     _coset_wht,
     _midspace,
     ps_ap,
 )
 from bentforge.vectorial import VectorialFunction, has_p1, identity_map, linear_structures_vf
 from conftest import packed_words, random_function, random_permutation_table
+from test_psclass import coset_table
 
 
 def ea_image(f: BooleanFunction, A: list[int], b=0, a=0, c=0) -> BooleanFunction:
@@ -282,11 +282,12 @@ def coset_table_msubspaces(f: BooleanFunction) -> set:
     V is an M-subspace iff every second derivative inside V vanishes iff f
     is affine on every coset of V, that is iff every coset word of f has a
     Walsh value S(u) with |S(u)| = 2^(n/2).  The words are read point by
-    point through the coset table, the spectra from the PS# word table.
+    point through the test-side coset table, the spectra from the PS# word
+    table.
     """
     n = f.n
     size = 1 << (n // 2)
-    perm = _coset_table(n)
+    perm = coset_table(n)
     spectra, _ = _coset_wht(n // 2)
     out = set()
     for lo in range(0, len(perm), 1 << 11):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -24,13 +25,16 @@ from bentforge.psclass import (
     _block_hits,
     _bounded_cliques,
     _coset_cells,
-    _coset_table,
+    _coset_points,
     _coset_wht,
     _CosetCells,
     _midspace,
     _pivot_set_words,
+    _pivot_sets,
+    _row_index,
     _shift_blocks,
     _shifted_affine,
+    _span_rows,
     _unit_xor,
     _witness_holds,
     PartialSpreadWitness,
@@ -157,6 +161,36 @@ def test_candidate_filter_counts():
 # oracles for the sweep
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def coset_table(n: int) -> np.ndarray:
+    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace,
+    built per pivot set; the per-point table that the oracles read whole
+    rows of (51 MB at n = 8, which is why the package keeps only bases).
+
+    Rows go in `_pivot_sets` order: exactly `enumerate_subspaces` order.
+    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
+    block 0 is the subspace and entry 2^j is basis vector j.  Block k is
+    the coset with the k-th smallest minimum: the basis is in RREF, so a
+    coset's minimum is its point that is zero on every pivot, and these
+    minima are the pivot set's `minima`.
+    """
+    m = n // 2
+    sets = _pivot_sets(n)
+    sizes = [1 << sum(free) for _, _, free, _ in sets]
+    perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
+    start = 0
+    for (pivots, minima, free, _), size in zip(sets, sizes):
+        digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
+        bases = minima[digits.T] | np.array([1 << p for p in pivots], dtype=np.uint8)
+        np.bitwise_xor(
+            minima[:, None],
+            _span_rows(bases)[:, None, :],
+            out=perm[start : start + size].reshape(size, 1 << (n - m), 1 << m),
+        )
+        start += size
+    return perm
+
+
 def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
     """f(A(x + b)) + a.x + c for a random invertible A and random b, a, c."""
     n = f.n
@@ -188,7 +222,7 @@ def direct_coset_hits(f: BooleanFunction, dual_table: np.ndarray, b: int):
     """Per-shift hits by counting the ones of f* + b.x on every coset."""
     n = f.n
     m = n // 2
-    perm = _coset_table(n)
+    perm = coset_table(n)
     idx = np.arange(1 << n)
     phi = dual_table ^ _parity_array(idx & b)
     sums = phi[perm].reshape(perm.shape[0], 1 << m, 1 << m).sum(axis=2, dtype=np.int16)
@@ -211,7 +245,7 @@ def reference_shift_groups(f: BooleanFunction, cells, dual_table: np.ndarray, b:
     """
     n = f.n
     m = n // 2
-    perm = _coset_table(n)
+    perm = coset_table(n)
     phi = dual_table ^ _parity_array(np.arange(1 << n) & b)
     fb = int(f.table[b])  # g(0) bookkeeping: f(b) decides the target counts
     if hits is None:
@@ -274,9 +308,10 @@ def block_pass(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, b
     """split_block over the given blocks of f's sweep."""
     for lo, hi in blocks:
         d, c, tag = _block_hits(f, cells, lo, hi)
-        hits = d, cells.w_idx[c], cells.block[c], tag
-        groups = _block_groups(f, dual_table, lo, hi, *hits)
-        yield from split_block(lo, hi, hits, groups, len(_coset_table(f.n)))
+        w = cells.w_idx[c]
+        groups = _block_groups(f, dual_table, lo, hi, d, w, cells.points[c], tag)
+        hits = d, w, cells.block[c], tag
+        yield from split_block(lo, hi, hits, groups, len(_row_index(f.n)[0]))
 
 
 def assert_block_pass_matches(f: BooleanFunction, direct_shifts=()) -> None:
@@ -321,7 +356,7 @@ def test_block_groups_match_per_shift_grouping_on_random_hits():
     # subspace closes the hits of a shift and opens those of the next
     f = oracle_functions(4)[3]
     dual_table = dual(f).table
-    count = len(_coset_table(4))
+    count = len(_row_index(4)[0])
     rng = np.random.default_rng(4)
     straddles = 0
     for lo, hi in [(4, 8), (8, 12), (0, 1)]:
@@ -332,7 +367,8 @@ def test_block_groups_match_per_shift_grouping_on_random_hits():
             tag = rng.integers(0, 2, len(d))
             straddles += np.count_nonzero((np.diff(d) > 0) & (np.diff(w) == 0))
             hits = d, w, block, tag
-            groups = _block_groups(f, dual_table, lo, hi, *hits)
+            points = coset_table(4).reshape(-1, 4)[(w << 2) + block]
+            groups = _block_groups(f, dual_table, lo, hi, d, w, points, tag)
             for b, shift_hits, got in split_block(lo, hi, hits, groups, count):
                 _, want = reference_shift_groups(f, None, dual_table, b, shift_hits)
                 for x, y in zip(got, want):
@@ -357,7 +393,7 @@ def test_tabulated_shift_parities_match_direct_n8():
     # representative of every cell
     n, m = 8, 4
     cells = _coset_cells(dual(published_bent8("delta0_mix")).table, n)
-    perm = _coset_table(n)
+    perm = coset_table(n)
     basis = perm[cells.w_idx[:, None], 1 << np.arange(m)].astype(np.int64)
     rep = perm[cells.w_idx, cells.block << m].astype(np.int64)
     assert cells.unit.dtype == np.uint8 and cells.unit.shape == (n, len(cells.u))
@@ -368,10 +404,11 @@ def test_tabulated_shift_parities_match_direct_n8():
 
 def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     """The cells from a per-point gather of f* through the whole coset
-    table, each run of 2^m values packed into a word bit by bit."""
+    table, each run of 2^m values packed into a word bit by bit; each
+    cell's points are its block of the table."""
     m = n // 2
     size = 1 << m
-    perm = _coset_table(n)
+    perm = coset_table(n)
     spectra, near = _coset_wht(m)
     words = packed_words(dual_table[perm].reshape(-1, size))
     cosets = np.flatnonzero(near[words])
@@ -389,6 +426,7 @@ def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         u=u.astype(np.uint8),
         spectrum=spec[row, u].astype(np.int64),
         unit=unit,
+        points=perm.reshape(-1, size)[cosets[row]],
     )
 
 
@@ -406,7 +444,7 @@ def test_coset_cells_match_per_point_reference(f):
     dual_table = dual(f).table
     got = _coset_cells(dual_table, f.n)
     want = reference_coset_cells(dual_table, f.n)
-    for name in ("w_idx", "block", "u", "spectrum", "unit"):
+    for name in ("w_idx", "block", "u", "spectrum", "unit", "points"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
 
@@ -416,7 +454,7 @@ def test_pivot_set_words_match_per_point_packing(n):
     # every (row, block) of a random table, not only the near-affine words
     # that the cells keep; the runs tile the coset table in row order
     table = random_function(n, random.Random(n)).table
-    perm = _coset_table(n)
+    perm = coset_table(n)
     runs = list(_pivot_set_words(table, n))
     rows = [len(words) >> (n // 2) for _, words in runs]
     assert [lo for lo, _ in runs] == np.cumsum([0] + rows[:-1]).tolist()
@@ -428,7 +466,8 @@ def test_pivot_set_words_match_per_point_packing(n):
 
 def test_coset_cells_peak_memory_n8():
     # once the per-dimension tables exist, the pass holds one run of words
-    # at a time: 1.0 MiB traced with runs of 4,096 rows
+    # at a time: 1.3 MiB traced with runs of 4,096 rows, the kept cells'
+    # points (0.24 MB) included
     dual_table = dual(published_bent8("delta0_mix")).table
     _coset_cells(dual_table, 8)
     tracemalloc.start()
@@ -471,10 +510,10 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m, monkeypatch):
 
 def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built, a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 3.1 MiB with blocks of 8
-    # shifts, 5.7 MiB with 16, 42 MiB with one block of 128
+    # arrays, then one block's tables at a time: 3.3 MiB with blocks of 8
+    # shifts, 5.9 MiB with 16, 42 MiB with one block of 128
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
-    _coset_table(8)
+    _row_index(8)
     _coset_wht(4)
     tracemalloc.start()
     try:
@@ -558,7 +597,7 @@ def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name):
 
 
 # ---------------------------------------------------------------------------
-# the coset table and what is read from it
+# the subspace index and what is derived from it
 # ---------------------------------------------------------------------------
 
 def reference_coset_table(n: int, step: int = 1) -> np.ndarray:
@@ -576,33 +615,85 @@ def reference_coset_table(n: int, step: int = 1) -> np.ndarray:
     return (firsts[:, :, None] ^ elems[:, None, :]).reshape(len(basis), 1 << n).astype(np.uint8)
 
 
+def derived_coset_table(n: int, rows: np.ndarray) -> np.ndarray:
+    """The given rows of the coset table, every block, from `_coset_points`."""
+    blocks = 1 << (n - n // 2)
+    got = _coset_points(n, np.repeat(rows, blocks), np.tile(np.arange(blocks), len(rows)))
+    return got.reshape(len(rows), 1 << n)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_coset_table_matches_min_representative_reference(n):
-    got = _coset_table(n)
+    # the points the index derives, and the test-side table the oracles read
+    want = reference_coset_table(n)
+    got = derived_coset_table(n, np.arange(len(_row_index(n)[0])))
     assert got.dtype == np.uint8
-    assert got.tobytes() == reference_coset_table(n).tobytes()
+    assert got.tobytes() == want.tobytes()
+    assert coset_table(n).tobytes() == want.tobytes()
 
 
 def test_coset_table_matches_reference_on_sampled_rows_n8():
-    assert np.array_equal(_coset_table(8)[::97], reference_coset_table(8, step=97))
+    want = reference_coset_table(8, step=97)
+    assert np.array_equal(derived_coset_table(8, np.arange(0, len(_row_index(8)[0]), 97)), want)
+    assert np.array_equal(coset_table(8)[::97], want)
 
 
 def test_coset_table_bases_follow_enumeration_order_n8():
     # every row, since the row order fixes which PS# witness is found first
     want = np.array([U.basis for U in enumerate_subspaces(8, 4)], dtype=np.uint8)
-    assert np.array_equal(_coset_table(8)[:, 1 << np.arange(4)], want)
+    basis = _row_index(8)[0]
+    assert basis.dtype == np.uint8 and np.array_equal(basis, want)
 
 
-def test_coset_table_build_peak_memory_n8(monkeypatch):
-    # the 49 MiB table plus one pivot set's working arrays
-    monkeypatch.setattr(psclass, "_COSET", {})
+def test_row_index_build_peak_memory_n8(monkeypatch):
+    # 1.3 MiB traced: the 1.0 MB index plus one pivot set's digits
+    monkeypatch.setattr(psclass, "_ROWS", {})
     tracemalloc.start()
     try:
-        _coset_table(8)
+        _row_index(8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 56 << 20, peak
+    assert peak < 2 << 20, peak
+
+
+def cache_nbytes(value) -> int:
+    """Bytes held by the arrays in a cache, however they are nested."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, dict):
+        return sum(cache_nbytes(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return sum(cache_nbytes(v) for v in value)
+    return 0
+
+
+def test_per_dimension_caches_stay_small_after_warmup_sweep(monkeypatch):
+    # ps_ap4() is the benchmark's warm-up function.  2.1 MB after its sweep:
+    # the index (1.0 MB at n = 8) and the m = 4 word spectra (1.1 MB)
+    caches = [name for name, v in vars(psclass).items() if name.isupper() and isinstance(v, dict)]
+    assert {"_PIVOTS", "_ROWS", "_WHT"} <= set(caches)
+    for name in caches:
+        monkeypatch.setattr(psclass, name, {})
+    assert is_in_ps_sharp(ps_ap4()) is not None
+    total = sum(cache_nbytes(getattr(psclass, name)) for name in caches)
+    assert total < 4 << 20, total
+
+
+@pytest.mark.parametrize("name", ["delta0_mix", "apn_family"])
+def test_ps_candidates_match_coset_table_and_peak_memory_n8(name):
+    # 0.8 MiB traced: one element per row at a time (3.1 MiB through a
+    # (rows, 15) slice of the coset table)
+    f = ea_disguise(published_bent8(name), random.Random(name))
+    want = np.flatnonzero(f.table[coset_table(8)[:, 1:16]].all(axis=1)).tolist()
+    tracemalloc.start()
+    try:
+        got = ps_candidates(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 << 20, peak
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -620,7 +711,7 @@ def test_ps_candidates_match_mask_containment(n):
 
 
 # ---------------------------------------------------------------------------
-# the clique stage on coset-table rows
+# the clique stage on subspace-index rows
 # ---------------------------------------------------------------------------
 
 def nonzero_membership(subspaces, n: int) -> np.ndarray:
@@ -658,7 +749,7 @@ def first_disjoint_subset(rows, n: int, s: int):
 @pytest.mark.parametrize("n, lists", [(6, 60), (8, 6)])
 def test_disjoint_clique_matches_brute_force(n, lists):
     rng = random.Random(n)
-    count = _coset_table(n).shape[0]
+    count = len(_row_index(n)[0])
     outcomes = set()
     for _ in range(lists):
         rows = rng.sample(range(count), rng.randrange(2, 15))
@@ -680,7 +771,7 @@ def reference_group_clique(rows, n: int, s: int):
     if L < s:
         return False, None
     members = np.zeros((L, 1 << n), dtype=np.float32)
-    members[np.arange(L)[:, None], _coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
+    members[np.arange(L)[:, None], coset_table(n)[rows, 1 : 1 << (n // 2)]] = 1
     disjoint = members @ members.T == 0
     if np.count_nonzero(disjoint.sum(axis=1) >= s - 1) < s:
         return False, None
@@ -713,7 +804,7 @@ def batched_and_reference_cliques(f: BooleanFunction):
     for lo, hi in _shift_blocks(f.n):
         d, c, tag = _block_hits(f, cells, lo, hi)
         d, _, _, need, rows, owner, pairs = _block_groups(
-            f, dual_table, lo, hi, d, cells.w_idx[c], cells.block[c], tag
+            f, dual_table, lo, hi, d, cells.w_idx[c], cells.points[c], tag
         )
         members, bounds = csr_groups(need, rows, pairs)
         want = {}
@@ -731,7 +822,7 @@ def test_batched_degree_bound_matches_per_group_reference_on_random_groups():
     # many overlapping groups of random rows in one call, each with its own
     # s, spread over batches of different sizes with an empty one between
     rng = random.Random(66)
-    count = _coset_table(6).shape[0]
+    count = len(_row_index(6)[0])
     groups = [sorted(rng.sample(range(count), rng.randrange(2, 15))) for _ in range(300)]
     need = np.array([rng.randrange(2, 6) for _ in groups])
     batch = np.sort([rng.choice([0, 1, 3, 4]) for _ in groups])
