@@ -28,11 +28,14 @@ each cell, gives all its viable groups.
 The disjointness search then runs on the hit subspaces W, not on their
 complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the
 whole space iff (W1 + W2)-perp, the intersection of W1-perp and W2-perp, is
-0.  Each shift gets one disjointness matrix over the distinct rows of its
-groups; stacked, they let one batched matrix product apply the degree bound
-to every group of the block, and only the few groups that pass it are
-searched, each on its sub-block.  The single-function PS test is the same
-stage with one group.
+0.  A partial spread of s subspaces covers s (2^m - 1) nonzero points, so
+first a coverage test ORs the packed point sets of each group's subspaces
+and drops every group whose union is smaller; in a sweep few groups pass.
+For those, each shift gets one disjointness matrix over the distinct rows
+of its groups; stacked, they let one batched matrix product apply the
+degree bound to every group of the block, and only the few groups that
+pass it are searched, each on its sub-block.  The single-function PS test
+is the same stage with one group.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from . import gf2
 from .boolfun import BooleanFunction, _parity_array, dual, is_bent
 from .gf2 import Subspace, orthogonal_complement, span
 
-# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 1).
+# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5).
 enumerate_subspaces = gf2.enumerate_subspaces
 
 # Subspace-index rows the cell pass builds words for at a time (at n = 8,
@@ -207,8 +210,9 @@ def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
     """Branch-and-bound search for s pairwise-disjoint rows of one group;
     `disjoint` is the group's sub-block of its disjointness matrix, rows in
     group order.  Returns the first clique in lexicographic order of
-    positions, or None.  `_bounded_cliques` applies the degree bound first,
-    which ends almost every sweep search before this.
+    positions, or None.  `_bounded_cliques` applies the coverage test and
+    the degree bound first, which end almost every sweep search before
+    this.
     """
     nbr = [int.from_bytes(r, "little") for r in np.packbits(disjoint, axis=1, bitorder="little")]
 
@@ -230,6 +234,57 @@ def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
     return grow([], (1 << len(disjoint)) - 1)
 
 
+def _coverage(points: np.ndarray, pairs, groups: int, n: int) -> np.ndarray:
+    """The number of distinct points of F_2^n in each of the groups, (g, i)
+    in `pairs` putting the points of row i of `points` in group g.
+
+    Each row's points are packed into 64-bit words, one bit per point (one
+    word below n = 6).  The pairs, sorted by group, gather their rows'
+    words, one OR per group reduces them, and the union's size is its
+    popcount.
+    """
+    bits = np.zeros((len(points), max(1 << n, 64)), dtype=bool)
+    bits[np.arange(len(points))[:, None], points] = True
+    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    group, member = pairs
+    # a stable sort of 8- or 16-bit keys is a radix sort
+    order = np.argsort(group.astype(np.min_scalar_type(groups)), kind="stable")
+    sizes = np.bincount(group, minlength=groups)
+    union = np.zeros((groups, words.shape[1]), dtype=np.uint64)
+    filled = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[filled]
+    union[filled] = np.bitwise_or.reduceat(words.take(member[order], axis=0), starts, axis=0)
+    return np.bitwise_count(union).sum(axis=1, dtype=np.intp)
+
+
+def _covering_groups(
+    nonzero: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
+):
+    """The coverage test of the clique stage: s pairwise-disjoint
+    n/2-subspaces cover s (2^(n/2) - 1) nonzero points, so a group whose
+    subspaces cover fewer (`_coverage`) holds no clique.  nonzero[i] holds
+    the nonzero points of the stage's row i; owner, pairs, need and batch
+    are `_bounded_cliques`'s.  Returns None if no group passes, else the
+    indices of the groups that pass and of the rows they use, then owner,
+    pairs, need and batch re-indexed to them, in the same order (as given
+    when every group passes).
+    """
+    covers = _coverage(nonzero, pairs, len(need), n) >= need * ((1 << n // 2) - 1)
+    kept = np.flatnonzero(covers)
+    if not len(kept):
+        return None
+    if len(kept) == len(need):
+        return kept, np.arange(len(nonzero)), owner, pairs, need, batch
+    group, member = pairs
+    paired = covers[group]
+    used = np.zeros(len(nonzero), dtype=bool)
+    used[member[paired]] = True
+    pairs = (np.cumsum(covers) - 1)[group[paired]], (np.cumsum(used) - 1)[member[paired]]
+    batches = np.flatnonzero(np.bincount(batch[kept]))
+    owner = np.searchsorted(batches, owner[used])
+    return kept, np.flatnonzero(used), owner, pairs, need[kept], np.searchsorted(batches, batch[kept])
+
+
 def _bounded_cliques(
     rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
 ):
@@ -238,24 +293,29 @@ def _bounded_cliques(
     Group g and row i belong to batches batch[g] and owner[i] (both
     non-decreasing; in a sweep, shifts), and a batch lists a row once.
 
-    Per batch, the Gram matrix of the 0/1 membership rows of the nonzero
-    elements of each row's span counts the shared points (exactly, in
-    float32); a subspace meets itself, so the diagonal of the disjointness
-    matrix is clear.  The matrices are stacked, padded with empty rows, so
-    one batched product gives every row's neighbour count in every group.
-    A row of an s-clique has s - 1 neighbours in its group, so a group
-    needs s such rows.  For each group that passes this degree bound, in
-    order, yields (g, the first clique as a list of rows in index order, or
-    None).
+    First the coverage test (`_covering_groups`) drops the groups whose
+    subspaces cover too few points to hold a clique; in a sweep a handful
+    pass.  On those, per batch, the Gram matrix of the 0/1 membership rows
+    of the nonzero elements of each row's span counts the shared points
+    (exactly, in float32); a subspace meets itself, so the diagonal of the
+    disjointness matrix is clear.  The matrices are stacked, padded with
+    empty rows, so one batched product gives every row's neighbour count in
+    every group.  A row of an s-clique has s - 1 neighbours in its group,
+    so a group needs s such rows.  For each group that passes both tests,
+    in order, yields (g, the first clique as a list of rows in index order,
+    or None).
     """
-    if not len(need):
+    nonzero = _span_rows(_row_index(n)[0].take(rows, axis=0))[:, 1:]
+    cut = _covering_groups(nonzero, owner, pairs, need, batch, n)
+    if cut is None:
         return
+    kept, used, owner, pairs, need, batch = cut
+    rows, nonzero = rows[used], nonzero[used]
     start = np.searchsorted(owner, owner)
     local = np.arange(len(rows)) - start
     spots = np.arange(len(need)) - np.searchsorted(batch, batch)
     shape = (int(batch[-1]) + 1, int(spots.max()) + 1, int(local.max(initial=-1)) + 1)
     members = np.zeros((shape[0] * shape[2], 1 << n), dtype=np.float32)
-    nonzero = _span_rows(_row_index(n)[0].take(rows, axis=0))[:, 1:]
     members[(owner * shape[2] + local)[:, None], nonzero] = 1
     members = members.reshape(shape[0], shape[2], 1 << n)
     disjoint = members @ members.transpose(0, 2, 1) == 0
@@ -270,7 +330,7 @@ def _bounded_cliques(
         c = np.flatnonzero(groups[batch[g], spots[g]])
         clique = _disjoint_clique(disjoint[batch[g]][np.ix_(c, c)], int(need[g]))
         first = start[np.searchsorted(owner, batch[g])]
-        yield int(g), None if clique is None else rows[first + c[clique]].tolist()
+        yield int(kept[g]), None if clique is None else rows[first + c[clique]].tolist()
 
 
 def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
@@ -352,7 +412,6 @@ class _CosetCells:
     """
 
     w_idx: np.ndarray
-    block: np.ndarray
     u: np.ndarray  # uint8
     spectrum: np.ndarray  # S_{W,r}(u)
     unit: np.ndarray  # (n, cells): bit k is e_j.w_k, bit m is e_j.r, r the block's first point
@@ -417,7 +476,6 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
         w_idx=w_idx,
-        block=block,
         u=np.concatenate(us).astype(np.uint8),
         spectrum=np.concatenate(ss).astype(np.int64),
         unit=unit,
@@ -431,10 +489,8 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 3.3 MiB with 8, 5.9 MiB with 16.  With 16 the
-# tables also outgrow glibc's trim threshold unless an earlier large free
-# has raised it, and each block faults them in again (12,500 page faults,
-# about 10% of a delta0_mix sweep).
+# a sweep's traced peak is 1.6 MiB with 8, 2.2 MiB with 16, 12 MiB with one
+# block of 128.
 _BLOCK = 8
 
 
@@ -556,7 +612,7 @@ def is_in_ps_sharp(
     shift that yields no witness, once the block holding that shift is
     done.  `jobs` and `resume` are accepted and ignored: they exist only
     for the call shape of `perfbench/tracer.py`, and go with the benchmark
-    change of ROADMAP item 1.
+    change of ROADMAP item 5.
     """
     if not is_bent(f):
         raise ValueError("PS# membership is defined for bent functions")

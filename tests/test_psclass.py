@@ -27,6 +27,8 @@ from bentforge.psclass import (
     _coset_cells,
     _coset_points,
     _coset_wht,
+    _coverage,
+    _covering_groups,
     _CosetCells,
     _midspace,
     _pivot_set_words,
@@ -232,6 +234,16 @@ def direct_coset_hits(f: BooleanFunction, dual_table: np.ndarray, b: int):
     return phi, np.argwhere(sums == t_minus), np.argwhere(sums == t_plus)
 
 
+def cell_blocks(cells, n: int, c=slice(None)) -> np.ndarray:
+    """The coset block of each cell c, from its first point: the coset
+    minimum, found among the minima of its row's pivot set (which it must
+    be)."""
+    _, pivot_set, minima = _row_index(n)
+    at = minima[pivot_set[cells.w_idx[c]]] == cells.points[c, :1]
+    assert np.all(at.sum(axis=1) == 1)
+    return np.argmax(at, axis=1)
+
+
 def reference_shift_groups(f: BooleanFunction, cells, dual_table: np.ndarray, b: int, hits=None):
     """The per-shift pass: the hits of shift b selected from the cells one
     shift at a time (or the given (hits_minus, hits_plus)), then its viable
@@ -255,7 +267,7 @@ def reference_shift_groups(f: BooleanFunction, cells, dual_table: np.ndarray, b:
         counts = ((1 << m) - sign * cells.spectrum[keep]) // 2
         t_minus = (1 << m) - 1 if fb == 0 else 1
         t_plus = 0 if fb == 0 else 1 << m
-        hit = np.stack([cells.w_idx[keep], cells.block[keep]], axis=1)
+        hit = np.stack([cells.w_idx[keep], cell_blocks(cells, n, keep)], axis=1)
         hits = hit[counts == t_minus], hit[counts == t_plus]
     hits_minus, hits_plus = hits
     # a hit (W, block) makes W-perp a candidate for every a in that coset;
@@ -310,7 +322,7 @@ def block_pass(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, b
         d, c, tag = _block_hits(f, cells, lo, hi)
         w = cells.w_idx[c]
         groups = _block_groups(f, dual_table, lo, hi, d, w, cells.points[c], tag)
-        hits = d, w, cells.block[c], tag
+        hits = d, w, cell_blocks(cells, f.n, c), tag
         yield from split_block(lo, hi, hits, groups, len(_row_index(f.n)[0]))
 
 
@@ -395,17 +407,18 @@ def test_tabulated_shift_parities_match_direct_n8():
     cells = _coset_cells(dual(published_bent8("delta0_mix")).table, n)
     perm = coset_table(n)
     basis = perm[cells.w_idx[:, None], 1 << np.arange(m)].astype(np.int64)
-    rep = perm[cells.w_idx, cells.block << m].astype(np.int64)
+    rep = perm[cells.w_idx, cell_blocks(cells, n) << m].astype(np.int64)
     assert cells.unit.dtype == np.uint8 and cells.unit.shape == (n, len(cells.u))
     for b in range(1 << n):
         u_b = (_parity_array(basis & b).astype(np.int64) << np.arange(m)).sum(axis=1)
         assert np.array_equal(_unit_xor(cells.unit, b), u_b | _parity_array(rep & b) << m), b
 
 
-def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
+def reference_coset_cells(dual_table: np.ndarray, n: int):
     """The cells from a per-point gather of f* through the whole coset
     table, each run of 2^m values packed into a word bit by bit; each
-    cell's points are its block of the table."""
+    cell's points are its block of the table.  Returns the cells and each
+    cell's block."""
     m = n // 2
     size = 1 << m
     perm = coset_table(n)
@@ -422,12 +435,11 @@ def reference_coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
         w_idx=w_idx,
-        block=block,
         u=u.astype(np.uint8),
         spectrum=spec[row, u].astype(np.int64),
         unit=unit,
         points=perm.reshape(-1, size)[cosets[row]],
-    )
+    ), block
 
 
 def coset_cell_inputs() -> list[BooleanFunction]:
@@ -443,10 +455,11 @@ def coset_cell_inputs() -> list[BooleanFunction]:
 def test_coset_cells_match_per_point_reference(f):
     dual_table = dual(f).table
     got = _coset_cells(dual_table, f.n)
-    want = reference_coset_cells(dual_table, f.n)
-    for name in ("w_idx", "block", "u", "spectrum", "unit", "points"):
+    want, block = reference_coset_cells(dual_table, f.n)
+    for name in ("w_idx", "u", "spectrum", "unit", "points"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
+    assert np.array_equal(cell_blocks(got, f.n), block)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -510,8 +523,10 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m, monkeypatch):
 
 def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built, a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 3.3 MiB with blocks of 8
-    # shifts, 5.9 MiB with 16, 42 MiB with one block of 128
+    # arrays, then one block's tables at a time: 1.6 MiB with blocks of 8
+    # shifts, 2.2 MiB with 16, 12 MiB with one block of 128, since only the
+    # groups that pass the coverage test build the padded clique-stage
+    # arrays
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _row_index(8)
     _coset_wht(4)
@@ -521,7 +536,7 @@ def test_ps_sharp_sweep_peak_memory_n8():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20, peak
+    assert peak < 2 << 20, peak
 
 
 def reference_first_witness(f: BooleanFunction):
@@ -795,17 +810,26 @@ def reference_group_clique(rows, n: int, s: int):
     return True, grow([], (1 << L) - 1)
 
 
-def batched_and_reference_cliques(f: BooleanFunction):
-    """Per sweep block, the groups the batched bound keeps with their
-    cliques (as rows), and the same from the per-group reference."""
+def sweep_groups(f: BooleanFunction):
+    """Per sweep block of f, its lo and its viable groups as the clique
+    stage takes them: (lo, d, need, rows, owner, pairs), d each group's
+    shift offset and batch."""
     dual_table = dual(f).table
     cells = _coset_cells(dual_table, f.n)
-    total = 0
     for lo, hi in _shift_blocks(f.n):
         d, c, tag = _block_hits(f, cells, lo, hi)
         d, _, _, need, rows, owner, pairs = _block_groups(
             f, dual_table, lo, hi, d, cells.w_idx[c], cells.points[c], tag
         )
+        yield lo, d, need, rows, owner, pairs
+
+
+def batched_and_reference_cliques(f: BooleanFunction):
+    """Per sweep block, the groups the clique stage yields with their
+    cliques (as rows), and the groups the per-group reference keeps by the
+    degree bound alone with theirs."""
+    total = 0
+    for lo, d, need, rows, owner, pairs in sweep_groups(f):
         members, bounds = csr_groups(need, rows, pairs)
         want = {}
         for g in range(len(need)):
@@ -816,6 +840,19 @@ def batched_and_reference_cliques(f: BooleanFunction):
         total += len(need)
         yield lo, dict(_bounded_cliques(rows, owner, pairs, need, d, f.n)), want
     assert total > 0
+
+
+def assert_cliques_match_reference(got: dict, want: dict, where) -> int:
+    """The clique stage against the reference, which has no coverage test:
+    it yields only groups the reference keeps, each with the reference's
+    clique or None, and a kept group it drops has no clique.  Returns the
+    number of groups it drops."""
+    assert set(got) <= set(want), where
+    for g, clique in got.items():
+        assert clique == want[g], (where, g)
+    dropped = set(want) - set(got)
+    assert all(want[g] is None for g in dropped), (where, dropped)
+    return len(dropped)
 
 
 def test_batched_degree_bound_matches_per_group_reference_on_random_groups():
@@ -844,16 +881,70 @@ def test_batched_degree_bound_matches_per_group_reference(n):
     kept = 0
     for f in oracle_functions(n):
         for lo, got, want in batched_and_reference_cliques(f):
-            assert got == want, (f.digest(), lo)
+            assert_cliques_match_reference(got, want, (f.digest(), lo))
             kept += len(got)
     assert kept > 0
 
 
 @pytest.mark.parametrize("name, some_kept", [("delta0_mix", True), ("transposed", False)])
 def test_batched_degree_bound_matches_per_group_reference_n8(name, some_kept):
+    # the coverage test drops 6 of the 14 groups the degree bound keeps on
+    # this delta0_mix, none of them with a clique
     g = ea_disguise(published_bent8(name), random.Random(name))
-    kept = 0
+    kept = dropped = 0
     for lo, got, want in batched_and_reference_cliques(g):
-        assert got == want, lo
+        dropped += assert_cliques_match_reference(got, want, lo)
         kept += len(got)
-    assert (kept > 0) == some_kept
+    assert (kept, dropped) == ((8, 6) if some_kept else (0, 0))
+
+
+def nonzero_points(rows, n: int) -> np.ndarray:
+    """The nonzero points of the given subspace-index rows, one row each."""
+    return _span_rows(_row_index(n)[0][rows])[:, 1:]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_coverage_counts_the_union_of_group_subspaces(n):
+    # seeded groups of index rows, pairs in shuffled order, with empty and
+    # one-row groups; below n = 6 the points fill part of one word
+    rng = random.Random(f"coverage-{n}")
+    count = len(_row_index(n)[0])
+    rows = np.array(sorted(rng.sample(range(count), min(count, 40))))
+    lists = [rng.sample(range(len(rows)), rng.randrange(min(len(rows), 12) + 1)) for _ in range(80)]
+    lists[:3] = [], [0], list(range(len(rows)))
+    listed = [(g, i) for g, members in enumerate(lists) for i in members]
+    rng.shuffle(listed)
+    group, member = (np.array(x, dtype=np.intp) for x in zip(*listed))
+    got = _coverage(nonzero_points(rows, n), (group, member), len(lists), n)
+    want = [
+        len({e for i in members for e in _midspace(n, int(rows[i])).elements() if e})
+        for members in lists
+    ]
+    assert got.tolist() == want
+    assert want[:2] == [0, (1 << n // 2) - 1] and len(set(want)) > 2
+
+
+@pytest.mark.parametrize("name, passed, groups", [("delta0_mix", 24, 16241), ("transposed", 0, 22752)])
+def test_coverage_pass_counts_n8(name, passed, groups):
+    # the groups of a whole sweep whose subspaces can cover a partial
+    # spread, with the stage's arrays cut down and re-indexed to them
+    counts = np.zeros(2, dtype=np.intp)
+    for _, d, need, rows, owner, pairs in sweep_groups(published_bent8(name)):
+        counts[1] += len(need)
+        cut = _covering_groups(nonzero_points(rows, 8), owner, pairs, need, d, 8)
+        if cut is None:
+            continue
+        kept, used, cut_owner, cut_pairs, cut_need, cut_batch = cut
+        assert len(kept) > 0
+        cut_rows = rows[used]
+        assert np.array_equal(cut_need, need[kept])
+        mine = np.isin(pairs[0], kept)
+        assert np.array_equal(cut_rows, rows[np.unique(pairs[1][mine])])
+        listed = {(g, r) for g, r in zip(pairs[0][mine], rows[pairs[1][mine]])}
+        assert {(g, r) for g, r in zip(kept[cut_pairs[0]], cut_rows[cut_pairs[1]])} == listed
+        # batches keep their order and lose only the gaps
+        assert np.array_equal(np.unique(cut_batch), np.arange(len(np.unique(d[kept]))))
+        assert np.all(np.diff(cut_batch) >= 0)
+        assert np.array_equal(cut_owner[cut_pairs[1]], cut_batch[cut_pairs[0]])
+        counts[0] += len(kept)
+    assert counts.tolist() == [passed, groups]
