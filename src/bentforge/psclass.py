@@ -257,6 +257,15 @@ def _coverage(points: np.ndarray, pairs, groups: int, n: int) -> np.ndarray:
     return np.bitwise_count(union).sum(axis=1, dtype=np.intp)
 
 
+def _used(indices: np.ndarray, count: int):
+    """Of `count` rows, the mask of those that `indices` names, and each
+    index's position among them: the rows some groups use, and their
+    pairs re-indexed to those rows."""
+    used = np.zeros(count, dtype=bool)
+    used[indices] = True
+    return used, (np.cumsum(used) - 1)[indices]
+
+
 def _covering_groups(
     nonzero: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
 ):
@@ -266,20 +275,16 @@ def _covering_groups(
     the nonzero points of the stage's row i; owner, pairs, need and batch
     are `_bounded_cliques`'s.  Returns None if no group passes, else the
     indices of the groups that pass and of the rows they use, then owner,
-    pairs, need and batch re-indexed to them, in the same order (as given
-    when every group passes).
+    pairs, need and batch re-indexed to them, in the same order.
     """
     covers = _coverage(nonzero, pairs, len(need), n) >= need * ((1 << n // 2) - 1)
     kept = np.flatnonzero(covers)
     if not len(kept):
         return None
-    if len(kept) == len(need):
-        return kept, np.arange(len(nonzero)), owner, pairs, need, batch
     group, member = pairs
     paired = covers[group]
-    used = np.zeros(len(nonzero), dtype=bool)
-    used[member[paired]] = True
-    pairs = (np.cumsum(covers) - 1)[group[paired]], (np.cumsum(used) - 1)[member[paired]]
+    used, row = _used(member[paired], len(nonzero))
+    pairs = (np.cumsum(covers) - 1)[group[paired]], row
     batches = np.flatnonzero(np.bincount(batch[kept]))
     owner = np.searchsorted(batches, owner[used])
     return kept, np.flatnonzero(used), owner, pairs, need[kept], np.searchsorted(batches, batch[kept])
@@ -560,10 +565,9 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     start = np.ones(len(w), dtype=bool)
     start[1:] = (d[1:] != d[:-1]) | (w[1:] != w[:-1])
     run = np.cumsum(start) - 1
-    used = np.zeros(np.count_nonzero(start), dtype=bool)
-    used[run[hit]] = True
+    used, row = _used(run[hit], np.count_nonzero(start))
     firsts = np.flatnonzero(start)[used]
-    pairs = np.cumsum(viable)[keys[kept]] - 1, (np.cumsum(used) - 1)[run[hit]]
+    pairs = np.cumsum(viable)[keys[kept]] - 1, row
     key = np.flatnonzero(viable)
     a, tag = (key >> 1) & ((1 << n) - 1), key & 1
     return key >> (n + 1), a, tag, (1 << (m - 1)) + tag, w[firsts], d[firsts], pairs
