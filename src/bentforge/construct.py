@@ -114,16 +114,12 @@ def mm_bent(pi: VectorialFunction, h: BooleanFunction) -> BooleanFunction:
 
 
 def mm_bent_transposed(sigma: VectorialFunction, h: BooleanFunction) -> BooleanFunction:
-    """f(x, y) = y . sigma(x) + h(x); canonical M-subspace {0_m} x F_2^m."""
-    if not is_permutation(sigma):
-        raise ValueError("sigma must be a permutation")
-    m = sigma.m
-    if h.n != m:
-        raise ValueError(f"h must be on {m} variables")
-    idx = np.arange(1 << (2 * m))
-    x = idx & ((1 << m) - 1)
-    y = idx >> m
-    return BooleanFunction(2 * m, _parity_array(y & sigma.table[x]) ^ h.table[x])
+    """f(x, y) = y . sigma(x) + h(x), index x + 2^m y: `mm_bent` with x and
+    y swapped, so its 2^m x 2^m table transposed; canonical M-subspace
+    {0_m} x F_2^m."""
+    f = mm_bent(sigma, h)
+    side = 1 << sigma.m
+    return BooleanFunction(f.n, f.table.reshape(side, side).T.ravel())
 
 
 def concat4(q: ConcatQuadruple) -> BooleanFunction:

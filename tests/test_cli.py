@@ -372,8 +372,6 @@ VERIFY_PAPER_LINES = [
     "PASS p1-unique-msubspace-suite: unique canonical M-subspace for 10 random h at m=3 and m=4",
     "PASS linear-structure-witness-suite: 10 verified non-canonical witnesses",
     "PASS concatenation-algebra: 200 dual-condition and 500 closed-form samples agree",
-    "PASS oracle-equivalences: search equivalences and PS_ap control hold",
-    "PASS core-identities: Parseval, naive-WHT, ANF round trip, derivative identities hold",
     "PASS trace-cubic-bent: bent with the unique canonical M-subspace",
     "PASS delta0-mix-degree: degree 4",
     "PASS delta0-mix-dual-bent-condition: f1*+f2*+f3*+f4* = 1",

@@ -46,8 +46,8 @@ from bentforge.psclass import (
     ps_ap,
     ps_candidates,
 )
-from bentforge.vectorial import identity_map
-from conftest import packed_words, random_function
+from bentforge.vectorial import VectorialFunction, identity_map
+from conftest import packed_words, random_function, random_permutation_table
 
 
 def balanced_h3() -> BooleanFunction:
@@ -191,6 +191,11 @@ def coset_table(n: int) -> np.ndarray:
         )
         start += size
     return perm
+
+
+def random_mm(m: int, rng: random.Random) -> BooleanFunction:
+    """x . pi(y) + h(y) for a shuffled permutation pi and a random h."""
+    return mm_bent(VectorialFunction(m, random_permutation_table(m, rng)), random_function(m, rng))
 
 
 def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
@@ -600,10 +605,13 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
         assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
 
 
-@pytest.mark.parametrize("name", PUBLISHED)
+@pytest.mark.parametrize("name", [*PUBLISHED, "random-mm"])
 def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name):
-    # PS# is closed under f -> f* and under f(x) -> f(Ax)
-    f = published_bent8(name)
+    # PS# is closed under f -> f* and under f(x) -> f(Ax).  In the sweep of
+    # the random MM function 4,096 groups pass the coverage test (24 and 0
+    # for the published ones), so the batched degree bound does the pruning,
+    # and 128 groups reach branch and bound.
+    f = random_mm(4, random.Random(6)) if name == "random-mm" else published_bent8(name)
     A = random_invertible(8, random.Random(8))
     linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
     verdict = is_in_ps_sharp(f) is not None
@@ -723,6 +731,56 @@ def test_ps_candidates_match_mask_containment(n):
     for f in oracle_functions(n):
         want = [i for i, U in enumerate(subspaces) if all(f.table[e] for e in U.elements() if e)]
         assert ps_candidates(f) == want
+
+
+def literal_clique_candidates(f: BooleanFunction) -> set[tuple[int, ...]]:
+    """The published candidate search, literally: the size-2^(n/2) cliques
+    of the graph on the support of f (and 0), with v ~ w iff f(v + w) = 1,
+    that form a vector space, as RREF bases.  Exponential; a reference for
+    small n only."""
+    n = f.n
+    support = [int(x) for x in np.flatnonzero(f.table)]
+    vertices = support if f(0) else [0] + support
+    adj = {v: {w for w in vertices if w != v and f.table[v ^ w]} for v in vertices}
+    target = 1 << (n // 2)
+    out: set[tuple[int, ...]] = set()
+
+    def grow(clique: list[int], cand: list[int]):
+        if len(clique) == target:
+            elems = set(clique)
+            if 0 in elems and all(a ^ b in elems for a in elems for b in elems):
+                out.add(span(list(elems), n).basis)
+            return
+        for i, v in enumerate(cand):
+            if len(clique) + len(cand) - i < target:
+                break
+            grow(clique + [v], [w for w in cand[i + 1 :] if w in adj[v]])
+
+    grow([], sorted(vertices))
+    return out
+
+
+LITERAL_SEARCH_INPUTS = {
+    "ps-ap-n4": ps_ap(2, BooleanFunction(2, [0, 1, 1, 0])),
+    "ps-ap-n6": ps_ap(3, balanced_h3()),
+    "mm-n6": random_mm(3, random.Random(4)),
+    "disguised-ps-ap-n6": ea_disguise(ps_ap(3, balanced_h3()), random.Random(6)),
+}
+
+
+@pytest.mark.parametrize("name", LITERAL_SEARCH_INPUTS)
+def test_ps_candidates_match_literal_clique_search(name):
+    f = LITERAL_SEARCH_INPUTS[name]
+    literal = literal_clique_candidates(f)
+    assert {_midspace(f.n, i).basis for i in ps_candidates(f)} == literal
+    witness = is_partial_spread(f)
+    if name.startswith("ps-ap"):
+        # the PS_ap control: accepted as PS- with a witness that rebuilds f
+        assert witness is not None and witness.subclass == "PS_minus"
+        assert witness.reconstruct(f.n) == f
+        assert set(witness.subspaces) <= {span(list(b), f.n) for b in literal}
+    elif name == "mm-n6":
+        assert witness is None
 
 
 # ---------------------------------------------------------------------------

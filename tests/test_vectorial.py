@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -91,6 +92,30 @@ def test_apn_examples():
 def test_vanishing_flats_of_linear_map_on_f23():
     lin = VectorialFunction(3, np.array([apply_linear([0b011, 0b110, 0b101], x) for x in range(8)]))
     assert vanishing_flats_count(lin) == 14
+
+
+def vanishing_flats_bruteforce(F: VectorialFunction) -> int:
+    """The 4-sets {x1, x2, x3, x4} with x4 = x1 + x2 + x3 and F summing to 0
+    over them, each counted once, as x1 < x2 < x3 < x4."""
+    t = F.table
+    return sum(
+        1
+        for x1, x2, x3 in itertools.combinations(range(1 << F.m), 3)
+        if (x1 ^ x2 ^ x3) > x3 and t[x1] ^ t[x2] ^ t[x3] ^ t[x1 ^ x2 ^ x3] == 0
+    )
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_vanishing_flats_match_bruteforce_on_permutations(m, rng):
+    for _ in range(10):
+        F = VectorialFunction(m, random_permutation_table(m, rng))
+        assert vanishing_flats_count(F) == vanishing_flats_bruteforce(F)
+
+
+def test_vanishing_flats_match_bruteforce_on_gold_quintic():
+    # the x^5 on GF(2^6) count that verify-paper compares with the formula
+    F = power_map(Field(6), 5)
+    assert vanishing_flats_count(F) == vanishing_flats_bruteforce(F) == 336
 
 
 def test_vanishing_flats_iff_apn(rng):
