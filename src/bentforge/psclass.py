@@ -13,14 +13,19 @@ when f*(t) + t.b is near-constant on the coset a + U-perp.  For a coset
 r + W with basis w_1..w_m that sum is (-1)^(b.r) S(b.w_1, ..., b.w_m), S
 the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
 sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
-shift b only selects the cells whose u matches it.  The pass builds the
-coset words of f* one pivot set at a time.  There the rows run over the
+shift b only selects the cells whose u matches it.  The pass never builds
+the 2^m-bit coset words of f* whole, only their two halves, split on the
+first basis vector, one pivot set at a time.  There the rows run over the
 free-entry digits d_i of the basis vectors, every coset minimum is 0 on
 the pivots, and entry c of block k is P(c) + minimum_(k + sum c_i d_i),
 P(c) the span of the pivot units.  So one 2^m x 2^m gather of f*, merged
-over the m basis vectors in turn, gives the words of every row, with no
-per-point index.  u and b.r are linear in b, so the pass tabulates them,
-packed into one byte per cell, for the n unit vectors.
+over basis vectors 1 .. m-1, gives both halves of every word, the second
+read d_0 blocks away, with no per-point index.  A word within distance 1
+of affine has an exactly affine half, so the pass joins each affine half
+with the other halves in reach and keeps the pairs whose spectrum, the
+sum and difference of the halves' spectra, reaches 2^m - 2.  u and b.r
+are linear in b, so the pass tabulates them, packed into one byte per
+cell, for the n unit vectors.
 The sweep takes aligned blocks of up to 8 shifts: one comparison on the
 block's XORed-up table gives all its hits, and one count of (shift, a,
 subclass) keys over the hits' coset points, which the pass stores with
@@ -40,6 +45,7 @@ is the same stage with one group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -52,9 +58,10 @@ from .gf2 import Subspace, orthogonal_complement, span
 # Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5).
 enumerate_subspaces = gf2.enumerate_subspaces
 
-# Subspace-index rows the cell pass builds words for at a time (at n = 8,
-# 128 kB of uint16 words).
-_CELL_BUDGET = 1 << 12
+# Prefix rows the cell pass joins at a time (`_coset_cells`).  At n = 8
+# its traced peak is 1.3 MiB with 2^10, 1.7 MiB with 2^11 and 2.6 MiB with
+# 2^12, at about the same speed.
+_CELL_BUDGET = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class PsSharpWitness:
 
 _PIVOTS: dict[int, list[tuple]] = {}
 _ROWS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_WHT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_WHT: dict[int, np.ndarray] = {}
 
 
 def _span_rows(vectors: np.ndarray) -> np.ndarray:
@@ -383,12 +390,13 @@ def _witness_holds(f: BooleanFunction, w: PsSharpWitness) -> bool:
     return w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
 
 
-def _coset_wht(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walsh-Hadamard transforms of every 2^m-bit coset word.
+def _coset_wht(m: int) -> np.ndarray:
+    """Walsh-Hadamard transforms of every 2^m-bit word; the cell pass reads
+    them for the half-words, m = n/2 - 1.
 
     Row w holds S(u) = sum_j (-1)^(w_j + u.j) for u = 0 .. 2^m - 1, with w_j
-    bit j of w.  The flag marks the words with some |S(u)| >= 2^m - 2, i.e.
-    those within Hamming distance 1 of an affine function.
+    bit j of w.  Some |S(u)| >= 2^m - 2 exactly when w is within Hamming
+    distance 1 of an affine function, and |S(u)| = 2^m when w is affine.
     """
     if m not in _WHT:
         size = 1 << m
@@ -401,7 +409,7 @@ def _coset_wht(m: int) -> tuple[np.ndarray, np.ndarray]:
         signs += 1
         hadamard = (1 - 2 * _parity_array(j[:, None] & j)).astype(np.int16)
         spectra = (signs @ hadamard).astype(np.int8)
-        _WHT[m] = (spectra, (np.abs(spectra) >= size - 2).any(axis=1))
+        _WHT[m] = spectra
     return _WHT[m]
 
 
@@ -422,57 +430,119 @@ class _CosetCells:
     unit: np.ndarray  # (n, cells): bit k is e_j.w_k, bit m is e_j.r, r the block's first point
     points: np.ndarray  # (cells, 2^m) uint8: the coset in basis-coordinate order, r first
 
+    @functools.cached_property
+    def hit_rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mask, want, plus) per cell, once per sweep: a cell hits at a shift
+        when its row of the packed table, ANDed with mask, equals want, and
+        plus (PS+) marks |S| = 2^m.  See `_block_hits`."""
+        size = self.points.shape[1]
+        m = size.bit_length() - 1
+        s = self.spectrum
+        mask = (size - 1) | (s != 0).astype(np.uint8) << m
+        want = (self.u | ((s == -size) | (s == size - 2)).astype(np.uint8) << m) & mask
+        return mask, want, (np.abs(s) == size).astype(np.uint8)
 
-def _pivot_set_words(dual_table: np.ndarray, n: int):
-    """The 2^m-bit word of f* on every coset, as (first row, words) for
-    runs of subspace-index rows, words in (row, block) order; bit c is f* at
-    entry c of the block.
 
-    In a pivot set, entry c of block k is P(c) + minima[k + sum_i c_i d_i]
-    (`_pivot_sets`), P(c) the span of the pivot units.  So the words start
-    as the gather f*[P(c) + minima[k]] over (c, k), and stage i merges
-    basis vector i: it ORs the c_i = 0 half with the c_i = 1 half, read at
-    block k + d_i for each digit d_i, shifted left by 2^i.  Each stage
-    appends its digit to the row index, so the words come out in row
-    order; runs split the first digit to keep within _CELL_BUDGET rows.
+def _half_words(dual_table: np.ndarray, n: int):
+    """The two half-words of f* on every coset, per run of pivot sets that
+    share their top pivot, as (fan, first, step, words).
+
+    Half h of a coset word holds its entries with c_0 = h, entry h + 2c' at
+    bit c'.  In a pivot set, entry c of block k is
+    P(c) + minima[k + sum_i c_i d_i] (`_pivot_sets`), P(c) the span of the
+    pivot units.  So the halves start as the gather f*[P(c) + minima[k]]
+    over (c, k), split on c_0, and stage i merges basis vector i for
+    i = 1 .. m-1: it ORs the c_i = 0 part with the c_i = 1 part, read at
+    block k + d_i for each digit d_i, shifted left by 2^(i-1), and appends
+    d_i to the row index.  Vector 0 is left out: for the prefix row
+    (d_1, .., d_{m-1}) at position p of the run, the word of row
+    (d_0, d_1, .., d_{m-1}) at block k has half 0 words[p, 0, k] and half 1
+    words[p, 1, k + d_0].  free[0] depends on the top pivot alone, so
+    d_0 < fan = 2^free[0] in the whole run, and k + d_0 stays in k's aligned
+    window of fan blocks.  That row is the subspace-index row
+    first[p] + d_0 step[p].  Leaving the vector with the most digits for
+    last keeps the fewest prefix rows (13,377 at n = 8).
     """
     m = n // 2
-    dtype = np.min_scalar_type((1 << (1 << m)) - 1)
     blocks = np.arange(1 << m)
     moved = np.bitwise_xor.outer(blocks, blocks)  # row d: block k + d
     start = 0
-    for _, minima, free, corners in _pivot_sets(n):
-        gather = dual_table[corners[:, None] ^ minima].astype(dtype)
-        tail = 1 << (sum(free) - free[0])  # rows per first digit
-        step = max(_CELL_BUDGET // tail, 1)
-        firsts = moved[: 1 << free[0]]
-        for d0 in range(0, len(firsts), step):
-            digits = [firsts[d0 : d0 + step]] + [moved[: 1 << f] for f in free[1:]]
-            words = gather[:, None]  # (c_i .. c_{m-1}, row, block)
-            for i, shifted in enumerate(digits):
-                high = (words[1::2] << (1 << i)).take(shifted, axis=2)
-                high |= words[0::2, :, None]
-                words = high.reshape(len(high), -1, 1 << m)
-            yield start + d0 * tail, words.ravel()
-        start += tail * len(firsts)
+    for _, run in itertools.groupby(_pivot_sets(n), key=lambda s: s[0][0]):
+        run = list(run)
+        steps = [1 << sum(free[1:]) for _, _, free, _ in run]
+        words = np.empty((sum(steps), 2, 1 << m), dtype=np.uint8)
+        first = np.empty(sum(steps), dtype=np.intp)
+        at = 0
+        for (_, minima, free, corners), step in zip(run, steps):
+            # (c_i .. c_{m-1}, row, block); the row index starts as c_0
+            merged = dual_table[corners[:, None] ^ minima].reshape(-1, 2, 1 << m)
+            for i, f in enumerate(free[1:]):
+                high = (merged[1::2] << (1 << i)).take(moved[: 1 << f], axis=2)
+                high |= merged[0::2, :, None]
+                merged = high.reshape(len(high), -1, 1 << m)
+            words[at : at + step] = merged.reshape(2, step, 1 << m).transpose(1, 0, 2)
+            first[at : at + step] = np.arange(start, start + step)
+            at += step
+            start += step << free[0]
+        yield 1 << free[0], first, np.repeat(steps, steps), words
 
 
 def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
-    """Every coset's word of f*, built per pivot set by merging the basis
-    vectors in turn (`_pivot_set_words`); the near-affine words give the
-    cells."""
+    """The cells, joined from the half-words of f* (`_half_words`).
+
+    A word within Hamming distance 1 of an affine word has its wrong bit in
+    one half, so the other half is exactly affine.  With S_0 and S_1 the
+    halves' spectra, S(u_0 + 2u') = S_0(u') + (-1)^(u_0) S_1(u'), so if half
+    h is affine at u', |S(u')| = 2^(m-1), the word reaches |S| >= 2^m - 2
+    only if |S_(1-h)(u')| >= 2^(m-1) - 2.  Two tables over all 2^(m-1)-bit
+    words classify each half-word: its affine index, and for each (h, u')
+    whether it meets that bound as the partner of a half h affine at u'.
+    Every affine half is tested against the other half at each of the fan
+    blocks of its window, and the pairs that pass are the candidate words.
+    A pair found from half 1 is kept only if half 0 is not affine, since
+    half 0 finds it otherwise.  At m <= 2 the bound is <= 0 and every half
+    is affine, so every word is a candidate and the rule is exact for
+    every m.  The join runs on _CELL_BUDGET prefix rows at a time.
+    """
     m = n // 2
     size = 1 << m
-    spectra, near = _coset_wht(m)
-    flat, us, ss = [], [], []
-    for lo, words in _pivot_set_words(dual_table, n):
-        cosets = np.flatnonzero(near.take(words))
-        spec = spectra.take(words.take(cosets), axis=0)
-        row, u = np.nonzero(np.abs(spec) >= size - 2)
-        flat.append(lo * size + cosets[row])
-        us.append(u)
-        ss.append(spec[row, u])
-    w_idx, block = np.divmod(np.concatenate(flat), size)
+    spectra = _coset_wht(m - 1)
+    mags = np.abs(spectra)
+    affine = np.where(mags.max(axis=1) == size // 2, mags.argmax(axis=1), -1).astype(np.int8)
+    # partner[h, u', w]: half-word w can complete a half h affine at u'
+    # (half 0 finds the pairs whose halves are both affine)
+    partner = np.stack([mags.T >= size // 2 - 2] * 2)
+    partner[1] &= affine < 0
+    keys, ss = [], []
+    for fan, first, step, words in _half_words(dual_table, n):
+        for lo in range(0, len(first), _CELL_BUDGET):
+            half = words[lo : lo + _CELL_BUDGET]
+            index = affine.take(half)
+            # flat positions (p, h, k) of the affine halves (multi-axis
+            # nonzero is slow); the other half at (p, k) is at position
+            # XOR 2^m, in a window of fan half-words
+            at = np.flatnonzero(index >= 0)
+            side = (at >> m) & 1
+            window = half.reshape(-1, fan)[(at ^ size) // fan]
+            rule = ((side << (m - 1)) + index.take(at)) << (size // 2)  # partner[side, u']
+            e, j = np.divmod(np.flatnonzero(partner.take(rule[:, None] + window)), fan)
+            at, side = at[e], side[e]
+            p, k = at >> (m + 1), at & (size - 1)
+            other = (k & -fan) | j
+            digit = k ^ other
+            block = np.where(side, other, k)
+            spec_0 = spectra.take(half[p, 0, block], axis=0)
+            spec_1 = spectra.take(half[p, 1, block ^ digit], axis=0)
+            spec = np.stack([spec_0 + spec_1, spec_0 - spec_1], axis=2).reshape(-1, size)
+            cell, u = np.divmod(np.flatnonzero(np.abs(spec) >= size - 2), size)
+            p += lo
+            row = first[p[cell]] + digit[cell] * step[p[cell]]
+            keys.append((row * size + block[cell]) * size + u)
+            ss.append(spec[cell, u])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    w_idx, block = np.divmod(keys[order], size * size)
+    block, u = np.divmod(block, size)
     points = _coset_points(n, w_idx, block)
     basis = _row_index(n)[0].take(w_idx, axis=0)
     j = np.arange(n, dtype=np.uint8)[:, None]
@@ -481,8 +551,8 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
         unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
         w_idx=w_idx,
-        u=np.concatenate(us).astype(np.uint8),
-        spectrum=np.concatenate(ss).astype(np.int64),
+        u=u.astype(np.uint8),
+        spectrum=np.concatenate(ss).take(order).astype(np.int64),
         unit=unit,
         points=points,
     )
@@ -494,7 +564,7 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 1.6 MiB with 8, 2.2 MiB with 16, 12 MiB with one
+# a sweep's traced peak is 1.5 MiB with 8, 2.2 MiB with 16, 12 MiB with one
 # block of 128.
 _BLOCK = 8
 
@@ -523,18 +593,14 @@ def _block_hits(f: BooleanFunction, cells: _CosetCells, lo: int, hi: int):
     unit rows.  Returns (d, cell, tag) per hit in (d, cell) order, tag 1
     (PS+) when |S| = 2^m.
     """
-    m = f.n // 2
-    size = 1 << m
     table = np.empty((hi - lo, len(cells.u)), dtype=np.uint8)
     table[0] = _unit_xor(cells.unit, lo)
     for j in range((hi - lo).bit_length() - 1):
         table[1 << j : 2 << j] = table[: 1 << j] ^ cells.unit[j]
-    table ^= f.table[lo:hi, None] << m
-    s = cells.spectrum
-    mask = (size - 1) | (s != 0).astype(np.uint8) << m
-    want = (cells.u | ((s == -size) | (s == size - 2)).astype(np.uint8) << m) & mask
+    table ^= f.table[lo:hi, None] << (f.n // 2)
+    mask, want, plus = cells.hit_rule
     d, c = np.divmod(np.flatnonzero((table & mask) == want), len(cells.u))
-    return d, c, (np.abs(s[c]) == size).astype(np.intp)
+    return d, c, plus[c]
 
 
 def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, d, w, points, tag):

@@ -288,7 +288,7 @@ def coset_table_msubspaces(f: BooleanFunction) -> set:
     n = f.n
     size = 1 << (n // 2)
     perm = coset_table(n)
-    spectra, _ = _coset_wht(n // 2)
+    spectra = _coset_wht(n // 2)
     out = set()
     for lo in range(0, len(perm), 1 << 11):
         words = packed_words(f.table[perm[lo : lo + (1 << 11)]].reshape(-1, size))

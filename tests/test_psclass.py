@@ -20,7 +20,6 @@ from bentforge.gf2 import (
 )
 from bentforge.psclass import (
     _BLOCK,
-    _CELL_BUDGET,
     _block_groups,
     _block_hits,
     _bounded_cliques,
@@ -30,8 +29,8 @@ from bentforge.psclass import (
     _coverage,
     _covering_groups,
     _CosetCells,
+    _half_words,
     _midspace,
-    _pivot_set_words,
     _pivot_sets,
     _row_index,
     _shift_blocks,
@@ -427,7 +426,8 @@ def reference_coset_cells(dual_table: np.ndarray, n: int):
     m = n // 2
     size = 1 << m
     perm = coset_table(n)
-    spectra, near = _coset_wht(m)
+    spectra = _coset_wht(m)
+    near = (np.abs(spectra) >= size - 2).any(axis=1)
     words = packed_words(dual_table[perm].reshape(-1, size))
     cosets = np.flatnonzero(near[words])
     spec = spectra[words[cosets]]
@@ -448,17 +448,27 @@ def reference_coset_cells(dual_table: np.ndarray, n: int):
 
 
 def coset_cell_inputs() -> list[BooleanFunction]:
+    """Bent functions, whose duals the pass reads, then tables that stand
+    in for a dual: two seeded random non-bent ones per n, and at n <= 6 the
+    constants, whose halves are all affine, so each pair is reachable from
+    both halves and must be kept once."""
     x1x2 = BooleanFunction(2, [0, 0, 0, 1])
     rng = random.Random(7)
     n8 = [published_bent8(name) for name in PUBLISHED]
     n8 += [ea_disguise(f, rng) for f in n8 for _ in range(2)]
     n8 += [ea_disguise(ps_ap4(), rng) for _ in range(2)]
-    return [x1x2, x1x2 ^ 1] + oracle_functions(4) + oracle_functions(6) + n8
+    rng = random.Random(11)
+    tables = []
+    for n in (2, 4, 6, 8):
+        drawn = [random_function(n, rng) for _ in range(8)]
+        tables += [f for f in drawn if not is_bent(f)][:2]
+    tables += [BooleanFunction(n, [c] * (1 << n)) for n in (2, 4, 6) for c in (0, 1)]
+    return [x1x2, x1x2 ^ 1] + oracle_functions(4) + oracle_functions(6) + n8 + tables
 
 
 @pytest.mark.parametrize("f", coset_cell_inputs(), ids=lambda f: f"n{f.n}-{f.digest()[:8]}")
 def test_coset_cells_match_per_point_reference(f):
-    dual_table = dual(f).table
+    dual_table = dual(f).table if is_bent(f) else f.table
     got = _coset_cells(dual_table, f.n)
     want, block = reference_coset_cells(dual_table, f.n)
     for name in ("w_idx", "u", "spectrum", "unit", "points"):
@@ -468,24 +478,34 @@ def test_coset_cells_match_per_point_reference(f):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_pivot_set_words_match_per_point_packing(n):
-    # every (row, block) of a random table, not only the near-affine words
-    # that the cells keep; the runs tile the coset table in row order
+def test_half_words_match_per_point_packing(n):
+    # both halves of every coset word of a random table, not only of the
+    # near-affine words that the cells keep: the word of row
+    # first + d_0 step at block k has half 0 at block k and half 1 at block
+    # k + d_0 of its prefix row, and these rows tile the subspace index
+    m = n // 2
     table = random_function(n, random.Random(n)).table
     perm = coset_table(n)
-    runs = list(_pivot_set_words(table, n))
-    rows = [len(words) >> (n // 2) for _, words in runs]
-    assert [lo for lo, _ in runs] == np.cumsum([0] + rows[:-1]).tolist()
-    assert max(rows) <= _CELL_BUDGET
-    got = np.concatenate([words for _, words in runs])
-    want = packed_words(table[perm].reshape(-1, 1 << (n // 2)))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    values = table[perm].reshape(len(perm), 1 << m, 1 << (m - 1), 2)  # (row, block, c', c_0)
+    want = [
+        packed_words(values[..., h].reshape(-1, 1 << (m - 1))).reshape(len(perm), -1) for h in (0, 1)
+    ]
+    blocks = np.arange(1 << m)
+    rows = []
+    for fan, first, step, words in _half_words(table, n):
+        assert words.dtype == np.uint8 and words.shape == (len(first), 2, 1 << m)
+        for d in range(fan):
+            row = first + d * step
+            assert np.array_equal(words[:, 0], want[0][row]), d
+            assert np.array_equal(words[:, 1, blocks ^ d], want[1][row]), d
+            rows.append(row)
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(len(perm)))
 
 
 def test_coset_cells_peak_memory_n8():
-    # once the per-dimension tables exist, the pass holds one run of words
-    # at a time: 1.3 MiB traced with runs of 4,096 rows, the kept cells'
-    # points (0.24 MB) included
+    # once the per-dimension tables exist, the pass holds one run of
+    # half-words and joins 1,024 prefix rows of it at a time: 1.3 MiB
+    # traced, the kept cells' points (0.24 MB) included
     dual_table = dual(published_bent8("delta0_mix")).table
     _coset_cells(dual_table, 8)
     tracemalloc.start()
@@ -497,14 +517,14 @@ def test_coset_cells_peak_memory_n8():
     assert peak < 2 << 20, peak
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m, monkeypatch):
     # a cold build peaks at 5.1 MiB at m = 4 (16 MiB through an int64 grid
-    # of the words' bits)
+    # of the words' bits); the sweep at n = 2m + 2 reads m
     monkeypatch.setattr(psclass, "_WHT", {})
     tracemalloc.start()
     try:
-        spectra, near = _coset_wht(m)
+        spectra = _coset_wht(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -519,22 +539,24 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m, monkeypatch):
         want = np.stack([x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]], axis=2)
         h *= 2
     assert spectra.dtype == np.int8 and np.array_equal(spectra, want.reshape(len(words), size))
-    # near: Hamming distance at most 1 from some affine word u.j + c
+    # Hamming distance from the nearest affine word u.j + c: at most 1 iff
+    # some |S| >= 2^m - 2, and 0 iff some |S| = 2^m
     affine = (_parity_array(np.arange(size)[:, None] & np.arange(size)) << np.arange(size)).sum(1)
     affine = np.concatenate([affine, affine ^ words[-1]])
     dist = np.bitwise_count(words[:, None] ^ affine).min(axis=1)
-    assert np.array_equal(near, dist <= 1)
+    assert np.array_equal((np.abs(spectra) >= size - 2).any(axis=1), dist <= 1)
+    assert np.array_equal((np.abs(spectra) == size).any(axis=1), dist == 0)
 
 
 def test_ps_sharp_sweep_peak_memory_n8():
-    # with the per-dimension tables built, a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 1.6 MiB with blocks of 8
-    # shifts, 2.2 MiB with 16, 12 MiB with one block of 128, since only the
-    # groups that pass the coverage test build the padded clique-stage
-    # arrays
+    # with the per-dimension tables built (the index and the half-word
+    # spectra), a sweep holds the cell pass's arrays, then one block's
+    # tables at a time: 1.5 MiB with blocks of 8 shifts, 2.2 MiB with 16,
+    # 12 MiB with one block of 128, since only the groups that pass the
+    # coverage test build the padded clique-stage arrays
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _row_index(8)
-    _coset_wht(4)
+    _coset_wht(3)
     tracemalloc.start()
     try:
         assert is_in_ps_sharp(g) is None
@@ -692,15 +714,16 @@ def cache_nbytes(value) -> int:
 
 
 def test_per_dimension_caches_stay_small_after_warmup_sweep(monkeypatch):
-    # ps_ap4() is the benchmark's warm-up function.  2.1 MB after its sweep:
-    # the index (1.0 MB at n = 8) and the m = 4 word spectra (1.1 MB)
+    # ps_ap4() is the benchmark's warm-up function.  1.02 MB after its
+    # sweep: the index (1.0 MB at n = 8), the pivot sets and the spectra of
+    # the 8-bit half-words (2 kB)
     caches = [name for name, v in vars(psclass).items() if name.isupper() and isinstance(v, dict)]
     assert {"_PIVOTS", "_ROWS", "_WHT"} <= set(caches)
     for name in caches:
         monkeypatch.setattr(psclass, name, {})
     assert is_in_ps_sharp(ps_ap4()) is not None
     total = sum(cache_nbytes(getattr(psclass, name)) for name in caches)
-    assert total < 4 << 20, total
+    assert total < 1_500_000, total
 
 
 @pytest.mark.parametrize("name", ["delta0_mix", "apn_family"])
