@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .boolfun import BooleanFunction, _parity_array, dual, is_bent
+from .boolfun import BooleanFunction, _parity_array, _wht_butterfly, dual, is_bent
 from .gf2 import Subspace, orthogonal_complement, span
 
 # Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5).
@@ -105,11 +105,6 @@ class PsSharpWitness:
 # per-dimension tables
 # ---------------------------------------------------------------------------
 
-_PIVOTS: dict[int, list[tuple]] = {}
-_ROWS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_WHT: dict[int, np.ndarray] = {}
-
-
 def _span_rows(vectors: np.ndarray) -> np.ndarray:
     """Span of each row of m vectors in basis-coordinate order: entry k is
     the XOR of the vectors j with bit j of k set.  Built one entry at a time
@@ -121,6 +116,7 @@ def _span_rows(vectors: np.ndarray) -> np.ndarray:
     return out.T
 
 
+@functools.cache
 def _pivot_sets(n: int) -> list[tuple]:
     """(pivots, minima, free, corners) per pivot set of the n/2-subspaces
     in RREF, descending-lexicographic as in `enumerate_subspaces`; the one
@@ -135,18 +131,17 @@ def _pivot_sets(n: int) -> list[tuple]:
     the last varying fastest.  corners[c] is the span of the pivot units,
     pivot i picked by bit i of c.
     """
-    if n not in _PIVOTS:
-        sets = []
-        for pivots in itertools.combinations(range(n - 1, -1, -1), n // 2):
-            on_pivots = np.arange(1 << n) & sum(1 << p for p in pivots)
-            minima = np.flatnonzero(on_pivots == 0).astype(np.uint8)
-            free = [p - sum(q < p for q in pivots) for p in pivots]
-            corners = _span_rows(np.array([[1 << p for p in pivots]]))[0]
-            sets.append((pivots, minima, free, corners))
-        _PIVOTS[n] = sets
-    return _PIVOTS[n]
+    sets = []
+    for pivots in itertools.combinations(range(n - 1, -1, -1), n // 2):
+        on_pivots = np.arange(1 << n) & sum(1 << p for p in pivots)
+        minima = np.flatnonzero(on_pivots == 0).astype(np.uint8)
+        free = [p - sum(q < p for q in pivots) for p in pivots]
+        corners = _span_rows(np.array([[1 << p for p in pivots]]))[0]
+        sets.append((pivots, minima, free, corners))
+    return sets
 
 
+@functools.cache
 def _row_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(basis, pivot_set, minima): the one subspace index, one row per
     n/2-subspace in `_pivot_sets` order, exactly `enumerate_subspaces`
@@ -160,25 +155,22 @@ def _row_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     minima[pivot_set[i], k] XOR entry c of `_span_rows(basis[i])`
     (`_coset_points`).  uint8 needs n <= 8.
     """
-    if n not in _ROWS:
-        if n > 8:
-            raise ValueError("subspace index only built for n <= 8")
-        m = n // 2
-        sets = _pivot_sets(n)
-        sizes = [1 << sum(free) for _, _, free, _ in sets]
-        basis = np.empty((sum(sizes), m), dtype=np.uint8)
-        start = 0
-        for (pivots, minima, free, _), size in zip(sets, sizes):
-            digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
-            np.bitwise_or(
-                minima[digits.T],
-                np.array([1 << p for p in pivots], dtype=np.uint8),
-                out=basis[start : start + size],
-            )
-            start += size
-        pivot_set = np.repeat(np.arange(len(sets), dtype=np.uint8), sizes)
-        _ROWS[n] = basis, pivot_set, np.array([minima for _, minima, _, _ in sets])
-    return _ROWS[n]
+    check_sweep_size(n)
+    m = n // 2
+    sets = _pivot_sets(n)
+    sizes = [1 << sum(free) for _, _, free, _ in sets]
+    basis = np.empty((sum(sizes), m), dtype=np.uint8)
+    start = 0
+    for (pivots, minima, free, _), size in zip(sets, sizes):
+        digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
+        np.bitwise_or(
+            minima[digits.T],
+            np.array([1 << p for p in pivots], dtype=np.uint8),
+            out=basis[start : start + size],
+        )
+        start += size
+    pivot_set = np.repeat(np.arange(len(sets), dtype=np.uint8), sizes)
+    return basis, pivot_set, np.array([minima for _, minima, _, _ in sets])
 
 
 def _coset_points(n: int, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -390,27 +382,22 @@ def _witness_holds(f: BooleanFunction, w: PsSharpWitness) -> bool:
     return w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
 
 
+@functools.cache
 def _coset_wht(m: int) -> np.ndarray:
-    """Walsh-Hadamard transforms of every 2^m-bit word; the cell pass reads
-    them for the half-words, m = n/2 - 1.
+    """Walsh-Hadamard transforms of every 2^m-bit word, as int8; the cell
+    pass reads them for the half-words, m = n/2 - 1.
 
     Row w holds S(u) = sum_j (-1)^(w_j + u.j) for u = 0 .. 2^m - 1, with w_j
     bit j of w.  Some |S(u)| >= 2^m - 2 exactly when w is within Hamming
     distance 1 of an affine function, and |S(u)| = 2^m when w is affine.
+    The butterfly's intermediate values stay within int8 for m <= 6.
     """
-    if m not in _WHT:
-        size = 1 << m
-        j = np.arange(size)
-        # the words' bits from their bytes, so no wide per-bit grid is made
-        words = np.arange(1 << size, dtype=f"<u{max(size // 8, 1)}")
-        bits = words.view(np.uint8).reshape(1 << size, -1)
-        signs = np.unpackbits(bits, axis=1, count=size, bitorder="little").astype(np.int16)
-        signs *= -2
-        signs += 1
-        hadamard = (1 - 2 * _parity_array(j[:, None] & j)).astype(np.int16)
-        spectra = (signs @ hadamard).astype(np.int8)
-        _WHT[m] = spectra
-    return _WHT[m]
+    size = 1 << m
+    # the words' bits from their bytes, so no wide per-bit grid is made
+    words = np.arange(1 << size, dtype=f"<u{max(size // 8, 1)}")
+    bits = words.view(np.uint8).reshape(1 << size, -1)
+    bits = np.unpackbits(bits, axis=1, count=size, bitorder="little")
+    return _wht_butterfly(1 - 2 * bits.astype(np.int8))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -177,15 +178,18 @@ def vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[r * size : (r + 1) * size], "little") for r in range(N)]
 
 
-def is_apn(F: VectorialFunction) -> bool:
-    """APN: every derivative equation F(x+a)+F(x)=b has 0 or 2 solutions."""
+def _difference_counts(F: VectorialFunction) -> Iterator[np.ndarray]:
+    """For a = 1 .. 2^m - 1 in turn, the number of x with F(x+a)+F(x) = b,
+    indexed by b."""
     N = 1 << F.m
     idx = np.arange(N)
     for a in range(1, N):
-        counts = np.bincount(F.table ^ F.table[idx ^ a], minlength=N)
-        if counts.max() > 2:
-            return False
-    return True
+        yield np.bincount(F.table ^ F.table[idx ^ a], minlength=N)
+
+
+def is_apn(F: VectorialFunction) -> bool:
+    """APN: every derivative equation F(x+a)+F(x)=b has 0 or 2 solutions."""
+    return all(counts.max() <= 2 for counts in _difference_counts(F))
 
 
 def vanishing_flats_count(F: VectorialFunction) -> int:
@@ -194,11 +198,8 @@ def vanishing_flats_count(F: VectorialFunction) -> int:
     Counted per derivative value: each flat is seen once for each of its
     three direction pairings, giving the /3.
     """
-    N = 1 << F.m
-    idx = np.arange(N)
     total = 0
-    for a in range(1, N):
-        counts = np.bincount(F.table ^ F.table[idx ^ a], minlength=N)
+    for counts in _difference_counts(F):
         pairs = counts // 2  # unordered {x, x+a} pairs per value
         total += int((pairs * (pairs - 1) // 2).sum())
     assert total % 3 == 0

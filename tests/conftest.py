@@ -15,6 +15,11 @@ def random_function(n: int, rng: random.Random) -> BooleanFunction:
     return BooleanFunction(n, [rng.randrange(2) for _ in range(1 << n)])
 
 
+# y -> y + y1 y2 e3 on F_2^3: span(e1, e3) vanishes, so it fails P1 and,
+# that being a hyperplane, P2
+HYPERPLANE_VANISHES = "vf:m=3:0 1 2 7 4 5 6 3"
+
+
 def random_permutation_table(m: int, rng: random.Random) -> np.ndarray:
     perm = list(range(1 << m))
     rng.shuffle(perm)

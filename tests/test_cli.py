@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import time
 
@@ -7,6 +8,8 @@ import pytest
 from bentforge import fixtures as fx
 from bentforge.boolfun import from_tt_hex, to_tt_hex
 from bentforge.cli import main
+from bentforge.vectorial import to_vf_text
+from conftest import HYPERPLANE_VANISHES
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +179,22 @@ def test_psclass_json(capsys, tmp_path):
     assert len(data["subspaces"]) == 4
 
 
+def test_psclass_sharp_prints_the_sweep_witness(capsys):
+    from bentforge.psclass import is_in_ps_sharp, ps_ap
+    from test_psclass import balanced_h3, ea_disguise
+
+    g = ea_disguise(ps_ap(3, balanced_h3()), random.Random(3))
+    code, out, _ = run_cli(capsys, "psclass", "--tt", to_tt_hex(g), "--sharp")
+    assert code == 0
+    assert json.loads(out) == is_in_ps_sharp(g).as_dict()
+
+
+def test_psclass_sharp_prints_null_on_a_published_function(capsys):
+    tt = to_tt_hex(fx.published_bent8("delta0_mix"))
+    code, out, _ = run_cli(capsys, "psclass", "--tt", tt, "--sharp")
+    assert code == 0
+    assert out == "null\n"
+
 
 def test_psclass_fails_fast_above_n8(capsys):
     from bentforge.boolfun import format_anf, to_anf, zero_function
@@ -326,6 +345,43 @@ def test_perm_check(capsys, prop, key):
     data = json.loads(out)
     assert key in data
     assert data["is_permutation"] is True
+
+
+def test_perm_check_p1_prints_the_witness(capsys):
+    code, out, _ = run_cli(capsys, "perm-check", "p1", "--vf", HYPERPLANE_VANISHES)
+    assert code == 0
+    data = json.loads(out)
+    assert data["has_p1"] is False
+    assert data["witness"] == ["100", "001"]
+
+
+@pytest.mark.parametrize(
+    "pi, message",
+    [
+        (HYPERPLANE_VANISHES, "pi fails P1"),
+        (to_vf_text(fx.apn_perm_m3()), "sigma has a vanishing subspace of dimension 2"),
+    ],
+    ids=["pi-fails-p1", "sigma-vanishes"],
+)
+def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
+    argv = ["--pi", pi, "--sigma", HYPERPLANE_VANISHES, "--h1", "0", "--h2", "0"]
+    code, out, _ = run_cli(capsys, "construct", "thm55", *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": message, "witness": ["100", "001"]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--anf", "1"], "cannot infer the variable count"),
+        ([], "need --tt or --anf"),
+    ],
+    ids=["anf-without-variables", "no-input"],
+)
+def test_analyze_rejects_unusable_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_perm_check_vf_literal(capsys):

@@ -1,12 +1,13 @@
 """Every module-level or local import in the package and the tests is used,
-and every top-level function and class of the package is referenced.
+and every top-level function, class and assigned name of the package is
+referenced.
 
 Parsed with `ast`, so it needs no linter.  Package `__init__.py` files are
 skipped by the import check (their imports are re-exports), and so is
-`from __future__`.  A definition counts as referenced when its name appears
-as a name, an attribute, a string constant or a `from ... import` name
-anywhere in the package, the tests or perfbench/ (strings cover the
-tracer's (module, attribute) tables and `__all__`).
+`from __future__`.  A definition counts as referenced when its name is read
+as a name, or appears as an attribute, a string constant or a
+`from ... import` name, anywhere in the package, the tests or perfbench/
+(strings cover the tracer's (module, attribute) tables and `__all__`).
 """
 
 import ast
@@ -53,7 +54,8 @@ def referenced_names(sources) -> set[str]:
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                if not isinstance(node.ctx, ast.Store):  # binding a name is no use of it
+                    names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -63,18 +65,44 @@ def referenced_names(sources) -> set[str]:
     return names
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a def, a class or the plain
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [
+        t.id
+        for target in targets
+        for t in ast.walk(target)
+        if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+    ]
+
+
 def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
     return [
-        f"line {node.lineno}: {node.name}"
+        f"line {node.lineno}: {name}"
         for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+        for name in defined_names(node)
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
 def test_checker_flags_an_unreferenced_definition():
-    source = "def used():\n    pass\n\ndef dead():\n    used()\n\nclass Named:\n    pass\n"
+    source = (
+        "__all__ = []\nLIMIT = 3\nWIDTH: int = 4\ndead_a, dead_b = 1, 2\n\n"
+        "def used():\n    return LIMIT\n\ndef dead():\n    used()\n\n"
+        "class Named:\n    pass\n\nNamed.size = LIMIT\n"
+    )
     referenced = referenced_names([source, "x = getattr(m, 'Named')\n"])
-    assert unreferenced_definitions(source, referenced) == ["line 4: dead"]
+    assert unreferenced_definitions(source, referenced) == [
+        "line 3: WIDTH",
+        "line 4: dead_a",
+        "line 4: dead_b",
+        "line 9: dead",
+    ]
 
 
 REFERENCED = referenced_names(p.read_text() for p in SCANNED)

@@ -74,6 +74,11 @@ def test_is_msubspace_dimension_mismatch():
         is_msubspace(f, span([1], 3))
 
 
+def test_msubspaces_rejects_dimension_below_two():
+    with pytest.raises(ValueError):
+        msubspaces(xy_bent(2), 1)
+
+
 def test_basis_pair_equals_all_pair(rng):
     from bentforge.boolfun import second_derivative_vanishes
 

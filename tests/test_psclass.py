@@ -72,6 +72,8 @@ def test_ps_ap_rejects_bad_h():
         ps_ap(3, BooleanFunction(3, [1, 0, 1, 0, 1, 0, 1, 0]))  # h(0) = 1
     with pytest.raises(ValueError):
         ps_ap(3, BooleanFunction(3, [0, 1, 1, 1, 1, 0, 1, 0]))  # unbalanced
+    with pytest.raises(ValueError):
+        ps_ap(3, BooleanFunction(2, [0, 1, 1, 0]))  # h on 2 variables
 
 
 def test_witness_soundness():
@@ -518,17 +520,17 @@ def test_coset_cells_peak_memory_n8():
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m, monkeypatch):
-    # a cold build peaks at 5.1 MiB at m = 4 (16 MiB through an int64 grid
-    # of the words' bits); the sweep at n = 2m + 2 reads m
-    monkeypatch.setattr(psclass, "_WHT", {})
+def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m):
+    # a cold build peaks at 3.1 MiB at m = 4: the words' bits, then their
+    # int8 signs transformed in place; the sweep at n = 2m + 2 reads m
+    _coset_wht.cache_clear()
     tracemalloc.start()
     try:
         spectra = _coset_wht(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20, peak
+    assert peak < 4 << 20, peak
     size = 1 << m
     words = np.arange(1 << size)
     bits = (words[:, None] >> np.arange(size)) & 1
@@ -690,9 +692,9 @@ def test_coset_table_bases_follow_enumeration_order_n8():
     assert basis.dtype == np.uint8 and np.array_equal(basis, want)
 
 
-def test_row_index_build_peak_memory_n8(monkeypatch):
+def test_row_index_build_peak_memory_n8():
     # 1.3 MiB traced: the 1.0 MB index plus one pivot set's digits
-    monkeypatch.setattr(psclass, "_ROWS", {})
+    _row_index.cache_clear()
     tracemalloc.start()
     try:
         _row_index(8)
@@ -706,8 +708,6 @@ def cache_nbytes(value) -> int:
     """Bytes held by the arrays in a cache, however they are nested."""
     if isinstance(value, np.ndarray):
         return value.nbytes
-    if isinstance(value, dict):
-        return sum(cache_nbytes(v) for v in value.values())
     if isinstance(value, (list, tuple)):
         return sum(cache_nbytes(v) for v in value)
     return 0
@@ -716,13 +716,27 @@ def cache_nbytes(value) -> int:
 def test_per_dimension_caches_stay_small_after_warmup_sweep(monkeypatch):
     # ps_ap4() is the benchmark's warm-up function.  1.02 MB after its
     # sweep: the index (1.0 MB at n = 8), the pivot sets and the spectra of
-    # the 8-bit half-words (2 kB)
-    caches = [name for name, v in vars(psclass).items() if name.isupper() and isinstance(v, dict)]
-    assert {"_PIVOTS", "_ROWS", "_WHT"} <= set(caches)
-    for name in caches:
-        monkeypatch.setattr(psclass, name, {})
+    # the 8-bit half-words (2 kB).  Every cached function of the module is
+    # counted, each called through a spy that records its arguments, so
+    # the cached values can be read back afterwards.
+    cached = {name: v for name, v in vars(psclass).items() if hasattr(v, "cache_info")}
+    assert {"_pivot_sets", "_row_index", "_coset_wht"} <= set(cached)
+    calls = {name: set() for name in cached}
+
+    def spy(name, fn):
+        def call(*args):
+            calls[name].add(args)
+            return fn(*args)
+
+        return call
+
+    for name, fn in cached.items():
+        fn.cache_clear()
+        monkeypatch.setattr(psclass, name, spy(name, fn))
     assert is_in_ps_sharp(ps_ap4()) is not None
-    total = sum(cache_nbytes(getattr(psclass, name)) for name in caches)
+    for name, fn in cached.items():
+        assert fn.cache_info().currsize == len(calls[name]) == 1, (name, calls[name])
+    total = sum(cache_nbytes(fn(*args)) for name, fn in cached.items() for args in calls[name])
     assert total < 1_500_000, total
 
 

@@ -39,7 +39,7 @@ from bentforge.vectorial import (
     vanishing_pair_adjacency,
     vanishing_subspaces_vf,
 )
-from conftest import random_function, random_permutation_table
+from conftest import HYPERPLANE_VANISHES, random_function, random_permutation_table
 from test_psclass import oracle_functions
 
 
@@ -136,6 +136,8 @@ def test_vanishing_subspaces_fixtures():
     assert vanishing_subspaces_vf(power_map(Field(3), 3), 2) == []
     assert fx.vanishing_subspace_dim2() in vanishing_subspaces_vf(fx.perm_p2_dim2(), 2)
     assert fx.vanishing_subspace_dim3() in vanishing_subspaces_vf(fx.perm_p2_dim3(), 3)
+    with pytest.raises(ValueError):
+        vanishing_subspaces_vf(fx.perm_p2_dim2(), 0)
 
 
 def test_vanishing_subspaces_reverify_on_all_pairs():
@@ -412,6 +414,14 @@ def test_check_p2_fixtures():
     # the published obstruction: u1 = e1, u2 = e2 annihilate every D_a pi
     bad = [rec for rec in ugly.per_subspace if not rec.ok]
     assert any(rec.S == span([4, 8, 16], 5) and rec.dim_US >= rec.k for rec in bad)
+
+
+def test_check_p2_fails_on_a_vanishing_hyperplane():
+    report = check_p2(from_vf_text(HYPERPLANE_VANISHES))
+    assert report.fully_satisfies is False
+    assert report.max_vanishing_dim == 2
+    assert len(report.per_subspace) == 7
+    assert all(rec.S.dim == 1 for rec in report.per_subspace)
 
 
 def test_check_p2_rejects_bad_inputs():
