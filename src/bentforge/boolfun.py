@@ -183,12 +183,6 @@ def second_derivative(f: BooleanFunction, a: int, b: int) -> BooleanFunction:
     return BooleanFunction(f.n, t ^ t[idx ^ a] ^ t[idx ^ b] ^ t[idx ^ a ^ b])
 
 
-def second_derivative_vanishes(f: BooleanFunction, a: int, b: int) -> bool:
-    idx = np.arange(1 << f.n)
-    d = f.table ^ f.table[idx ^ a]
-    return bool(np.array_equal(d, d[idx ^ b]))
-
-
 def linear_structures(f: BooleanFunction) -> set[int]:
     """All a (including 0) with D_a f constant; closed under addition."""
     return _linear_structures(f.table)

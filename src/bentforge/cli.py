@@ -54,12 +54,8 @@ from .vectorial import (
 )
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 def _emit(obj) -> None:
-    print(_json_dump(obj))
+    print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _maybe_file(text: str) -> str:
@@ -76,7 +72,7 @@ def _infer_n(anf_text: str) -> int:
 
     indices = [int(m) for m in re.findall(r"[xyz](\d+)", anf_text)]
     if not indices:
-        raise SystemExit("cannot infer the variable count; pass --n")
+        raise ValueError("cannot infer the variable count; pass --n")
     return max(indices)
 
 
@@ -85,7 +81,7 @@ def load_boolean(args) -> BooleanFunction:
         return _sized(from_tt_hex(_maybe_file(args.tt).strip()), args.n)
     if args.anf:
         return load_boolean_source(args.anf, args.n)
-    raise SystemExit("need --tt or --anf")
+    raise ValueError("need --tt or --anf")
 
 
 def load_boolean_source(source: str, n: int | None = None) -> BooleanFunction:
@@ -141,7 +137,7 @@ class ClassReport:
             "degree": self.degree,
             "weight": self.weight,
             "msubspace_profile": self.msubspace_profile.as_dict(),
-            "mm_sharp": None if self.mm_sharp is None else self.mm_sharp.to_text().split("\n"),
+            "mm_sharp": None if self.mm_sharp is None else self.mm_sharp.rows(),
             "timings": self.timings,
         }
         if self.ps_sharp_ran:
@@ -162,7 +158,7 @@ def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
     # reject an unsupported sweep before the profile and MM# stages
     if sharp:
         if f.n % 2 or not bent:
-            raise SystemExit("PS# analysis needs a bent function on even n")
+            raise ValueError("PS# analysis needs a bent function on even n")
         check_sweep_size(f.n)
     degree = timed("degree", lambda: algebraic_degree(f))
     profile = timed("profile", lambda: msubspace_profile(f))
@@ -188,7 +184,7 @@ def _cmd_msub(args) -> int:
     f = load_boolean(args)
     subs = msubspaces(f, args.dim)
     if args.json:
-        _emit({"dim": args.dim, "subspaces": [V.to_text().split("\n") for V in subs]})
+        _emit({"dim": args.dim, "subspaces": [V.rows() for V in subs]})
     else:
         for V in subs:
             print(V.to_text())
@@ -240,7 +236,7 @@ def _cmd_construct_extend_perm(args) -> int:
     try:
         ext = extend_permutation(load_vectorial(args.sigma1), load_vectorial(args.sigma2))
     except PreconditionError as exc:
-        _emit({"error": str(exc), "witness": exc.witness.to_text().split("\n")})
+        _emit({"error": str(exc), "witness": exc.witness.rows()})
         return 2
     _emit({"vf": to_vf_text(ext), "has_p1": has_p1(ext)[0]})
     return 0
@@ -254,7 +250,7 @@ def _cmd_construct_thm55(args) -> int:
     try:
         res = theorem55_construct(pi, sigma, h1, h2)
     except PreconditionError as exc:
-        witness = exc.witness.to_text().split("\n") if exc.witness else None
+        witness = exc.witness.rows() if exc.witness else None
         _emit({"error": str(exc), "witness": witness})
         return 2
     _emit({"tt": to_tt_hex(res.function), "certificate": res.certificate.as_dict()})
@@ -277,7 +273,7 @@ def _cmd_perm_check(args) -> int:
         ok, witness = has_p1(F)
         out["has_p1"] = ok
         if witness is not None:
-            out["witness"] = witness.to_text().split("\n")
+            out["witness"] = witness.rows()
     elif args.property == "p2":
         report = check_p2(F)
         out["fully_satisfies_p2"] = report.fully_satisfies
@@ -374,11 +370,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # input-loading shortcuts
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return 2
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

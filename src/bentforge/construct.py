@@ -210,15 +210,9 @@ def second_derivative_concat(q: ConcatQuadruple, a: int, b: int) -> BooleanFunct
                 ^ (((a1 & y2) ^ (a2 & y1) ^ (a1 & a2)) * da_f1234)
                 ^ (((b1 & y2) ^ (b2 & y1) ^ (b1 & b2)) * db_f1234)
             )
-            blocks.append((y1, y2, blk))
+            blocks.append(blk)
     # memory order is f(x,0,0), f(x,0,1), f(x,1,0), f(x,1,1)
-    order = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-    table = np.zeros(1 << (n + 2), dtype=np.uint8)
-    N = 1 << n
-    for y1, y2, blk in blocks:
-        k = order[(y1, y2)]
-        table[k * N : (k + 1) * N] = blk
-    return BooleanFunction(n + 2, table)
+    return BooleanFunction(n + 2, np.concatenate(blocks))
 
 
 def witness_second_msubspace(pi: VectorialFunction, kind: str) -> Subspace:
@@ -320,7 +314,7 @@ def theorem53_certify(q: ConcatQuadruple) -> OutsideCertificate:
                 {
                     "dimension": r,
                     "shared_count": len(common),
-                    "shared": [V.to_text().split("\n") for V in common[:8]],
+                    "shared": [V.rows() for V in common[:8]],
                 },
             ),
         )
@@ -407,12 +401,12 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
         for v in range(1 << n):
             for c in (1, 2, 3):
                 if vanish >> (v | c << n) & 1:
-                    failures.append({"V": V.to_text().split("\n"), "v": v, "condition": c})
+                    failures.append({"V": V.rows(), "v": v, "condition": c})
                     break
 
     evidence: list = [
         {
-            "shared_top_subspace": U.to_text().split("\n"),
+            "shared_top_subspace": U.rows(),
             "common_vanishing_count": len(common),
             "pairs_checked": len(common) << n,
         }
@@ -461,5 +455,5 @@ def _corollary_dim2_witness(
     for i, u1 in enumerate(good):
         for u2 in good[i + 1 :]:
             if (u1 ^ u2) in good_set:
-                return span([u1, u2], n).to_text().split("\n")
+                return span([u1, u2], n).rows()
     return None

@@ -69,16 +69,20 @@ class Subspace:
                 v ^= b
         return v == 0
 
-    def to_text(self) -> str:
-        """One basis vector per line, character j is coordinate x_{j+1}.
+    def rows(self) -> list[str]:
+        """One string per basis vector, character j is coordinate x_{j+1}.
 
-        Rows print in increasing pivot order, the row-matrix presentation
-        used for subspaces in the literature.
+        Rows come in increasing pivot order, the row-matrix presentation
+        used for subspaces in the literature; reports print this list.
         """
-        return "\n".join(
+        return [
             "".join("1" if (b >> j) & 1 else "0" for j in range(self.n))
             for b in reversed(self.basis)
-        )
+        ]
+
+    def to_text(self) -> str:
+        """The rows, one per line."""
+        return "\n".join(self.rows())
 
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "Subspace":
@@ -156,30 +160,22 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def orthogonal_complement(a: Subspace) -> Subspace:
-    """{u : u.v = 0 for all v in a} under the standard dot product."""
-    n = a.n
-    # solve basis . u = 0 by elimination on the transposed system
-    rows = list(a.basis)
-    pivots: list[int] = []
-    work: list[int] = []
-    for v in rows:
-        for p, w in zip(pivots, work):
-            if (v >> p) & 1:
-                v ^= w
-        if v:
-            pivots.append(v.bit_length() - 1)
-            work.append(v)
-    pivset = set(pivots)
+    """{u : u.v = 0 for all v in a} under the standard dot product.
+
+    The RREF basis already solves basis . u = 0: each non-pivot coordinate
+    j is free and sets the pivot coordinate of every row that has bit j.
+    """
+    pivots = [b.bit_length() - 1 for b in a.basis]
     comp = []
-    for j in range(n):
-        if j in pivset:
+    for j in range(a.n):
+        if j in pivots:
             continue
         u = 1 << j
-        for p, w in zip(pivots, work):
-            if (w >> j) & 1:
+        for p, b in zip(pivots, a.basis):
+            if (b >> j) & 1:
                 u |= 1 << p
         comp.append(u)
-    return span(comp, n)
+    return span(comp, a.n)
 
 
 def random_invertible(n: int, rng) -> list[int]:

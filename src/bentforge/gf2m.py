@@ -66,20 +66,15 @@ class Field:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        # find a multiplicative generator, then fill exp/log
+        # find a multiplicative generator, then fill exp/log; the modulus is
+        # irreducible, so the powers of every g != 0 cycle back to 1
         for g in range(2, 1 << self.m):
-            seen = 1
             x = g
-            ok = True
             exp = [1]
             while x != 1:
                 exp.append(x)
                 x = _poly_mod(clmul(x, g), self.modulus)
-                seen += 1
-                if seen > self.order:
-                    ok = False
-                    break
-            if ok and len(exp) == self.order:
+            if len(exp) == self.order:
                 self._exp = exp + exp  # doubled to skip one modular reduction
                 self._log = [0] * (1 << self.m)
                 for i, v in enumerate(exp):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import boolfun
-from .boolfun import BooleanFunction, is_bent, second_derivative_vanishes
+from .boolfun import BooleanFunction, is_bent, second_derivative
 from .gf2 import Subspace, span
 from .vectorial import iter_clique_subspaces, vanishing_pair_adjacency, vanishing_subspaces
 
@@ -44,7 +44,7 @@ def is_msubspace(f: BooleanFunction, V: Subspace) -> bool:
     basis = V.basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not second_derivative_vanishes(f, basis[i], basis[j]):
+            if second_derivative(f, basis[i], basis[j]).table.any():
                 return False
     return True
 

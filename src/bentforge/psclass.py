@@ -81,7 +81,7 @@ class PartialSpreadWitness:
     def as_dict(self) -> dict:
         return {
             "subclass": self.subclass,
-            "subspaces": [U.to_text().split("\n") for U in self.subspaces],
+            "subspaces": [U.rows() for U in self.subspaces],
         }
 
 

@@ -128,6 +128,11 @@ def test_dual_is_involution_on_fixtures():
         assert dual(dual(f)) == f
 
 
+def test_published_bent8_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown fixture 'nope'"):
+        fx.published_bent8("nope")
+
+
 def test_dual_rejects_non_bent():
     with pytest.raises(ValueError):
         dual(zero_function(4))
@@ -138,6 +143,19 @@ def test_dual_rejects_non_bent():
 def test_derivative_in_zero_direction():
     f = random_function(4, random.Random(2))
     assert derivative(f, 0) == zero_function(4)
+
+
+@pytest.mark.parametrize(
+    "take",
+    [
+        lambda f: derivative(f, 1 << f.n),
+        lambda f: second_derivative(f, 1, 1 << f.n),
+    ],
+    ids=["first", "second"],
+)
+def test_derivative_rejects_a_direction_out_of_range(take):
+    with pytest.raises(ValueError, match="out of range"):
+        take(random_function(4, random.Random(2)))
 
 
 def test_derivative_of_linear_function_is_constant():

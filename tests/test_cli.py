@@ -226,6 +226,14 @@ def test_construct_mm_and_concat(capsys, tmp_path):
     assert data["dual_bent_condition"] is False
 
 
+def test_construct_concat_of_non_bent_pieces_has_no_dual_condition(capsys):
+    pieces = ["--f1", "0", "--f2", "0", "--f3", "0", "--f4", "0", "--n", "4"]
+    code, out, _ = run_cli(capsys, "construct", "concat", *pieces)
+    data = json.loads(out)
+    assert code == 0
+    assert data["dual_bent_condition"] is None and data["is_bent"] is False
+
+
 def test_construct_thm55(capsys):
     pi = "y2*y3 + y1 + y2 + y3\ny1*y2 + y1*y3 + y2\ny1*y2 + y3"
     code, out, _ = run_cli(
@@ -375,13 +383,21 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
     [
         (["--anf", "1"], "cannot infer the variable count"),
         ([], "need --tt or --anf"),
+        (["--anf", "x1 + + x2"], "empty term (at position 4)"),
     ],
-    ids=["anf-without-variables", "no-input"],
+    ids=["anf-without-variables", "no-input", "anf-empty-term"],
 )
 def test_analyze_rejects_unusable_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "analyze", *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_analyze_library_call_raises_on_unsupported_input():
+    from bentforge.cli import analyze
+
+    with pytest.raises(ValueError, match="PS# analysis needs a bent function on even n"):
+        analyze(from_tt_hex("tt:n=4:0000"), sharp=True)
 
 
 def test_perm_check_vf_literal(capsys):
@@ -396,6 +412,12 @@ def test_perm_check_accepts_field_power_map(capsys):
     code, out, _ = run_cli(capsys, "perm-check", "p2", "--vf", "gf2m:m=6,mod=43,pow=5")
     data = json.loads(out)
     assert data["fully_satisfies_p2"] is True and data["max_vanishing_dim"] <= 2
+
+
+def test_perm_check_rejects_a_malformed_vf_literal(capsys):
+    code, out, err = run_cli(capsys, "perm-check", "apn", "--vf", "vf:m=3:zz")
+    assert code == 2 and out == ""
+    assert "not a vectorial-function literal" in err
 
 
 def test_perm_check_field_without_power_names_the_suffix(capsys):

@@ -399,7 +399,7 @@ def test_theorem57_shared_top_is_the_four_way_intersection(rng):
         assert len(shared) == 1
         unique += 1
         top = cert.evidence[0]["shared_top_subspace"]
-        assert top == next(iter(shared)).to_text().split("\n")
+        assert top == next(iter(shared)).rows()
     assert unique > 0
 
 
@@ -461,7 +461,7 @@ def reference_dim2_witness(q: ConcatQuadruple, U, common) -> list[str] | None:
     for i, u1 in enumerate(good):
         for u2 in good[i + 1 :]:
             if (u1 ^ u2) in good:
-                return span([u1, u2], n).to_text().split("\n")
+                return span([u1, u2], n).rows()
     return None
 
 
@@ -487,11 +487,11 @@ def reference_theorem57(q: ConcatQuadruple) -> dict | str:
                     _derivatives_differ(*pair_a, u, v) or _derivatives_differ(*pair_b, u, v)
                     for u in nonzero
                 ):
-                    failures.append({"V": V.to_text().split("\n"), "v": v, "condition": ci})
+                    failures.append({"V": V.rows(), "v": v, "condition": ci})
                     break
     evidence = [
         {
-            "shared_top_subspace": U.to_text().split("\n"),
+            "shared_top_subspace": U.rows(),
             "common_vanishing_count": len(common),
             "pairs_checked": len(common) * (1 << n),
         }

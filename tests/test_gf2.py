@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bentforge import fixtures as fx
 from bentforge.gf2 import (
     Subspace,
+    dot,
     enumerate_subspaces,
     gaussian_binomial,
     intersect,
@@ -123,6 +124,14 @@ def test_orthogonal_complement_of_line():
     assert all(e & 1 == 0 for e in c.elements())
 
 
+def test_orthogonal_complement_matches_brute_force():
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for s in enumerate_subspaces(n, r):
+                perp = [u for u in range(1 << n) if not any(dot(u, b) for b in s.basis)]
+                assert orthogonal_complement(s).elements() == perp
+
+
 def test_orthogonal_complement_is_involution():
     for s in enumerate_subspaces(5, 2):
         assert orthogonal_complement(orthogonal_complement(s)) == s
@@ -140,6 +149,9 @@ def test_subspace_text_round_trip():
     assert Subspace.from_text(v.to_text()) == v
     # leftmost character is x_1, matching the row-matrix presentation
     assert v.to_text().splitlines()[0] == "1000000000"
+    # reports print the rows; the zero subspace has none
+    assert v.rows() == v.to_text().split("\n")
+    assert zero_subspace(3).rows() == []
 
 
 def test_subspace_from_text_rejects_garbage():

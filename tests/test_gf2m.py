@@ -39,6 +39,16 @@ def test_field_rejects_reducible_modulus():
         Field(3, 0b1111)  # x^3 + x^2 + x + 1 = (x+1)(x^2+1)
 
 
+@pytest.mark.parametrize(
+    "m, modulus",
+    [(1, None), (17, None), (3, 0b10011)],
+    ids=["degree-1", "degree-17", "modulus-degree-mismatch"],
+)
+def test_field_rejects_an_unsupported_degree(m, modulus):
+    with pytest.raises(ValueError, match="degree"):
+        Field(m, modulus)
+
+
 def test_multiplicative_identity_and_defining_relation():
     fld = Field(3)
     for a in range(8):

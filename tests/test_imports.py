@@ -8,6 +8,10 @@ skipped by the import check (their imports are re-exports), and so is
 as a name, or appears as an attribute, a string constant or a
 `from ... import` name, anywhere in the package, the tests or perfbench/
 (strings cover the tracer's (module, attribute) tables and `__all__`).
+
+No package module names `SystemExit` or calls `sys.exit` outside its
+`if __name__ == "__main__"` guard: errors travel as exceptions, and only
+`cli.main` turns them into an exit code.
 """
 
 import ast
@@ -133,3 +137,43 @@ def test_verify_imports_no_private_name():
     # verify-paper re-derives the paper's results through the public API;
     # test oracles, which reach for private helpers, live in tests/
     assert private_imports((ROOT / "src/bentforge/verify.py").read_text()) == []
+
+
+def exit_paths(source: str) -> list[str]:
+    """`SystemExit` names and `sys.exit` calls outside the
+    `if __name__ == "__main__"` guard."""
+    tree = ast.parse(source)
+    guarded = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in guarded:
+            continue
+        if isinstance(node, ast.Name) and node.id == "SystemExit":
+            found.append((node.lineno, "SystemExit"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "exit"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            found.append((node.lineno, "sys.exit"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_an_exit_outside_the_main_guard():
+    source = (
+        "import sys\n\ndef load():\n    raise SystemExit('need input')\n\n"
+        "def stop():\n    try:\n        sys.exit(1)\n    except SystemExit:\n        pass\n\n"
+        "if __name__ == '__main__':\n    sys.exit(stop())\n"
+    )
+    assert exit_paths(source) == ["line 4: SystemExit", "line 8: sys.exit", "line 9: SystemExit"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_has_one_error_channel(path):
+    assert exit_paths(path.read_text()) == []
