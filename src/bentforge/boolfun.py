@@ -238,6 +238,8 @@ def from_tt_hex(text: str) -> BooleanFunction:
     if len(raw) != need:
         raise ValueError(f"expected {need} bytes for n={n}, got {len(raw)}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    if bits[1 << n :].any():
+        raise ValueError(f"bits at or above 2^{n} are set in a table for n={n}")
     return BooleanFunction(n, bits[: 1 << n])
 
 

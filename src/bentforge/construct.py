@@ -284,15 +284,11 @@ def extend_permutation(
 
 
 def _common_vanishing_subspaces(q: ConcatQuadruple, r: int) -> list[Subspace]:
-    """Subspaces of dimension r that are M-subspaces of all four pieces,
-    canonical and sorted.
-
-    One search on the packed table f1 + 2 f2 + 4 f3 + 8 f4: the
-    vanishing-pair graph of a multi-bit table is the AND of its bits'
-    graphs, so its vanishing subspaces are exactly the shared M-subspaces.
-    """
+    """The r-dimensional M-subspaces shared by the four pieces, canonical
+    and sorted: the vanishing subspaces of the packed table f1 + 2 f2 +
+    4 f3 + 8 f4, whose graph is the AND of the pieces' graphs."""
     packed = sum(f.table << i for i, f in enumerate(q.functions))
-    return vanishing_subspaces(packed, q.n, r)
+    return vanishing_subspaces(vanishing_pair_adjacency(packed), q.n, r)
 
 
 def theorem53_certify(q: ConcatQuadruple) -> OutsideCertificate:
@@ -366,13 +362,15 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
     u1, u2, u3 in V making the three derivative conditions hold, where
     "nonzero" means not identically zero as a function of x.
 
-    The conditions are read off the vanishing-pair graph adj of
-    concat4(q): on the block of fi, the second derivative in directions
-    (u, 0, 0) and (v, c) is D_u fi(x) + D_u fj(x + v) with
-    j - 1 = (i - 1) xor c.  So condition c fails at (V, v) iff bit
-    v | c << n is set in adj[u] for every nonzero u in V.  c = 1 flips y2
-    and pairs f1,f2 and f3,f4; c = 2 flips y1 and pairs f1,f3 and f2,f4;
-    c = 3 flips both and pairs f2,f3 and f1,f4.
+    All is read off the vanishing-pair graph adj of concat4(q); directions
+    (u, 0, 0) see each piece alone, so its top-left 2^n x 2^n block is the
+    pieces' shared graph.  On the block of fi, the second derivative in
+    directions (u, 0, 0) and (v, c) is D_u fi(x) + D_u fj(x + v) with
+    j - 1 = (i - 1) xor c, and the u where it vanishes form a subspace, as
+    D_{u+w} fi(x) = D_u fi(x) + D_w fi(x + u).  So condition c fails at
+    (V, v) iff bit v | c << n is set in adj[u] for each u in a basis of V.
+    c = 1 flips y2 and pairs f1,f2 and f3,f4; c = 2 flips y1 and pairs
+    f1,f3 and f2,f4; c = 3 flips both and pairs f2,f3 and f1,f4.
     """
     n = q.n
     m = n // 2
@@ -381,22 +379,23 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
     not_bent = [i for i, f in enumerate(q.functions, 1) if not is_bent(f)]
     if not_bent:
         raise HypothesisError("not_all_bent", f"not bent: f{not_bent}")
-    shared_top = _common_vanishing_subspaces(q, m)
+    f = concat4(q)
+    concat_bent = is_bent(f)
+    adj = vanishing_pair_adjacency(f.table)
+    pieces = [row & ((1 << (1 << n)) - 1) for row in adj[: 1 << n]]
+    shared_top = vanishing_subspaces(pieces, n, m)
     if len(shared_top) != 1:
         raise HypothesisError(
             "shared_subspace_not_unique",
             f"pieces share {len(shared_top)} {m}-dimensional M-subspaces, need exactly 1",
         )
     U = shared_top[0]
-    f = concat4(q)
-    concat_bent = is_bent(f)
-    adj = vanishing_pair_adjacency(f.table)
 
-    common = _common_vanishing_subspaces(q, m - 1)
+    common = vanishing_subspaces(pieces, n, m - 1)
     failures = []
     for V in common:
         vanish = -1  # bit v | c << n: condition c's sums vanish for every u in V
-        for u in V.elements()[1:]:
+        for u in V.basis:
             vanish &= adj[u]
         for v in range(1 << n):
             for c in (1, 2, 3):

@@ -215,18 +215,12 @@ def vanishing_subspaces_vf(F: VectorialFunction, r: int) -> list[Subspace]:
     """All r-dimensional S with D_a D_b F = 0_m for all a, b in S."""
     if not 1 <= r <= F.m:
         raise ValueError(f"need 1 <= r <= m, got r={r}")
-    return vanishing_subspaces(F.table, F.m, r)
+    return vanishing_subspaces(vanishing_pair_adjacency(F.table), F.m, r)
 
 
-def vanishing_subspaces(table: np.ndarray, n: int, r: int) -> list[Subspace]:
-    """All r-dimensional S of F_2^n with D_a D_b(table) = 0 for all a, b
-    in S, canonical and sorted by basis.
-
-    For a table with several output bits these are the subspaces on which
-    every bit vanishes, since its vanishing-pair graph is the AND of the
-    bits' graphs.
-    """
-    adj = vanishing_pair_adjacency(table)
+def vanishing_subspaces(adj: list[int], n: int, r: int) -> list[Subspace]:
+    """All r-dimensional S of F_2^n whose nonzero elements are pairwise
+    adjacent in the vanishing-pair graph adj, canonical and sorted by basis."""
     out = [span(list(gens), n) for gens in iter_clique_subspaces(adj, r)]
     return sorted(out, key=lambda s: s.basis)
 
@@ -238,13 +232,17 @@ def iter_clique_subspaces(adj: list[int], lo: int, hi: int | None = None):
 
     Generators form the unique increasing tower of the subspace (each new
     generator is the minimum of its coset), so every subspace is produced
-    exactly once.  Yields dimensions lo..hi, or lo alone when hi is None;
-    every line is a clique, so lo = 1 yields all of them.
+    exactly once.  The tower keeps its generators' top-bit mask, not its
+    span: v is the minimum of its coset iff v is 0 at the top bit of each
+    nonzero u in the span, and those are the generators' top bits (each is
+    0 at the earlier ones'), so one AND passes the candidates, in the order,
+    that a test on every element would.  Yields dimensions lo..hi, or lo
+    alone when hi is None; every line is a clique, so lo = 1 yields them all.
     """
     if hi is None:
         hi = lo
 
-    def extend(elems: set[int], gens: tuple[int, ...], cand: int):
+    def extend(pivots: int, gens: tuple[int, ...], cand: int):
         depth = len(gens)
         if depth >= lo:
             yield gens
@@ -257,14 +255,14 @@ def iter_clique_subspaces(adj: list[int], lo: int, hi: int | None = None):
             low = c & -c
             v = low.bit_length() - 1
             c ^= low
-            if all(v < (v ^ u) for u in elems if u):
+            if not v & pivots:
                 yield from extend(
-                    elems | {v ^ u for u in elems},
+                    pivots | 1 << (v.bit_length() - 1),
                     gens + (v,),
                     cand & adj[v] & ~((low << 1) - 1),
                 )
 
-    yield from extend({0}, (), (1 << len(adj)) - 2)
+    yield from extend(0, (), (1 << len(adj)) - 2)
 
 
 def has_p1(F: VectorialFunction) -> tuple[bool, Subspace | None]:
@@ -298,7 +296,8 @@ def check_p2(F: VectorialFunction) -> P2Report:
 
     For every subspace S with vanishing second derivatives and
     1 <= dim(S) <= m-2, computes U_S = {u : u . D_a F(y) = 0 for all
-    a in S\\{0} and all y} and requires dim(U_S) < k = m - dim(S).
+    a in S\\{0} and all y}, from a basis of S as D_{a+b} F(y) = D_a F(y) +
+    D_b F(y + a), and requires dim(U_S) < k = m - dim(S).
     A vanishing S of dimension m-1 fails the report outright.
     """
     m = F.m
@@ -316,7 +315,7 @@ def check_p2(F: VectorialFunction) -> P2Report:
         if S.dim > m - 2:
             ok_all = False  # a vanishing (m-1)-space already forces a second M-subspace
             continue
-        image = [int(v) for a in S.elements() if a for v in set(derivative_vf(F, a).tolist())]
+        image = [int(v) for a in S.basis for v in set(derivative_vf(F, a).tolist())]
         US = orthogonal_complement(span(image, m))
         k = m - S.dim
         ok = US.dim < k

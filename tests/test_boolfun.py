@@ -268,6 +268,9 @@ def test_tt_hex_rejects_malformed():
         from_tt_hex("tt:n=3:zz")
     with pytest.raises(ValueError):
         from_tt_hex("tt:n=4:00")  # wrong byte count
+    for text in ("tt:n=2:ff", "tt:n=1:fe"):  # bits past the table's 2^n points
+        with pytest.raises(ValueError, match="are set in a table"):
+            from_tt_hex(text)
 
 
 def test_parse_anf_accepts_x_y_z():

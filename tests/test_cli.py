@@ -384,8 +384,9 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
         (["--anf", "1"], "cannot infer the variable count"),
         ([], "need --tt or --anf"),
         (["--anf", "x1 + + x2"], "empty term (at position 4)"),
+        (["--tt", "tt:n=2:ff"], "bits at or above 2^2 are set in a table for n=2"),
     ],
-    ids=["anf-without-variables", "no-input", "anf-empty-term"],
+    ids=["anf-without-variables", "no-input", "anf-empty-term", "tt-padding-bits"],
 )
 def test_analyze_rejects_unusable_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "analyze", *argv)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bentforge import construct, vectorial
 from bentforge import fixtures as fx
 from bentforge.boolfun import (
     algebraic_degree,
@@ -374,6 +375,12 @@ def test_common_vanishing_subspaces_match_filtered_search(rng):
             common = _common_vanishing_subspaces(q, r)
             assert common == reference_common_vanishing_subspaces(q, r)
             shared += r > 1 and len(common) > 0
+        # theorem57_check reads the pieces' graph off the concatenation's
+        # top-left block: directions (u, 0, 0) see each piece alone
+        packed = sum(f.table << i for i, f in enumerate(q.functions))
+        adj = vanishing_pair_adjacency(concat4(q).table)
+        block = [row & ((1 << (1 << q.n)) - 1) for row in adj[: 1 << q.n]]
+        assert block == vanishing_pair_adjacency(packed)
     assert shared > 0
 
 
@@ -564,6 +571,35 @@ def test_theorem57_matches_per_pair_reference(rng):
         assert got == expected
         verdicts.add(expected if isinstance(expected, str) else expected["verdict"])
     assert {"outside_mm_sharp", "inconclusive"} <= verdicts
+
+
+def test_theorem_checks_build_one_graph(monkeypatch, rng):
+    # one vanishing-pair graph per check, plus the corollary's three pair
+    # graphs when f4 = f1 + f2 + f3
+    built = []
+
+    def counting(table):
+        built.append(len(table))
+        return vanishing_pair_adjacency(table)
+
+    for module in (construct, vectorial):
+        monkeypatch.setattr(module, "vanishing_pair_adjacency", counting)
+    theorem57_check(fx.apn_family_quadruple())
+    assert built == [256]
+    ran = 0
+    for q in special_quadruples(rng):
+        built.clear()
+        try:
+            cert = theorem57_check(q)
+        except HypothesisError:
+            continue
+        assert cert.evidence[1] == {"f4_equals_f1_f2_f3": True}
+        assert built == [256, 128, 128, 128]
+        ran += 1
+    assert ran > 0
+    built.clear()
+    theorem53_certify(fx.delta0_mix_quadruple())
+    assert built == [64]
 
 
 def test_corollary_dim2_witness_matches_reference(rng):

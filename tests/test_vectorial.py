@@ -16,15 +16,24 @@ from bentforge.boolfun import (
     zero_function,
 )
 from bentforge.construct import mm_bent, theorem55_construct
-from bentforge.gf2 import apply_linear, enumerate_subspaces, random_invertible, span
+from bentforge.gf2 import (
+    apply_linear,
+    enumerate_subspaces,
+    orthogonal_complement,
+    random_invertible,
+    span,
+)
 from bentforge.gf2m import Field, power_map
 from bentforge.msub import is_msubspace
 from bentforge.vectorial import (
+    P2Report,
+    P2SubspaceRecord,
     VectorialFunction,
     algebraic_degree_vf,
     check_p2,
     component,
     coordinates,
+    derivative_vf,
     from_coordinate_anfs,
     from_coordinates,
     from_vf_text,
@@ -357,6 +366,36 @@ def test_has_p1_witness_is_first_vanishing_representative_pair():
         assert has_p1(F) == (first is None, witness)
 
 
+def reference_iter_clique_subspaces(adj: list[int], lo: int, hi: int | None = None):
+    """iter_clique_subspaces with the span of the tower kept as a set: a
+    candidate v extends the tower iff v < v + u for every nonzero u of the
+    span."""
+    if hi is None:
+        hi = lo
+
+    def extend(elems: set[int], gens: tuple[int, ...], cand: int):
+        depth = len(gens)
+        if depth >= lo:
+            yield gens
+        if depth == hi:
+            return
+        if depth < lo and depth + cand.bit_count() < lo:
+            return
+        c = cand
+        while c:
+            low = c & -c
+            v = low.bit_length() - 1
+            c ^= low
+            if all(v < (v ^ u) for u in elems if u):
+                yield from extend(
+                    elems | {v ^ u for u in elems},
+                    gens + (v,),
+                    cand & adj[v] & ~((low << 1) - 1),
+                )
+
+    yield from extend({0}, (), (1 << len(adj)) - 2)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_iter_clique_subspaces_yields_each_msubspace_once(n):
     rng = random.Random(n)
@@ -372,6 +411,8 @@ def test_iter_clique_subspaces_yields_each_msubspace_once(n):
         for lo, hi in ((1, None), (1, 2), (1, n), (2, None), (2, 3), (3, n), (n, None)):
             top = lo if hi is None else hi
             gens = list(iter_clique_subspaces(adj, lo, hi))
+            # order too: has_p1 and is_in_mm_sharp report the first yield
+            assert gens == list(reference_iter_clique_subspaces(adj, lo, hi))
             got = [span(list(g), n) for g in gens]
             assert [V.dim for V in got] == [len(g) for g in gens]
             assert len(set(got)) == len(got)
@@ -381,6 +422,17 @@ def test_iter_clique_subspaces_yields_each_msubspace_once(n):
                 for V in enumerate_subspaces(n, r)
                 if is_msubspace(f, V)
             }
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 4), (4, None)])
+def test_iter_clique_subspaces_order_matches_reference_n8(lo, hi):
+    rng = random.Random(8)
+    pi = VectorialFunction(4, random_permutation_table(4, rng))
+    for f in (mm_bent(identity_map(4), zero_function(4)), mm_bent(pi, random_function(4, rng))):
+        adj = vanishing_pair_adjacency(f.table)
+        gens = list(iter_clique_subspaces(adj, lo, hi))
+        assert gens  # every MM function has its canonical 4-dimensional M-subspace
+        assert gens == list(reference_iter_clique_subspaces(adj, lo, hi))
 
 
 def test_p1_iff_apn_for_quadratic_permutations(rng):
@@ -429,6 +481,47 @@ def test_check_p2_rejects_bad_inputs():
         check_p2(identity_map(3))
     with pytest.raises(ValueError):
         check_p2(VectorialFunction(3, np.zeros(8, dtype=np.int64)))
+
+
+def reference_check_p2(F: VectorialFunction) -> P2Report:
+    """check_p2 with U_S built from the derivatives in every nonzero a of S."""
+    m = F.m
+    adj = vanishing_pair_adjacency(F.table)
+    records = []
+    top = 0
+    ok_all = True
+    for gens in reference_iter_clique_subspaces(adj, 1, m - 1):
+        S = span(list(gens), m)
+        top = max(top, S.dim)
+        if S.dim > m - 2:
+            ok_all = False
+            continue
+        image = [int(v) for a in S.elements() if a for v in set(derivative_vf(F, a).tolist())]
+        US = orthogonal_complement(span(image, m))
+        ok = US.dim < m - S.dim
+        records.append(P2SubspaceRecord(S, m - S.dim, US.dim, ok))
+        ok_all = ok_all and ok
+    return P2Report(ok_all, tuple(records), top)
+
+
+def test_check_p2_matches_all_element_reference():
+    rng = random.Random(27)
+    cases = [fx.apn_perm_m3(), fx.apn_perm_m3_alt(), fx.perm_two_msubspaces(),
+             fx.perm_p2_dim2(), fx.perm_p2_dim3(), from_vf_text(HYPERPLANE_VANISHES)]
+    cases += [power_map(Field(m), d) for m in range(3, 7) for d in range(1, (1 << m) - 1)]
+    cases += [
+        VectorialFunction(m, random_permutation_table(m, rng))
+        for m in range(3, 6)
+        for _ in range(30)
+    ]
+    cases = [F for F in cases if is_permutation(F) and algebraic_degree_vf(F) > 1]
+    assert len(cases) > 140
+    failing = 0
+    for F in cases:
+        report = check_p2(F)
+        assert report == reference_check_p2(F)
+        failing += not report.fully_satisfies
+    assert 0 < failing < len(cases)
 
 
 def test_p2_report_consistency(rng):
