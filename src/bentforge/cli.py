@@ -157,13 +157,13 @@ def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
     bent = timed("bent", lambda: is_bent(f))
     # reject an unsupported sweep before the profile and MM# stages
     if sharp:
-        if f.n % 2 or not bent:
+        if not bent:
             raise ValueError("PS# analysis needs a bent function on even n")
         check_sweep_size(f.n)
     degree = timed("degree", lambda: algebraic_degree(f))
     profile = timed("profile", lambda: msubspace_profile(f))
     mm = None
-    if bent and f.n % 2 == 0:
+    if bent:
         mm = timed("mm_sharp", lambda: is_in_mm_sharp(f))
     ps = None
     if sharp:

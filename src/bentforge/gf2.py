@@ -29,20 +29,16 @@ def rref(vectors: list[int]) -> tuple[int, ...]:
 
     Pivots are taken from the most significant bit downward; every pivot
     bit is zero in all other basis vectors.  Dependent inputs are absorbed.
+    The rows stay reduced as they grow: min(v, v ^ b) clears b's pivot in v.
     """
-    basis: dict[int, int] = {}  # pivot -> row
+    rows: list[int] = []
     for v in vectors:
-        for p in sorted(basis, reverse=True):
-            if (v >> p) & 1:
-                v ^= basis[p]
+        for b in rows:
+            v = min(v, v ^ b)
         if v:
-            basis[v.bit_length() - 1] = v
-    # back-substitute so pivot columns are clear in the other rows
-    for p in sorted(basis):
-        for q in basis:
-            if q != p and (basis[q] >> p) & 1:
-                basis[q] ^= basis[p]
-    return tuple(basis[p] for p in sorted(basis, reverse=True))
+            rows = [min(b, b ^ v) for b in rows]
+            rows.append(v)
+    return tuple(sorted(rows, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,7 @@ class Subspace:
 
     def contains(self, v: int) -> bool:
         for b in self.basis:
-            if (v >> (b.bit_length() - 1)) & 1:
-                v ^= b
+            v = min(v, v ^ b)
         return v == 0
 
     def rows(self) -> list[str]:
@@ -85,11 +80,11 @@ class Subspace:
         return "\n".join(self.rows())
 
     @classmethod
-    def from_text(cls, text: str, n: int | None = None) -> "Subspace":
+    def from_text(cls, text: str) -> "Subspace":
         rows = [line.strip() for line in text.splitlines() if line.strip()]
-        if not rows and n is None:
-            raise ValueError("empty subspace text needs an explicit dimension")
-        width = n if n is not None else len(rows[0])
+        if not rows:
+            raise ValueError("empty subspace text")
+        width = len(rows[0])
         vecs = []
         for row in rows:
             if len(row) != width or set(row) - {"0", "1"}:

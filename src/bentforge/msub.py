@@ -49,7 +49,7 @@ def is_msubspace(f: BooleanFunction, V: Subspace) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _adjacency(f: BooleanFunction) -> list[int]:
     return vanishing_pair_adjacency(f.table)
 

@@ -311,3 +311,22 @@ def test_parity_array_matches_bit_count():
     got = _parity_array(values)
     assert got.dtype == np.uint8
     assert got.tolist() == [int(v).bit_count() & 1 for v in values]
+
+
+@pytest.mark.parametrize(
+    "n, table, message",
+    [
+        (0, [0], r"n must be in 1\.\.20, got 0"),
+        (2, [0, 1, 0], r"table length must be 2\^2, got \(3,\)"),
+        (2, [0, 1, 2, 0], "table entries must be bits"),
+    ],
+    ids=["n", "length", "bits"],
+)
+def test_boolean_function_rejects_bad_input(n, table, message):
+    with pytest.raises(ValueError, match=message):
+        BooleanFunction(n, table)
+
+
+def test_xor_rejects_mismatched_variable_counts():
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        zero_function(2) ^ zero_function(3)

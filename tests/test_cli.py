@@ -179,6 +179,13 @@ def test_psclass_json(capsys, tmp_path):
     assert len(data["subspaces"]) == 4
 
 
+def test_psclass_prints_the_ps_plus_witness_on_two_variables(capsys):
+    # 1 + x1 x2 is 1 on the union of the lines {0, e1} and {0, e2}
+    code, out, _ = run_cli(capsys, "psclass", "--anf", "x1*x2 + 1")
+    assert code == 0
+    assert json.loads(out) == {"subclass": "PS_plus", "subspaces": [["01"], ["10"]]}
+
+
 def test_psclass_sharp_prints_the_sweep_witness(capsys):
     from bentforge.psclass import is_in_ps_sharp, ps_ap
     from test_psclass import balanced_h3, ea_disguise

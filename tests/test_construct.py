@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -618,3 +620,59 @@ def test_corollary_dim2_witness_matches_reference(rng):
         assert witness == reference_dim2_witness(q, U, common)
         found += witness is not None
     assert found > 0
+
+
+def test_mm_bent_rejects_h_on_the_wrong_variable_count():
+    with pytest.raises(ValueError, match="h must be on 3 variables"):
+        mm_bent(identity_map(3), zero_function(2))
+
+
+def test_restrictions_need_three_variables():
+    with pytest.raises(ValueError, match="need at least 3 variables to split"):
+        restrictions(zero_function(2))
+
+
+def test_second_derivative_concat_rejects_a_direction_out_of_range():
+    q = fx.delta0_mix_quadruple()
+    with pytest.raises(ValueError, match="direction out of range"):
+        second_derivative_concat(q, 1 << (q.n + 2), 1)
+
+
+def test_witness_second_msubspace_rejects_a_non_permutation():
+    with pytest.raises(ValueError, match="pi must be a permutation"):
+        witness_second_msubspace(VectorialFunction(3, np.zeros(8, dtype=np.int64)), "hyperplane")
+
+
+def test_witness_second_msubspace_needs_a_vanishing_hyperplane():
+    with pytest.raises(PreconditionError, match="pi has no vanishing hyperplane"):
+        witness_second_msubspace(fx.apn_perm_m3(), "hyperplane")
+
+
+def test_extend_permutation_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        extend_permutation(identity_map(2), identity_map(3))
+
+
+def test_extend_permutation_rejects_non_permutations():
+    with pytest.raises(ValueError, match="both inputs must be permutations"):
+        extend_permutation(VectorialFunction(2, [0, 0, 1, 2]), identity_map(2))
+
+
+def test_theorem55_construct_rejects_mismatched_dimensions():
+    with pytest.raises(ValueError, match="pi and sigma must act on the same dimension"):
+        theorem55_construct(identity_map(3), identity_map(4), zero_function(3), zero_function(3))
+
+
+def test_theorem53_certify_rejects_odd_variable_counts():
+    q = ConcatQuadruple(*[zero_function(5)] * 4)
+    with pytest.raises(ValueError, match="pieces must live on an even number >= 4 of variables"):
+        theorem53_certify(q)
+
+
+def test_theorem53_certify_rejects_a_non_bent_concatenation():
+    # four random pieces on 6 variables share no 2-dimensional M-subspace
+    rng = random.Random(53)
+    q = ConcatQuadruple(*[random_function(6, rng) for _ in range(4)])
+    assert _common_vanishing_subspaces(q, 2) == []
+    with pytest.raises(ValueError, match="concatenation is not bent"):
+        theorem53_certify(q)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from bentforge.gf2 import (
     gaussian_binomial,
     intersect,
     orthogonal_complement,
+    rref,
     span,
     zero_subspace,
 )
@@ -45,6 +47,46 @@ def test_span_example22_matrix_has_dim_5():
 def test_span_rejects_out_of_range():
     with pytest.raises(ValueError):
         span([0b10000], 4)
+
+
+def test_span_rejects_ambient_dimension_out_of_range():
+    with pytest.raises(ValueError, match="ambient dimension must be in 1..20, got 21"):
+        span([], 21)
+
+
+def reference_rref(vectors: list[int]) -> tuple[int, ...]:
+    """Two-pass elimination: a pivot dict, sorted for every input vector,
+    then back-substitution clearing each pivot column in the other rows."""
+    basis: dict[int, int] = {}  # pivot -> row
+    for v in vectors:
+        for p in sorted(basis, reverse=True):
+            if (v >> p) & 1:
+                v ^= basis[p]
+        if v:
+            basis[v.bit_length() - 1] = v
+    for p in sorted(basis):
+        for q in basis:
+            if q != p and (basis[q] >> p) & 1:
+                basis[q] ^= basis[p]
+    return tuple(basis[p] for p in sorted(basis, reverse=True))
+
+
+def test_rref_matches_two_pass_reference_on_every_short_list():
+    # zero, repeated and dependent vectors included
+    for n in range(1, 5):
+        for k in range(4):
+            for vectors in itertools.product(range(1 << n), repeat=k):
+                assert rref(list(vectors)) == reference_rref(list(vectors)), vectors
+
+
+def test_rref_matches_two_pass_reference_on_random_lists():
+    rng = random.Random(27)
+    for _ in range(20000):
+        n = rng.randrange(1, 11)
+        vectors = [rng.randrange(1 << n) for _ in range(rng.randrange(8))]
+        if len(vectors) > 2 and rng.random() < 0.3:
+            vectors.append(vectors[0] ^ vectors[-1])
+        assert rref(vectors) == reference_rref(vectors), vectors
 
 
 def test_span_is_idempotent_on_enumerated_subspaces():
@@ -159,9 +201,22 @@ def test_subspace_from_text_rejects_garbage():
         Subspace.from_text("10a1")
 
 
+def test_subspace_from_text_rejects_empty_text():
+    with pytest.raises(ValueError, match="empty subspace text"):
+        Subspace.from_text(" \n\n")
+
+
 def test_elements_and_contains_agree():
     s = span([0b1100, 0b0011], 4)
     elems = s.elements()
     assert len(elems) == 4
     for v in range(16):
         assert s.contains(v) == (v in elems)
+
+
+def test_contains_matches_elements_on_every_small_subspace():
+    for n in range(1, 5):
+        for r in range(n + 1):
+            for s in enumerate_subspaces(n, r):
+                elems = set(s.elements())
+                assert [s.contains(v) for v in range(1 << n)] == [v in elems for v in range(1 << n)]

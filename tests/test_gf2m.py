@@ -137,3 +137,8 @@ def test_parse_field():
         parse_field("gf2m:m=")
     with pytest.raises(ValueError):
         parse_field("gf2m:m=3,mod=f")  # reducible
+
+
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+        Field(3).inv(0)

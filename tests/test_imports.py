@@ -12,9 +12,14 @@ as a name, or appears as an attribute, a string constant or a
 No package module names `SystemExit` or calls `sys.exit` outside its
 `if __name__ == "__main__"` guard: errors travel as exceptions, and only
 `cli.main` turns them into an exit code.
+
+A package statement marked `# unreachable` raises: a branch that no input
+should reach must stop the run if one does, not return a quiet verdict.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -177,3 +182,52 @@ def test_checker_flags_an_exit_outside_the_main_guard():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_package_has_one_error_channel(path):
     assert exit_paths(path.read_text()) == []
+
+
+def raises_only(node: ast.stmt) -> bool:
+    if isinstance(node, ast.If):
+        return all(isinstance(inner, ast.Raise) for inner in node.body)
+    return isinstance(node, ast.Raise)
+
+
+def unreachable_branches(source: str) -> list[str]:
+    """Statements marked `# unreachable` that are neither a `raise` nor an
+    `if` whose body only raises.  A trailing comment marks the innermost
+    statement on its line, a comment on a line of its own the statement
+    after it."""
+    statements = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.stmt)]
+    found = []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.COMMENT or not tok.string.lstrip("# ").startswith("unreachable"):
+            continue
+        line = tok.start[0]
+        if tok.line[: tok.start[1]].strip():
+            spans = [node for node in statements if node.lineno <= line <= node.end_lineno]
+            node = min(spans, key=lambda node: node.end_lineno - node.lineno)
+        else:
+            node = min((node for node in statements if node.lineno > line), key=lambda node: node.lineno)
+        if not raises_only(node):
+            found.append(f"line {line}: {type(node).__name__}")
+    return found
+
+
+def test_checker_flags_an_unreachable_branch_that_does_not_raise():
+    source = (
+        "def f(x):\n"
+        "    if x < 0:  # unreachable given the caller's check\n"
+        "        return None\n"
+        "    if x > 9:  # unreachable\n"
+        "        raise AssertionError(x)\n"
+        "    # unreachable below 0\n"
+        "    y = x\n"
+        "    if y:\n"
+        "        raise ValueError(\n"
+        "            y)  # unreachable\n"
+        "    return y  # reachable\n"
+    )
+    assert unreachable_branches(source) == ["line 2: If", "line 6: Assign"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_unreachable_branches_raise(path):
+    assert unreachable_branches(path.read_text()) == []

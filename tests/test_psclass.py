@@ -108,6 +108,63 @@ def test_quadratic_not_partial_spread_directly():
     assert is_partial_spread(f) is None
 
 
+def bent_functions(n: int) -> list[BooleanFunction]:
+    """Every bent function on n variables, by a Walsh transform of all
+    2^(2^n) truth tables."""
+    points = np.arange(1 << n)
+    tables = ((np.arange(1 << (1 << n))[:, None] >> points) & 1).astype(np.uint8)
+    hadamard = 1 - 2 * _parity_array(np.bitwise_and.outer(points, points)).astype(np.int64)
+    spectra = (1 - 2 * tables.astype(np.int64)) @ hadamard
+    bent = np.all(np.abs(spectra) == 1 << n // 2, axis=1)
+    return [BooleanFunction(n, t) for t in tables[bent]]
+
+
+def partial_spread_tables(n: int) -> set[bytes]:
+    """Dillon's definition, directly: the union of s pairwise trivially
+    intersecting n/2-subspaces, 0 included for PS+ (s = 2^(n/2-1) + 1) and
+    excluded for PS- (s = 2^(n/2-1)), for every such family."""
+    m = n // 2
+    spaces = [frozenset(U.elements()) for U in enumerate_subspaces(n, m)]
+    tables = set()
+    for s, zero in ((1 << (m - 1), 0), ((1 << (m - 1)) + 1, 1)):
+        for family in itertools.combinations(spaces, s):
+            if all(len(a & b) == 1 for a, b in itertools.combinations(family, 2)):
+                t = np.zeros(1 << n, dtype=np.uint8)
+                t[list(frozenset().union(*family))] = 1
+                t[0] = zero
+                tables.add(t.tobytes())
+    return tables
+
+
+@pytest.mark.parametrize("n, count, spread", [(2, 8, 6), (4, 896, 560)])
+def test_is_partial_spread_matches_the_union_definition(n, count, spread):
+    want = partial_spread_tables(n)
+    functions = bent_functions(n)
+    found = 0
+    for f in functions:
+        w = is_partial_spread(f)
+        assert (w is not None) == (f.table.tobytes() in want), f.table
+        if w is not None:
+            assert w.subclass == ("PS_plus" if f(0) else "PS_minus")
+            assert w.reconstruct(n) == f
+            found += 1
+    assert (len(functions), found) == (count, spread)
+
+
+def test_is_partial_spread_raises_when_a_witness_does_not_rebuild(monkeypatch):
+    f = ps_ap(3, balanced_h3())
+    rebuild = PartialSpreadWitness.reconstruct
+    monkeypatch.setattr(PartialSpreadWitness, "reconstruct", lambda self, n: rebuild(self, n) ^ 1)
+    with pytest.raises(AssertionError, match="PS_minus witness does not rebuild f"):
+        is_partial_spread(f)
+
+
+def test_ps_sharp_raises_when_a_witness_does_not_hold(monkeypatch):
+    monkeypatch.setattr(psclass, "_witness_holds", lambda f, w: False)
+    with pytest.raises(AssertionError, match="witness at shift 0, affine part 0 fails"):
+        is_in_ps_sharp(ps_ap4())
+
+
 def test_ps_sharp_identity_offset():
     f = ps_ap(3, balanced_h3())
     w = is_in_ps_sharp(f)

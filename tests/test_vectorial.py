@@ -545,3 +545,22 @@ def test_coordinate_anf_round_trip():
 def test_random_function_tables_round_trip(rng):
     F = VectorialFunction(4, random_permutation_table(4, rng))
     assert from_vf_text(to_vf_text(F)) == F
+
+
+@pytest.mark.parametrize(
+    "m, table, message",
+    [
+        (0, [0], r"m must be in 1\.\.20, got 0"),
+        (2, [0, 1, 2], r"table length must be 2\^2"),
+        (2, [0, 1, 2, 4], "table entries out of range"),
+    ],
+    ids=["m", "length", "range"],
+)
+def test_vectorial_function_rejects_bad_input(m, table, message):
+    with pytest.raises(ValueError, match=message):
+        VectorialFunction(m, table)
+
+
+def test_from_coordinates_rejects_mismatched_pieces():
+    with pytest.raises(ValueError, match="coordinate functions must all be on m variables"):
+        from_coordinates([zero_function(2), zero_function(3)])
