@@ -61,7 +61,7 @@ def _emit(obj) -> None:
 def _maybe_file(text: str) -> str:
     p = Path(text)
     try:
-        is_file = len(text) < 4096 and p.is_file()
+        is_file = p.is_file()
     except OSError:  # e.g. a literal longer than a file name may be
         is_file = False
     return p.read_text() if is_file else text

@@ -264,75 +264,55 @@ def _used(indices: np.ndarray, count: int):
     return used, (np.cumsum(used) - 1)[indices]
 
 
-def _covering_groups(
-    nonzero: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
-):
-    """The coverage test of the clique stage: s pairwise-disjoint
-    n/2-subspaces cover s (2^(n/2) - 1) nonzero points, so a group whose
-    subspaces cover fewer (`_coverage`) holds no clique.  nonzero[i] holds
-    the nonzero points of the stage's row i; owner, pairs, need and batch
-    are `_bounded_cliques`'s.  Returns None if no group passes, else the
-    indices of the groups that pass and of the rows they use, then owner,
-    pairs, need and batch re-indexed to them, in the same order.
+def _bounded_cliques(rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, n: int):
+    """Clique stage: group g wants need[g] pairwise-disjoint subspaces among
+    the subspace-index rows rows[i], (g, i) in the index arrays `pairs`.
+    Row i is of batch owner[i] (non-decreasing; in a sweep, shifts), a
+    batch lists a row once, and groups come in batch order, each with rows
+    of one batch.
+
+    First the coverage test: s pairwise-disjoint n/2-subspaces cover s
+    (2^(n/2) - 1) nonzero points, so a group whose subspaces cover fewer
+    (`_coverage`) holds no clique; in a sweep a handful pass, and rows and
+    pairs are cut down to theirs.  On those, per batch, the Gram matrix of
+    the 0/1 membership rows of the nonzero elements of each row's span
+    counts the shared points (exactly, in float32); a subspace meets itself,
+    so the diagonal of the disjointness matrix is clear.  The matrices are
+    stacked, padded with empty rows and blocks (a batch left with no group),
+    so one batched product gives every row's neighbour count in every group.
+    A row of an s-clique has s - 1 neighbours in its group, so a group needs
+    s such rows.  For each group that passes both tests, in order, yields
+    (g, the first clique as a list of rows in index order, or None).
     """
+    nonzero = _span_rows(_row_index(n)[0].take(rows, axis=0))[:, 1:]
     covers = _coverage(nonzero, pairs, len(need), n) >= need * ((1 << n // 2) - 1)
     kept = np.flatnonzero(covers)
     if not len(kept):
-        return None
+        return
     group, member = pairs
     paired = covers[group]
-    used, row = _used(member[paired], len(nonzero))
-    pairs = (np.cumsum(covers) - 1)[group[paired]], row
-    batches = np.flatnonzero(np.bincount(batch[kept]))
-    owner = np.searchsorted(batches, owner[used])
-    return kept, np.flatnonzero(used), owner, pairs, need[kept], np.searchsorted(batches, batch[kept])
-
-
-def _bounded_cliques(
-    rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, batch: np.ndarray, n: int
-):
-    """Clique stage: group g wants need[g] pairwise-disjoint subspaces among
-    the subspace-index rows rows[i], (g, i) in the index arrays `pairs`.
-    Group g and row i belong to batches batch[g] and owner[i] (both
-    non-decreasing; in a sweep, shifts), and a batch lists a row once.
-
-    First the coverage test (`_covering_groups`) drops the groups whose
-    subspaces cover too few points to hold a clique; in a sweep a handful
-    pass.  On those, per batch, the Gram matrix of the 0/1 membership rows
-    of the nonzero elements of each row's span counts the shared points
-    (exactly, in float32); a subspace meets itself, so the diagonal of the
-    disjointness matrix is clear.  The matrices are stacked, padded with
-    empty rows, so one batched product gives every row's neighbour count in
-    every group.  A row of an s-clique has s - 1 neighbours in its group,
-    so a group needs s such rows.  For each group that passes both tests,
-    in order, yields (g, the first clique as a list of rows in index order,
-    or None).
-    """
-    nonzero = _span_rows(_row_index(n)[0].take(rows, axis=0))[:, 1:]
-    cut = _covering_groups(nonzero, owner, pairs, need, batch, n)
-    if cut is None:
-        return
-    kept, used, owner, pairs, need, batch = cut
-    rows, nonzero = rows[used], nonzero[used]
+    used, member = _used(member[paired], len(rows))
+    group = (np.cumsum(covers) - 1)[group[paired]]
+    rows, nonzero, owner, need = rows[used], nonzero[used], owner[used], need[kept]
+    batch = np.zeros(len(kept), dtype=np.intp)
+    batch[group] = owner[member]
     start = np.searchsorted(owner, owner)
     local = np.arange(len(rows)) - start
     spots = np.arange(len(need)) - np.searchsorted(batch, batch)
-    shape = (int(batch[-1]) + 1, int(spots.max()) + 1, int(local.max(initial=-1)) + 1)
+    shape = (int(batch[-1]) + 1, int(spots.max()) + 1, int(local.max()) + 1)
     members = np.zeros((shape[0] * shape[2], 1 << n), dtype=np.float32)
     members[(owner * shape[2] + local)[:, None], nonzero] = 1
     members = members.reshape(shape[0], shape[2], 1 << n)
     disjoint = members @ members.transpose(0, 2, 1) == 0
-    group, member = pairs
     groups = np.zeros(shape, dtype=np.float32)
     groups[batch[group], spots[group], local[member]] = 1
-    wanted = np.zeros(shape[:2], dtype=np.float32)
-    wanted[batch, spots] = need
-    degree = groups @ disjoint.astype(np.float32)
-    enough = np.count_nonzero((degree >= wanted[..., None] - 1) & (groups > 0), axis=2)
-    for g in np.flatnonzero(enough[batch, spots] >= need):
-        c = np.flatnonzero(groups[batch[g], spots[g]])
+    mine = groups[batch, spots]
+    degree = (groups @ disjoint.astype(np.float32))[batch, spots]
+    enough = np.count_nonzero((degree >= need[:, None] - 1) & (mine > 0), axis=1)
+    for g in np.flatnonzero(enough >= need):
+        c = np.flatnonzero(mine[g])
         clique = _disjoint_clique(disjoint[batch[g]][np.ix_(c, c)], int(need[g]))
-        first = start[np.searchsorted(owner, batch[g])]
+        first = np.searchsorted(owner, batch[g])
         yield int(kept[g]), None if clique is None else rows[first + c[clique]].tolist()
 
 
@@ -360,7 +340,7 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     rows = np.array(ps_candidates(f), dtype=np.intp)
     owner = np.zeros(len(rows), dtype=np.intp)  # one batch, one group
     pairs = owner, np.arange(len(rows))
-    clique = dict(_bounded_cliques(rows, owner, pairs, np.array([s]), np.array([0]), n)).get(0)
+    clique = dict(_bounded_cliques(rows, owner, pairs, np.array([s]), n)).get(0)
     if clique is None:
         return None
     witness = PartialSpreadWitness(subclass, tuple(_midspace(n, r) for r in clique))
@@ -640,7 +620,7 @@ def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     d, a, tag, need, rows, owner, pairs = _block_groups(
         f, dual_table, lo, hi, d, cells.w_idx[c], cells.points[c], tag
     )
-    for g, clique in _bounded_cliques(rows, owner, pairs, need, d, n):
+    for g, clique in _bounded_cliques(rows, owner, pairs, need, n):
         if clique is None:
             continue
         b = lo + int(d[g])

@@ -84,7 +84,8 @@ def test_analyze_sharp_rejects_input_before_the_profile(capsys, monkeypatch, n, 
 
 
 def test_truth_table_literal_longer_than_a_file_name():
-    # at n = 10 the literal has 264 characters, more than a file name may have
+    # at n = 10 the literal has 264 characters, more than a file name may
+    # have; the ANF literal has over 5,000, more than a path may have
     from bentforge.boolfun import zero_function
     from bentforge.cli import load_boolean_source
     from bentforge.construct import mm_bent
@@ -92,6 +93,10 @@ def test_truth_table_literal_longer_than_a_file_name():
 
     f = mm_bent(identity_map(5), zero_function(5))
     assert load_boolean_source(to_tt_hex(f)) == f
+    # x1*x3 cancels in pairs
+    literal = " + ".join(["x1*x2", "x3*x4"] + ["x1*x3"] * 624)
+    assert len(literal) > 5000
+    assert load_boolean_source(literal) == load_boolean_source("x1*x2 + x3*x4")
 
 
 @pytest.mark.parametrize(

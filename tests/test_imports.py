@@ -15,9 +15,14 @@ No package module names `SystemExit` or calls `sys.exit` outside its
 
 A package statement marked `# unreachable` raises: a branch that no input
 should reach must stop the run if one does, not return a quiet verdict.
+
+Every parameter of a package function or lambda is read before its body
+rebinds it, apart from a method's `self` or `cls` and the few kept on
+purpose (`KEPT_PARAMETERS`).
 """
 
 import ast
+import fnmatch
 import io
 import tokenize
 from pathlib import Path
@@ -231,3 +236,72 @@ def test_checker_flags_an_unreachable_branch_that_does_not_raise():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_unreachable_branches_raise(path):
     assert unreachable_branches(path.read_text()) == []
+
+
+def read_before_rebound(body: list[ast.stmt], name: str) -> bool:
+    """Whether `name` is read, nested functions included, before an
+    assignment that is a statement of `body` itself (not inside a branch or
+    loop) rebinds it."""
+    for statement in body:
+        names = [n for n in ast.walk(statement) if isinstance(n, ast.Name) and n.id == name]
+        if any(isinstance(n.ctx, ast.Load) for n in names):
+            return True
+        if names and isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            return False
+    return False
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters whose value their function's or lambda's body never
+    reads; `self` and `cls` are skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [ast.Expr(node.body)]
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            (node.lineno, f"{name}({p.arg})")
+            for p in params
+            if p is not None
+            and p.arg not in ("self", "cls")
+            and not read_before_rebound(body, p.arg)
+        ]
+    return [f"line {line}: {where}" for line, where in sorted(found)]
+
+
+def test_checker_flags_an_unread_parameter():
+    source = (
+        "class A:\n    @classmethod\n    def make(cls, x, y):\n        return x\n\n"
+        "def outer(a, *rest, key=None, **extra):\n    def inner(b):\n        return a\n"
+        "    a = key\n    return inner, rest\n\nf = lambda u, v: u\n\n"
+        "def cut(rows, batch, n):\n    if n:\n        rows = rows[1:]\n"
+        "    n = n + 1\n    batch = rows[:n]\n    return batch\n"
+    )
+    assert unread_parameters(source) == [
+        "line 3: make(y)",
+        "line 6: outer(extra)",
+        "line 7: inner(b)",
+        "line 12: <lambda>(v)",
+        "line 14: cut(batch)",
+    ]
+
+
+# unread parameters kept on purpose, as fnmatch patterns of function(parameter)
+KEPT_PARAMETERS = [
+    # argparse dispatches every subcommand handler as fn(args)
+    "_cmd_*(args)",
+    # accepted and ignored for the call shape of perfbench/tracer.py until
+    # the benchmark change of ROADMAP item 5a
+    "is_in_ps_sharp(jobs)",
+    "is_in_ps_sharp(resume)",
+]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_every_parameter_is_read(path):
+    found = unread_parameters(path.read_text())
+    kept = [x for x in found if any(fnmatch.fnmatchcase(x.split(": ")[1], k) for k in KEPT_PARAMETERS)]
+    assert found == kept
