@@ -59,7 +59,7 @@ from .gf2 import Subspace, orthogonal_complement, span
 enumerate_subspaces = gf2.enumerate_subspaces
 
 # Prefix rows the cell pass joins at a time (`_coset_cells`).  At n = 8
-# its traced peak is 1.3 MiB with 2^10, 1.7 MiB with 2^11 and 2.6 MiB with
+# its traced peak is 1.3 MiB with 2^10, 1.6 MiB with 2^11 and 2.4 MiB with
 # 2^12, at about the same speed.
 _CELL_BUDGET = 1 << 10
 
@@ -232,18 +232,24 @@ def _disjoint_clique(disjoint: np.ndarray, s: int) -> list[int] | None:
     return grow([], (1 << len(disjoint)) - 1)
 
 
+@functools.cache
+def _point_words(n: int) -> np.ndarray:
+    """Row p is the one-point set {p} of F_2^n packed into 64-bit words, bit
+    p set (one word below n = 6); 8 kB at n = 8.  Built once per n."""
+    bits = np.eye(1 << n, max(1 << n, 64), dtype=bool)
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
 def _coverage(points: np.ndarray, pairs, groups: int, n: int) -> np.ndarray:
     """The number of distinct points of F_2^n in each of the groups, (g, i)
     in `pairs` putting the points of row i of `points` in group g.
 
-    Each row's points are packed into 64-bit words, one bit per point (one
-    word below n = 6).  The pairs, sorted by group, gather their rows'
-    words, one OR per group reduces them, and the union's size is its
-    popcount.
+    Each row's points are packed into 64-bit words, one bit per point, by
+    ORing their one-point words (`_point_words`).  The pairs, sorted by
+    group, gather their rows' words, one OR per group reduces them, and the
+    union's size is its popcount.
     """
-    bits = np.zeros((len(points), max(1 << n, 64)), dtype=bool)
-    bits[np.arange(len(points))[:, None], points] = True
-    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    words = np.bitwise_or.reduce(_point_words(n).take(points.T, axis=0), axis=0)
     group, member = pairs
     # a stable sort of 8- or 16-bit keys is a radix sort
     order = np.argsort(group.astype(np.min_scalar_type(groups)), kind="stable")
@@ -274,15 +280,18 @@ def _bounded_cliques(rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarra
     First the coverage test: s pairwise-disjoint n/2-subspaces cover s
     (2^(n/2) - 1) nonzero points, so a group whose subspaces cover fewer
     (`_coverage`) holds no clique; in a sweep a handful pass, and rows and
-    pairs are cut down to theirs.  On those, per batch, the Gram matrix of
-    the 0/1 membership rows of the nonzero elements of each row's span
-    counts the shared points (exactly, in float32); a subspace meets itself,
-    so the diagonal of the disjointness matrix is clear.  The matrices are
-    stacked, padded with empty rows and blocks (a batch left with no group),
-    so one batched product gives every row's neighbour count in every group.
-    A row of an s-clique has s - 1 neighbours in its group, so a group needs
-    s such rows.  For each group that passes both tests, in order, yields
-    (g, the first clique as a list of rows in index order, or None).
+    pairs are cut down to theirs.  The batches left are those of the kept
+    rows, each starting where its owner first appears, and they are
+    numbered in order.  On those, per batch, the Gram matrix of the 0/1
+    membership rows of the nonzero elements of each row's span counts the
+    shared points (exactly, in float32); a subspace meets itself, so the
+    diagonal of the disjointness matrix is clear.  The matrices are
+    stacked, padded with empty rows and group slots up to the largest
+    batch, so one batched product gives every row's neighbour count in
+    every group.  A row of an s-clique has s - 1 neighbours in its group,
+    so a group needs s such rows.  For each group that passes both tests,
+    in order, yields (g, the first clique as a list of rows in index order,
+    or None).
     """
     nonzero = _span_rows(_row_index(n)[0].take(rows, axis=0))[:, 1:]
     covers = _coverage(nonzero, pairs, len(need), n) >= need * ((1 << n // 2) - 1)
@@ -294,12 +303,14 @@ def _bounded_cliques(rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarra
     used, member = _used(member[paired], len(rows))
     group = (np.cumsum(covers) - 1)[group[paired]]
     rows, nonzero, owner, need = rows[used], nonzero[used], owner[used], need[kept]
+    local = np.arange(len(rows)) - np.searchsorted(owner, owner)
+    starts = local == 0
+    owner = np.cumsum(starts) - 1  # the batches left, numbered in order
+    first = np.flatnonzero(starts)  # each one's first row
     batch = np.zeros(len(kept), dtype=np.intp)
     batch[group] = owner[member]
-    start = np.searchsorted(owner, owner)
-    local = np.arange(len(rows)) - start
     spots = np.arange(len(need)) - np.searchsorted(batch, batch)
-    shape = (int(batch[-1]) + 1, int(spots.max()) + 1, int(local.max()) + 1)
+    shape = (len(first), int(spots.max()) + 1, int(local.max()) + 1)
     members = np.zeros((shape[0] * shape[2], 1 << n), dtype=np.float32)
     members[(owner * shape[2] + local)[:, None], nonzero] = 1
     members = members.reshape(shape[0], shape[2], 1 << n)
@@ -312,8 +323,7 @@ def _bounded_cliques(rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarra
     for g in np.flatnonzero(enough >= need):
         c = np.flatnonzero(mine[g])
         clique = _disjoint_clique(disjoint[batch[g]][np.ix_(c, c)], int(need[g]))
-        first = np.searchsorted(owner, batch[g])
-        yield int(kept[g]), None if clique is None else rows[first + c[clique]].tolist()
+        yield int(kept[g]), None if clique is None else rows[first[batch[g]] + c[clique]].tolist()
 
 
 def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
@@ -469,7 +479,10 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     A pair found from half 1 is kept only if half 0 is not affine, since
     half 0 finds it otherwise.  At m <= 2 the bound is <= 0 and every half
     is affine, so every word is a candidate and the rule is exact for
-    every m.  The join runs on _CELL_BUDGET prefix rows at a time.
+    every m.  The join runs on _CELL_BUDGET prefix rows at a time and keeps
+    only each candidate's two half-words, row and block; the spectra, the
+    |S| test and the cell keys are computed once, over all candidates,
+    after the join (at n = 8 about as many candidates as cells).
     """
     m = n // 2
     size = 1 << m
@@ -480,7 +493,7 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     # (half 0 finds the pairs whose halves are both affine)
     partner = np.stack([mags.T >= size // 2 - 2] * 2)
     partner[1] &= affine < 0
-    keys, ss = [], []
+    joined = []  # per chunk: (half-0 word, half-1 word, row, block) per pair
     for fan, first, step, words in _half_words(dual_table, n):
         for lo in range(0, len(first), _CELL_BUDGET):
             half = words[lo : lo + _CELL_BUDGET]
@@ -498,29 +511,37 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
             other = (k & -fan) | j
             digit = k ^ other
             block = np.where(side, other, k)
-            spec_0 = spectra.take(half[p, 0, block], axis=0)
-            spec_1 = spectra.take(half[p, 1, block ^ digit], axis=0)
-            spec = np.stack([spec_0 + spec_1, spec_0 - spec_1], axis=2).reshape(-1, size)
-            cell, u = np.divmod(np.flatnonzero(np.abs(spec) >= size - 2), size)
-            p += lo
-            row = first[p[cell]] + digit[cell] * step[p[cell]]
-            keys.append((row * size + block[cell]) * size + u)
-            ss.append(spec[cell, u])
-    keys = np.concatenate(keys)
+            row = first[p + lo] + digit * step[p + lo]
+            joined.append((half[p, 0, block], half[p, 1, block ^ digit], row, block))
+    # each temporary is freed once read, which keeps the pass's traced
+    # peak at 1.3 MiB at n = 8 (2.1 MiB if they live until the points are
+    # built)
+    half_0, half_1, row, block = (np.concatenate(x) for x in zip(*joined))
+    del joined
+    spec_0, spec_1 = spectra.take(half_0, axis=0), spectra.take(half_1, axis=0)
+    spec = np.stack([spec_0 + spec_1, spec_0 - spec_1], axis=2).reshape(-1, size)
+    del half_0, half_1, spec_0, spec_1
+    cell, u = np.divmod(np.flatnonzero(np.abs(spec) >= size - 2), size)
+    keys = (row[cell] * size + block[cell]) * size + u
     order = np.argsort(keys)
+    spectrum = spec[cell, u].take(order).astype(np.int64)
+    del spec, row, block, cell, u
     w_idx, block = np.divmod(keys[order], size * size)
     block, u = np.divmod(block, size)
     points = _coset_points(n, w_idx, block)
+    # byte j of spread[v] is bit j of v, so ORing the spread words of r and
+    # of each w_k, shifted to bit m and bit k, transposes them into unit
+    spread = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    spread = spread.view("<u8")[:, 0]
     basis = _row_index(n)[0].take(w_idx, axis=0)
-    j = np.arange(n, dtype=np.uint8)[:, None]
-    unit = ((points[:, 0] >> j) & 1) << m
+    unit = spread.take(points[:, 0]) << m
     for k in range(m):
-        unit |= ((basis[:, k] >> j) & 1) << k
+        unit |= spread.take(basis[:, k]) << k
     return _CosetCells(
         w_idx=w_idx,
         u=u.astype(np.uint8),
-        spectrum=np.concatenate(ss).take(order).astype(np.int64),
-        unit=unit,
+        spectrum=spectrum,
+        unit=np.ascontiguousarray(unit.astype("<u8", copy=False)[:, None].view(np.uint8)[:, :n].T),
         points=points,
     )
 
@@ -531,8 +552,8 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 1.5 MiB with 8, 2.2 MiB with 16, 12 MiB with one
-# block of 128.
+# a sweep's traced peak is 1.3 MiB with 8 (the cell pass's), 1.9 MiB with
+# 16, 9.6 MiB with one block of 128.
 _BLOCK = 8
 
 

@@ -1,7 +1,11 @@
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,9 +613,10 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m):
 def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built (the index and the half-word
     # spectra), a sweep holds the cell pass's arrays, then one block's
-    # tables at a time: 1.5 MiB with blocks of 8 shifts, 2.2 MiB with 16,
-    # 12 MiB with one block of 128, since only the groups that pass the
-    # coverage test build the padded clique-stage arrays
+    # tables at a time: 1.3 MiB with blocks of 8 shifts (the cell pass's
+    # own peak), 1.9 MiB with 16, 9.6 MiB with one block of 128, since only
+    # the groups that pass the coverage test build the padded clique-stage
+    # arrays
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _row_index(8)
     _coset_wht(3)
@@ -622,6 +627,35 @@ def test_ps_sharp_sweep_peak_memory_n8():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20, peak
+
+
+SWEEP_IMPORTS = """
+import sys
+from bentforge.boolfun import BooleanFunction
+from bentforge.fixtures import published_bent8
+from bentforge.psclass import is_in_ps_sharp, is_partial_spread, ps_ap
+
+f = ps_ap(4, BooleanFunction(4, [0] + [1] * 8 + [0] * 7))
+assert is_partial_spread(f) is not None and is_in_ps_sharp(f) is not None
+assert is_in_ps_sharp(published_bent8("delta0_mix")) is None
+swept = "numpy.ma" in sys.modules
+import numpy as np
+
+np.unique([1, 0])
+print(swept, "numpy.ma" in sys.modules)
+"""
+
+
+def test_sweep_leaves_numpy_ma_unimported():
+    # np.unique's first call imports numpy.ma, about 8 ms in a fresh
+    # process, which every cold sweep would pay; the PS test and the
+    # sweeps, a witness found and one exhaustive, in a fresh interpreter
+    src = str(Path(psclass.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", SWEEP_IMPORTS], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["False", "True"], run.stdout
 
 
 def reference_first_witness(f: BooleanFunction):
@@ -770,13 +804,14 @@ def cache_nbytes(value) -> int:
 
 
 def test_per_dimension_caches_stay_small_after_warmup_sweep(monkeypatch):
-    # ps_ap4() is the benchmark's warm-up function.  1.02 MB after its
-    # sweep: the index (1.0 MB at n = 8), the pivot sets and the spectra of
-    # the 8-bit half-words (2 kB).  Every cached function of the module is
+    # ps_ap4() is the benchmark's warm-up function.  1.03 MB after its
+    # sweep: the index (1.0 MB at n = 8), the pivot sets (10 kB), the
+    # spectra of the 8-bit half-words (2 kB) and the one-point words of the
+    # coverage test (8 kB).  Every cached function of the module is
     # counted, each called through a spy that records its arguments, so
     # the cached values can be read back afterwards.
     cached = {name: v for name, v in vars(psclass).items() if hasattr(v, "cache_info")}
-    assert {"_pivot_sets", "_row_index", "_coset_wht"} <= set(cached)
+    assert {"_pivot_sets", "_row_index", "_coset_wht", "_point_words"} <= set(cached)
     calls = {name: set() for name in cached}
 
     def spy(name, fn):
@@ -1009,15 +1044,16 @@ def assert_cliques_match_reference(got: dict, want: dict, where) -> int:
     "layout",
     [
         pytest.param([0, 1, 3, 4], id="gap"),
-        pytest.param([5, 6, 7], id="late"),  # five empty leading blocks
+        pytest.param([5, 6, 7], id="late"),  # no group in batches 0 .. 4
         pytest.param([0], id="single"),
         pytest.param([0, 2, 4, 6], id="alternating"),
+        pytest.param([7], id="last"),  # one batch after seven empty ones, as on delta0_mix
     ],
 )
 def test_batched_degree_bound_matches_per_group_reference_on_random_groups(layout):
     # many overlapping groups of random rows in one call, each with its own
-    # s, spread over the layout's batches; a batch with no group that passes
-    # the coverage test is an empty block of the stacked matrices
+    # s, spread over the layout's batches; the stacked matrices hold a block
+    # only for each batch with a group that passes the coverage test
     rng = random.Random(66)
     count = len(_row_index(6)[0])
     groups = [sorted(rng.sample(range(count), rng.randrange(2, 15))) for _ in range(300)]
