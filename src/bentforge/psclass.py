@@ -15,15 +15,16 @@ the Walsh-Hadamard transform of f* restricted to the coset, so one pass per
 sweep keeps the few (W, coset, u, S) cells with |S(u)| >= 2^m - 2, and each
 shift b only selects the cells whose u matches it.  The pass never builds
 the 2^m-bit coset words of f* whole, only their two halves, split on the
-first basis vector, one pivot set at a time.  There the rows run over the
-free-entry digits d_i of the basis vectors, every coset minimum is 0 on
-the pivots, and entry c of block k is P(c) + minimum_(k + sum c_i d_i),
-P(c) the span of the pivot units.  So one 2^m x 2^m gather of f*, merged
-over basis vectors 1 .. m-1, gives both halves of every word, the second
-read d_0 blocks away, with no per-point index.  A word within distance 1
-of affine has an exactly affine half, so the pass joins each affine half
-with the other halves in reach and keeps the pairs whose spectrum, the
-sum and difference of the halves' spectra, reaches 2^m - 2.  u and b.r
+first basis vector.  In a pivot set the rows run over the free-entry
+digits d_i of the basis vectors, every coset minimum is 0 on the pivots,
+and entry c of block k is P(c) + minimum_(k + sum c_i d_i), P(c) the span
+of the pivot units.  So a 2^m x 2^m gather of f* per set, merged over
+basis vectors 1 .. m-1, gives both halves of every word, the second read
+d_0 blocks away, with no per-point index; one cached schedule does this
+for all pivot sets at once.  A word within distance 1 of affine has an
+exactly affine half, so the pass joins each affine half with the other
+halves in reach and keeps the pairs whose spectrum, the sum and
+difference of the halves' spectra, reaches 2^m - 2.  u and b.r
 are linear in b, so the pass tabulates them, packed into one byte per
 cell, for the n unit vectors.
 The sweep takes aligned blocks of up to 8 shifts: one comparison on the
@@ -59,7 +60,7 @@ from .gf2 import Subspace, orthogonal_complement, span
 enumerate_subspaces = gf2.enumerate_subspaces
 
 # Prefix rows the cell pass joins at a time (`_coset_cells`).  At n = 8
-# its traced peak is 1.3 MiB with 2^10, 1.6 MiB with 2^11 and 2.4 MiB with
+# its traced peak is 1.4 MiB with 2^10, 1.9 MiB with 2^11 and 2.9 MiB with
 # 2^12, at about the same speed.
 _CELL_BUDGET = 1 << 10
 
@@ -170,6 +171,66 @@ def _row_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         start += size
     pivot_set = np.repeat(np.arange(len(sets), dtype=np.uint8), sizes)
     return basis, pivot_set, np.array([minima for _, minima, _, _ in sets])
+
+
+@functools.cache
+def _merge_schedule(n: int):
+    """How `_half_words` builds the half-words of all pivot sets at once,
+    (gather, moved, stages, order, first, step, chunks).  Built once per n
+    from `_pivot_sets` and the index's minima; 0.14 MB at n = 8.
+
+    The pass's state before stage i is (2^(m-i), prefix rows, 2^(m+1))
+    uint8: a prefix row is a pivot set with its digits (d_1, .., d_(i-1)),
+    axis 0 runs over the unmerged (c_i, .., c_(m-1)), and entry h 2^m + k
+    holds half h at block k.  The first state is f*[gather], one prefix row
+    per set in `_pivot_sets` order: gather[c', s, h 2^m + k] is
+    corners[h + 2c'] + minima[k] of set s.  Stage i (i = 1 .. m-1) is
+    (src, groups, rows): src (uint16) lists the state's rows sorted stably
+    by free[i] of their set, and a group (f, a, b) is src[a:b], the rows
+    with free[i] = f.  Each of those becomes 2^f rows, one per digit d_i,
+    the digit fastest, read through moved[d, h 2^m + k] = h 2^m + (k + d);
+    the new state has `rows` rows, in group order.  The last state's rows
+    are the prefix rows (d_1, .., d_(m-1)) of every set.  order (uint16)
+    lists them by top pivot, descending, and first (uint32) and step
+    (uint16), in that order, give each one's subspace-index rows
+    first + d_0 step; d_0 step is below the set's row count, at most 2^16
+    at n = 8.  chunks (fan, a, b) cut order into spans of at most
+    _CELL_BUDGET rows of one top pivot, fan = 2^free[0].
+    """
+    m = n // 2
+    size = 1 << m
+    sets = _pivot_sets(n)
+    free = np.array([free for _, _, free, _ in sets])
+    corners = np.array([corners for _, _, _, corners in sets], dtype=np.uint8)
+    gather = corners[:, :, None] ^ _row_index(n)[2][:, None, :]
+    gather = np.ascontiguousarray(gather.reshape(len(sets), size // 2, 2 * size).swapaxes(0, 1))
+    moved = np.bitwise_xor.outer(np.arange(size), np.arange(2 * size))
+    owner = np.arange(len(sets))  # each prefix row's pivot set
+    prefix = np.zeros(len(sets), dtype=np.intp)  # its digits, the last fastest
+    stages = []
+    for i in range(1, m):
+        f = free[owner, i]
+        src = np.argsort(f, kind="stable")
+        counts = np.bincount(f)
+        ends = np.cumsum(counts)
+        groups = [(g, int(b - c), int(b)) for g, (c, b) in enumerate(zip(counts, ends)) if c]
+        f, fan = f[src], 1 << f[src]
+        owner = np.repeat(owner[src], fan)
+        digit = np.arange(len(owner)) - np.repeat(np.cumsum(fan) - fan, fan)
+        prefix = np.repeat(prefix[src] << f, fan) + digit
+        stages.append((src.astype(np.uint16), groups, len(owner)))
+    top = free[owner, 0]
+    order = np.argsort(-top, kind="stable")
+    owner, prefix, top = owner[order], prefix[order], top[order]
+    sizes = 1 << free.sum(axis=1)
+    first = ((np.cumsum(sizes) - sizes)[owner] + prefix).astype(np.uint32)
+    step = (sizes[owner] >> top).astype(np.uint16)
+    chunks, a = [], 0
+    for t in range(m, -1, -1):
+        b = a + int(np.count_nonzero(top == t))
+        chunks += [(1 << t, lo, min(lo + _CELL_BUDGET, b)) for lo in range(a, b, _CELL_BUDGET)]
+        a = b
+    return gather, moved, stages, order.astype(np.uint16), first, step, chunks
 
 
 def _coset_points(n: int, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -421,8 +482,8 @@ class _CosetCells:
 
 
 def _half_words(dual_table: np.ndarray, n: int):
-    """The two half-words of f* on every coset, per run of pivot sets that
-    share their top pivot, as (fan, first, step, words).
+    """The two half-words of f* on every coset, as (fan, first, step, words)
+    per span of at most _CELL_BUDGET prefix rows of one top pivot.
 
     Half h of a coset word holds its entries with c_0 = h, entry h + 2c' at
     bit c'.  In a pivot set, entry c of block k is
@@ -431,37 +492,31 @@ def _half_words(dual_table: np.ndarray, n: int):
     over (c, k), split on c_0, and stage i merges basis vector i for
     i = 1 .. m-1: it ORs the c_i = 0 part with the c_i = 1 part, read at
     block k + d_i for each digit d_i, shifted left by 2^(i-1), and appends
-    d_i to the row index.  Vector 0 is left out: for the prefix row
-    (d_1, .., d_{m-1}) at position p of the run, the word of row
-    (d_0, d_1, .., d_{m-1}) at block k has half 0 words[p, 0, k] and half 1
-    words[p, 1, k + d_0].  free[0] depends on the top pivot alone, so
-    d_0 < fan = 2^free[0] in the whole run, and k + d_0 stays in k's aligned
-    window of fan blocks.  That row is the subspace-index row
-    first[p] + d_0 step[p].  Leaving the vector with the most digits for
-    last keeps the fewest prefix rows (13,377 at n = 8).
+    d_i to the row index.  All pivot sets go at once, on one schedule
+    (`_merge_schedule`): one gather, then per stage one gather of the rows
+    and, per distinct free[i], one XOR-gather of the blocks (at most 5 at
+    n = 8).  Vector 0 is left out: for the prefix row (d_1, .., d_{m-1}) at
+    position p of a span, the word of row (d_0, d_1, .., d_{m-1}) at block
+    k has half 0 words[p, 0, k] and half 1 words[p, 1, k + d_0].  free[0]
+    depends on the top pivot alone, so d_0 < fan = 2^free[0] in the span,
+    and k + d_0 stays in k's aligned window of fan blocks.  That row is the
+    subspace-index row first[p] + d_0 step[p].  Leaving the vector with the
+    most digits for last keeps the fewest prefix rows (13,377 at n = 8).
     """
-    m = n // 2
-    blocks = np.arange(1 << m)
-    moved = np.bitwise_xor.outer(blocks, blocks)  # row d: block k + d
-    start = 0
-    for _, run in itertools.groupby(_pivot_sets(n), key=lambda s: s[0][0]):
-        run = list(run)
-        steps = [1 << sum(free[1:]) for _, _, free, _ in run]
-        words = np.empty((sum(steps), 2, 1 << m), dtype=np.uint8)
-        first = np.empty(sum(steps), dtype=np.intp)
+    gather, moved, stages, order, first, step, chunks = _merge_schedule(n)
+    state = dual_table.take(gather)
+    for i, (src, groups, rows) in enumerate(stages):
+        low = state[0::2].take(src, axis=1)
+        high = state[1::2].take(src, axis=1) << (1 << i)
+        state = np.empty((len(low), rows, moved.shape[1]), dtype=np.uint8)
         at = 0
-        for (_, minima, free, corners), step in zip(run, steps):
-            # (c_i .. c_{m-1}, row, block); the row index starts as c_0
-            merged = dual_table[corners[:, None] ^ minima].reshape(-1, 2, 1 << m)
-            for i, f in enumerate(free[1:]):
-                high = (merged[1::2] << (1 << i)).take(moved[: 1 << f], axis=2)
-                high |= merged[0::2, :, None]
-                merged = high.reshape(len(high), -1, 1 << m)
-            words[at : at + step] = merged.reshape(2, step, 1 << m).transpose(1, 0, 2)
-            first[at : at + step] = np.arange(start, start + step)
-            at += step
-            start += step << free[0]
-        yield 1 << free[0], first, np.repeat(steps, steps), words
+        for f, a, b in groups:
+            part = state[:, at : at + ((b - a) << f)].reshape(len(low), b - a, 1 << f, -1)
+            np.bitwise_or(high[:, a:b].take(moved[: 1 << f], axis=2), low[:, a:b, None], out=part)
+            at += (b - a) << f
+    words = state.reshape(-1, 2, len(moved))
+    for fan, a, b in chunks:
+        yield fan, first[a:b], step[a:b], words.take(order[a:b], axis=0)
 
 
 def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
@@ -471,50 +526,50 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     one half, so the other half is exactly affine.  With S_0 and S_1 the
     halves' spectra, S(u_0 + 2u') = S_0(u') + (-1)^(u_0) S_1(u'), so if half
     h is affine at u', |S(u')| = 2^(m-1), the word reaches |S| >= 2^m - 2
-    only if |S_(1-h)(u')| >= 2^(m-1) - 2.  Two tables over all 2^(m-1)-bit
-    words classify each half-word: its affine index, and for each (h, u')
-    whether it meets that bound as the partner of a half h affine at u'.
-    Every affine half is tested against the other half at each of the fan
-    blocks of its window, and the pairs that pass are the candidate words.
-    A pair found from half 1 is kept only if half 0 is not affine, since
-    half 0 finds it otherwise.  At m <= 2 the bound is <= 0 and every half
-    is affine, so every word is a candidate and the rule is exact for
-    every m.  The join runs on _CELL_BUDGET prefix rows at a time and keeps
-    only each candidate's two half-words, row and block; the spectra, the
-    |S| test and the cell keys are computed once, over all candidates,
+    only if |S_(1-h)(u')| >= 2^(m-1) - 2.  One 16-bit code per 2^(m-1)-bit
+    word classifies each half-word once: bit u' is set when
+    |S(u')| >= 2^(m-1) - 2, and bit 8 when the word is affine.  An affine
+    half has only bit u' of the low bits at m >= 3; at m <= 2 the bound is
+    <= 0, so it has all of them, as has every half-word.  Every affine half
+    is tested against the other half at each of the fan blocks of its
+    window: the pair passes when the partner's code, ANDed with the affine
+    half's low bits (and bit 8 for half 1), equals those low bits.  So a
+    pair found from half 1 is kept only if half 0 is not affine, since half
+    0 finds it otherwise, and at m <= 2, where every half is affine, every
+    word is a candidate, once: the rule is exact for every m.  The join
+    keeps only each candidate's two half-words, row and block; the spectra,
+    the |S| test and the cell keys are computed once, over all candidates,
     after the join (at n = 8 about as many candidates as cells).
     """
     m = n // 2
     size = 1 << m
     spectra = _coset_wht(m - 1)
     mags = np.abs(spectra)
-    affine = np.where(mags.max(axis=1) == size // 2, mags.argmax(axis=1), -1).astype(np.int8)
-    # partner[h, u', w]: half-word w can complete a half h affine at u'
-    # (half 0 finds the pairs whose halves are both affine)
-    partner = np.stack([mags.T >= size // 2 - 2] * 2)
-    partner[1] &= affine < 0
-    joined = []  # per chunk: (half-0 word, half-1 word, row, block) per pair
-    for fan, first, step, words in _half_words(dual_table, n):
-        for lo in range(0, len(first), _CELL_BUDGET):
-            half = words[lo : lo + _CELL_BUDGET]
-            index = affine.take(half)
-            # flat positions (p, h, k) of the affine halves (multi-axis
-            # nonzero is slow); the other half at (p, k) is at position
-            # XOR 2^m, in a window of fan half-words
-            at = np.flatnonzero(index >= 0)
-            side = (at >> m) & 1
-            window = half.reshape(-1, fan)[(at ^ size) // fan]
-            rule = ((side << (m - 1)) + index.take(at)) << (size // 2)  # partner[side, u']
-            e, j = np.divmod(np.flatnonzero(partner.take(rule[:, None] + window)), fan)
-            at, side = at[e], side[e]
-            p, k = at >> (m + 1), at & (size - 1)
-            other = (k & -fan) | j
-            digit = k ^ other
-            block = np.where(side, other, k)
-            row = first[p + lo] + digit * step[p + lo]
-            joined.append((half[p, 0, block], half[p, 1, block ^ digit], row, block))
+    near = (mags >= size // 2 - 2) << np.arange(size // 2, dtype=np.uint16)
+    affine = (mags.max(axis=1) == size // 2).astype(np.uint16)
+    code = near.sum(axis=1, dtype=np.uint16) | affine << 8
+    joined = []  # per span: (half-0 word, half-1 word, row, block) per pair
+    for fan, first, step, half in _half_words(dual_table, n):
+        codes = code.take(half, mode="clip")  # every word is in range; skips the check
+        # flat positions (p, h, k) of the affine halves (multi-axis nonzero
+        # is slow); the other half at (p, k) is at position XOR 2^m, in a
+        # window of fan half-words
+        at = np.flatnonzero(codes >= 1 << 8)
+        side = (at >> m) & 1
+        want = codes.take(at) & 0xFF
+        test = want | side.astype(np.uint16) << 8
+        window = codes.reshape(-1, fan).take((at ^ size) // fan, axis=0)
+        e = np.flatnonzero((window & test[:, None]) == want[:, None])
+        e, j = e >> (fan.bit_length() - 1), e & (fan - 1)
+        at, side = at[e], side[e]
+        p, k = at >> (m + 1), at & (size - 1)
+        other = (k & -fan) | j
+        digit = k ^ other
+        block = np.where(side, other, k)
+        row = first[p] + digit * step[p]
+        joined.append((half[p, 0, block], half[p, 1, block ^ digit], row, block))
     # each temporary is freed once read, which keeps the pass's traced
-    # peak at 1.3 MiB at n = 8 (2.1 MiB if they live until the points are
+    # peak at 1.4 MiB at n = 8 (2.3 MiB if they live until the points are
     # built)
     half_0, half_1, row, block = (np.concatenate(x) for x in zip(*joined))
     del joined
@@ -552,7 +607,7 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 1.3 MiB with 8 (the cell pass's), 1.9 MiB with
+# a sweep's traced peak is 1.4 MiB with 8 (the cell pass's), 1.9 MiB with
 # 16, 9.6 MiB with one block of 128.
 _BLOCK = 8
 

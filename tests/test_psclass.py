@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from bentforge import psclass
-from bentforge.boolfun import BooleanFunction, _parity_array, dual, is_bent, zero_function
+from bentforge.boolfun import (
+    BooleanFunction,
+    _parity_array,
+    algebraic_degree,
+    dual,
+    is_bent,
+    zero_function,
+)
 from bentforge.construct import mm_bent
 from bentforge.fixtures import PUBLISHED, published_bent8
 from bentforge.gf2 import (
@@ -22,6 +29,7 @@ from bentforge.gf2 import (
     random_invertible,
     span,
 )
+from bentforge.msub import msubspace_profile
 from bentforge.psclass import (
     _BLOCK,
     _block_groups,
@@ -33,6 +41,7 @@ from bentforge.psclass import (
     _coverage,
     _CosetCells,
     _half_words,
+    _merge_schedule,
     _midspace,
     _pivot_sets,
     _row_index,
@@ -509,16 +518,31 @@ def reference_coset_cells(dual_table: np.ndarray, n: int):
     ), block
 
 
+def random_balanced_h(m: int, rng: random.Random) -> BooleanFunction:
+    """A random balanced h on m variables with h(0) = 0, as `ps_ap` takes."""
+    h = np.zeros(1 << m, dtype=np.uint8)
+    h[rng.sample(range(1, 1 << m), 1 << (m - 1))] = 1
+    return BooleanFunction(m, h)
+
+
 def coset_cell_inputs() -> list[BooleanFunction]:
     """Bent functions, whose duals the pass reads, then tables that stand
     in for a dual: two seeded random non-bent ones per n, and at n <= 6 the
     constants, whose halves are all affine, so each pair is reachable from
-    both halves and must be kept once."""
+    both halves and must be kept once.  At n = 8 the bent ones are the
+    families the benchmark feeds the pass: the published three and their
+    disguises, disguised random MM functions of degree >= 3, and disguised
+    ps_ap(4, h), h fixed or random and balanced."""
     x1x2 = BooleanFunction(2, [0, 0, 0, 1])
     rng = random.Random(7)
     n8 = [published_bent8(name) for name in PUBLISHED]
     n8 += [ea_disguise(f, rng) for f in n8 for _ in range(2)]
     n8 += [ea_disguise(ps_ap4(), rng) for _ in range(2)]
+    rng = random.Random(13)
+    mm = [random_mm(4, rng) for _ in range(2)]
+    assert all(algebraic_degree(f) >= 3 for f in mm)
+    n8 += [ea_disguise(f, rng) for f in mm]
+    n8.append(ea_disguise(ps_ap(4, random_balanced_h(4, rng)), rng))
     rng = random.Random(11)
     tables = []
     for n in (2, 4, 6, 8):
@@ -565,9 +589,9 @@ def test_half_words_match_per_point_packing(n):
 
 
 def test_coset_cells_peak_memory_n8():
-    # once the per-dimension tables exist, the pass holds one run of
-    # half-words and joins 1,024 prefix rows of it at a time: 1.3 MiB
-    # traced, the kept cells' points (0.24 MB) included
+    # once the per-dimension tables exist, the pass holds the half-words of
+    # every pivot set (0.43 MB) and joins 1,024 prefix rows of them at a
+    # time: 1.4 MiB traced, the kept cells' points (0.24 MB) included
     dual_table = dual(published_bent8("delta0_mix")).table
     _coset_cells(dual_table, 8)
     tracemalloc.start()
@@ -611,14 +635,15 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m):
 
 
 def test_ps_sharp_sweep_peak_memory_n8():
-    # with the per-dimension tables built (the index and the half-word
-    # spectra), a sweep holds the cell pass's arrays, then one block's
-    # tables at a time: 1.3 MiB with blocks of 8 shifts (the cell pass's
-    # own peak), 1.9 MiB with 16, 9.6 MiB with one block of 128, since only
-    # the groups that pass the coverage test build the padded clique-stage
-    # arrays
+    # with the per-dimension tables built (the index, the cell pass's merge
+    # schedule and the half-word spectra), a sweep holds the cell pass's
+    # arrays, then one block's tables at a time: 1.4 MiB with blocks of 8
+    # shifts (the cell pass's own peak), 1.9 MiB with 16, 9.6 MiB with one
+    # block of 128, since only the groups that pass the coverage test build
+    # the padded clique-stage arrays
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _row_index(8)
+    _merge_schedule(8)
     _coset_wht(3)
     tracemalloc.start()
     try:
@@ -719,6 +744,31 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
         assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
 
 
+# One representative of each of the four EA classes of bent functions on 6
+# variables, by k, its number of 3-dimensional M-subspaces, with its PS#
+# verdict: PS- or PS+ at shift 0, or none.  oracle_functions(6) starts with
+# ps_ap(3, h) (k = 1) and the quadratic MM function (k = 135); seeded
+# random MM functions stand for the other two.
+EA_CLASSES_N6 = {
+    1: (oracle_functions(6)[0], "PS_minus"),
+    5: (random_mm(3, random.Random(0)), "PS_plus"),
+    15: (random_mm(3, random.Random(3)), None),
+    135: (oracle_functions(6)[1], None),
+}
+
+
+@pytest.mark.parametrize("k", EA_CLASSES_N6)
+def test_ps_sharp_verdicts_of_the_four_ea_classes_n6(k):
+    f, subclass = EA_CLASSES_N6[k]
+    assert msubspace_profile(f).counts[3] == k
+    w = is_in_ps_sharp(f)
+    if subclass is None:
+        assert w is None
+    else:
+        assert (w.shift, w.inner.subclass) == (0, subclass)
+        assert _witness_holds(f, w)
+
+
 @pytest.mark.parametrize("name", [*PUBLISHED, "random-mm"])
 def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name):
     # PS# is closed under f -> f* and under f(x) -> f(Ax).  In the sweep of
@@ -804,14 +854,16 @@ def cache_nbytes(value) -> int:
 
 
 def test_per_dimension_caches_stay_small_after_warmup_sweep(monkeypatch):
-    # ps_ap4() is the benchmark's warm-up function.  1.03 MB after its
-    # sweep: the index (1.0 MB at n = 8), the pivot sets (10 kB), the
-    # spectra of the 8-bit half-words (2 kB) and the one-point words of the
+    # ps_ap4() is the benchmark's warm-up function.  1.16 MB after its
+    # sweep: the index (1.0 MB at n = 8), the cell pass's merge schedule
+    # (0.14 MB, its row orders uint16), the pivot sets (10 kB), the spectra
+    # of the 8-bit half-words (2 kB) and the one-point words of the
     # coverage test (8 kB).  Every cached function of the module is
     # counted, each called through a spy that records its arguments, so
     # the cached values can be read back afterwards.
     cached = {name: v for name, v in vars(psclass).items() if hasattr(v, "cache_info")}
-    assert {"_pivot_sets", "_row_index", "_coset_wht", "_point_words"} <= set(cached)
+    tables = {"_pivot_sets", "_row_index", "_merge_schedule", "_coset_wht", "_point_words"}
+    assert tables <= set(cached)
     calls = {name: set() for name in cached}
 
     def spy(name, fn):
