@@ -8,7 +8,6 @@ McFarland (MM#) and partial spread (PS#) class membership, and the bent
 from .boolfun import (
     AnfPoly,
     BooleanFunction,
-    WalshSpectrum,
     algebraic_degree,
     derivative,
     dual,

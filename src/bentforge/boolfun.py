@@ -88,15 +88,6 @@ class AnfPoly:
         return format_anf(self)
 
 
-@dataclass(frozen=True, eq=False)
-class WalshSpectrum:
-    n: int
-    values: np.ndarray
-
-    def __getitem__(self, a: int) -> int:
-        return int(self.values[a])
-
-
 def zero_function(n: int) -> BooleanFunction:
     return BooleanFunction(n, np.zeros(1 << n, dtype=np.uint8))
 
@@ -143,23 +134,24 @@ def _wht_butterfly(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
-    """Fast WHT: W_f(a) = sum_x (-1)^(f(x) + a.x), exact integers."""
-    return WalshSpectrum(f.n, _freeze(_wht_butterfly(1 - 2 * f.table.astype(np.int64))))
+def walsh_transform(f: BooleanFunction) -> np.ndarray:
+    """Fast WHT as a read-only int64 array indexed by a: entry a is
+    W_f(a) = sum_x (-1)^(f(x) + a.x), exact integers."""
+    return _freeze(_wht_butterfly(1 - 2 * f.table.astype(np.int64)))
 
 
 def is_bent(f: BooleanFunction) -> bool:
     if f.n % 2:
         return False
     target = 1 << (f.n // 2)
-    return bool(np.all(np.abs(walsh_transform(f).values) == target))
+    return bool(np.all(np.abs(walsh_transform(f)) == target))
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
     """The dual f* with W_f(u) = 2^(n/2) (-1)^(f*(u)); bent input only."""
     if f.n % 2:
         raise ValueError("dual is defined for bent functions only (odd n)")
-    w = walsh_transform(f).values
+    w = walsh_transform(f)
     target = 1 << (f.n // 2)
     if not np.all(np.abs(w) == target):
         raise ValueError("dual is defined for bent functions only")
@@ -279,7 +271,7 @@ def parse_anf(text: str, n: int) -> AnfPoly:
     return AnfPoly(n, frozenset(masks))
 
 
-def format_anf(poly: AnfPoly, var: str = "x") -> str:
+def format_anf(poly: AnfPoly) -> str:
     """Canonical printing: monomials ordered by (weight, mask value)."""
     if not poly.monomials:
         return "0"
@@ -288,5 +280,5 @@ def format_anf(poly: AnfPoly, var: str = "x") -> str:
         if m == 0:
             terms.append("1")
         else:
-            terms.append("*".join(f"{var}{j + 1}" for j in range(poly.n) if (m >> j) & 1))
+            terms.append("*".join(f"x{j + 1}" for j in range(poly.n) if (m >> j) & 1))
     return " + ".join(terms)

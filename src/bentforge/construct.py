@@ -25,7 +25,6 @@ from .gf2 import Subspace, orthogonal_complement, span
 from .msub import canonical_msubspace, is_msubspace
 from .vectorial import (
     VectorialFunction,
-    component,
     has_p1,
     is_permutation,
     linear_structures_vf,
@@ -89,7 +88,6 @@ class OutsideCertificate:
 @dataclass(frozen=True)
 class ConstructionResult:
     function: BooleanFunction
-    quadruple: ConcatQuadruple
     certificate: OutsideCertificate
 
 
@@ -217,7 +215,14 @@ def second_derivative_concat(q: ConcatQuadruple, a: int, b: int) -> BooleanFunct
 
 def witness_second_msubspace(pi: VectorialFunction, kind: str) -> Subspace:
     """A verified non-canonical M-subspace of x.pi(y), built either from a
-    nonzero linear structure of pi or from a vanishing hyperplane."""
+    nonzero linear structure of pi or from a vanishing hyperplane.
+
+    For a vanishing hyperplane S, pi is affine on both cosets of S and so
+    maps them onto the two cosets of the hyperplane H = span{pi(b) + pi(0)
+    : b in S.basis}.  The one nonzero c orthogonal to H then has c.pi(y) =
+    s.y + c.pi(0), with s the nonzero vector orthogonal to S; no other
+    nonzero c does.  The witness is spanned by (x, y) = (c, 0) and the
+    (0, b) for b in S."""
     m = pi.m
     if not is_permutation(pi):
         raise ValueError("pi must be a permutation")
@@ -235,18 +240,9 @@ def witness_second_msubspace(pi: VectorialFunction, kind: str) -> Subspace:
         if not hyper:
             raise PreconditionError("pi has no vanishing hyperplane")
         S = hyper[0]
-        s = orthogonal_complement(S).basis[0]
-        lin = _parity_array(np.arange(1 << m) & s)
-        c_found = None
-        for c in range(1, 1 << m):
-            comp = component(pi, c).table
-            if np.array_equal(comp, lin) or np.array_equal(comp, lin ^ 1):
-                c_found = c
-                break
-        if c_found is None:
-            raise PreconditionError("no component of pi equals the hyperplane functional")
-        basis = [c_found] + [b << m for b in S.basis]
-        V = span(basis, 2 * m)
+        H = span([int(pi.table[b] ^ pi.table[0]) for b in S.basis], m)
+        c = orthogonal_complement(H).basis[0]
+        V = span([c] + [b << m for b in S.basis], 2 * m)
     else:
         raise ValueError(f"unknown witness kind {kind!r}")
     f = mm_bent(pi, zero_function(m))
@@ -350,7 +346,7 @@ def theorem55_construct(
     f3 = mm_bent_transposed(sigma, h2)
     q = ConcatQuadruple(f1, f1, f3, f3 ^ 1)
     cert = theorem53_certify(q)
-    return ConstructionResult(concat4(q), q, cert)
+    return ConstructionResult(concat4(q), cert)
 
 
 def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:

@@ -26,7 +26,6 @@ vanishing_pair_adjacency_quadratic = vanishing_pair_adjacency
 class MSubspaceProfile:
     """Counts of r-dimensional M-subspaces for r = 2 .. n/2."""
 
-    n: int
     counts: dict[int, int]
 
     def as_dict(self) -> dict[str, int]:
@@ -68,7 +67,7 @@ def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:
     adj = _adjacency(f)
     for gens in iter_clique_subspaces(adj, 2, top):
         counts[len(gens)] += 1
-    return MSubspaceProfile(f.n, counts)
+    return MSubspaceProfile(counts)
 
 
 def is_in_mm_sharp(f: BooleanFunction) -> Subspace | None:

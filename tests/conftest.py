@@ -26,6 +26,34 @@ def random_permutation_table(m: int, rng: random.Random) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
+def random_partial_spread(n: int, rng: random.Random) -> BooleanFunction:
+    """A PS- bent function on n variables: the indicator, 0 left out, of
+    2^(n/2-1) random n/2-subspaces that pairwise meet only in 0.
+
+    Greedy: subspaces are spanned by random bases, 1,024 at a time, and a
+    subspace is kept when it meets the kept ones only in 0.  After 64
+    batches without a full family the draw starts over."""
+    m = n // 2
+    gen = np.random.default_rng(rng.getrandbits(64))
+    while True:
+        covered = np.zeros(1 << n, dtype=bool)
+        kept = 0
+        for _ in range(64):
+            elements = np.zeros((1024, 1), dtype=np.int64)
+            for column in gen.integers(1, 1 << n, size=(m, 1024, 1)):
+                elements = np.hstack([elements, elements ^ column])
+            nonzero = elements[:, 1:]
+            fresh = (nonzero != 0).all(axis=1)  # the basis is independent
+            while kept < 1 << (m - 1):
+                fresh &= ~covered[nonzero].any(axis=1)
+                if not fresh.any():
+                    break
+                covered[nonzero[fresh.argmax()]] = True
+                kept += 1
+            else:
+                return BooleanFunction(n, covered)
+
+
 def packed_words(values: np.ndarray) -> np.ndarray:
     """Each row of 2^m 0/1 values packed bit by bit into one word, bit j
     the j-th value, as the smallest unsigned dtype that holds 2^m bits."""

@@ -87,13 +87,13 @@ def test_walsh_of_zero_function():
 def test_walsh_x1x2_all_pm2():
     f = BooleanFunction(2, [0, 0, 0, 1])
     w = walsh_transform(f)
-    assert sorted(abs(int(v)) for v in w.values) == [2, 2, 2, 2]
+    assert sorted(abs(int(v)) for v in w) == [2, 2, 2, 2]
     assert all(w[a] == naive_walsh(f, a) for a in range(4))
 
 
 def test_walsh_quadratic_bent_n4():
     f = from_anf(parse_anf("x1*x2 + x3*x4", 4))
-    assert set(abs(int(v)) for v in walsh_transform(f).values) == {4}
+    assert set(abs(int(v)) for v in walsh_transform(f)) == {4}
 
 
 @given(tables, st.data())
@@ -101,7 +101,7 @@ def test_walsh_quadratic_bent_n4():
 def test_walsh_matches_naive_and_parseval(bits, data):
     f = func_from_bits(bits)
     w = walsh_transform(f)
-    assert int((w.values.astype(np.int64) ** 2).sum()) == 1 << (2 * f.n)
+    assert int((w ** 2).sum()) == 1 << (2 * f.n)
     sampled = data.draw(st.lists(st.integers(0, (1 << f.n) - 1), min_size=4, max_size=4))
     for a in (0, 1, (1 << f.n) - 1, *sampled):
         assert w[a] == naive_walsh(f, a)
@@ -131,6 +131,12 @@ def test_dual_is_involution_on_fixtures():
 def test_published_bent8_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="unknown fixture 'nope'"):
         fx.published_bent8("nope")
+
+
+def test_to_paper_variables_rejects_a_varmap_of_the_wrong_length():
+    f = fx.published_bent8("delta0_mix")
+    with pytest.raises(ValueError, match="varmap length must equal the variable count"):
+        fx.to_paper_variables(f, fx.CONCAT_VARMAP[:-1])
 
 
 def test_dual_rejects_non_bent():
@@ -293,7 +299,7 @@ def test_parse_anf_rejects_out_of_range_variable():
 def test_format_anf_canonical_order():
     poly = parse_anf("x1*x2 + x3 + 1 + x2", 3)
     assert format_anf(poly) == "1 + x2 + x3 + x1*x2"
-    assert format_anf(AnfPoly(3, frozenset()), var="z") == "0"
+    assert format_anf(AnfPoly(3, frozenset())) == "0"
 
 
 @given(tables)

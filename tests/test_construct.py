@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from bentforge import construct, vectorial
 from bentforge import fixtures as fx
 from bentforge.boolfun import (
+    _parity_array,
     algebraic_degree,
     is_bent,
     second_derivative,
@@ -30,7 +32,7 @@ from bentforge.construct import (
     theorem57_check,
     witness_second_msubspace,
 )
-from bentforge.gf2 import apply_linear, rref, span
+from bentforge.gf2 import Subspace, apply_linear, orthogonal_complement, random_invertible, span
 from bentforge.gf2m import Field, power_map
 from bentforge.msub import (
     canonical_msubspace,
@@ -41,6 +43,7 @@ from bentforge.msub import (
 )
 from bentforge.vectorial import (
     VectorialFunction,
+    component,
     has_p1,
     identity_map,
     is_apn,
@@ -183,25 +186,62 @@ def test_witness_second_msubspace_requires_structure():
         witness_second_msubspace(fx.apn_perm_m3(), "linear_structure")
 
 
-def test_witness_second_msubspace_hyperplane(rng):
-    # quadratic permutation of F_2^5 affine on the hyperplane y5 = 0
-    while True:
-        A = rref([rng.randrange(1, 16) for _ in range(4)])
-        if len(A) != 4:
-            continue
-        V = [rng.randrange(16) for _ in range(4)]
-        AV = [a ^ v for a, v in zip(A, V)]
-        if len(rref(AV)) == 4:
-            break
+def reference_hyperplane_witness(pi: VectorialFunction) -> Subspace:
+    """The hyperplane witness found by search: the first component c.pi
+    equal to s.y or s.y + 1, with s the nonzero vector orthogonal to the
+    first vanishing hyperplane S, joined to S."""
+    m = pi.m
+    S = vectorial.vanishing_subspaces_vf(pi, m - 1)[0]
+    s = orthogonal_complement(S).basis[0]
+    lin = _parity_array(np.arange(1 << m) & s)
+    for c in range(1, 1 << m):
+        comp = component(pi, c).table
+        if np.array_equal(comp, lin) or np.array_equal(comp, lin ^ 1):
+            return span([c] + [b << m for b in S.basis], 2 * m)
+    raise AssertionError("no component of pi equals the hyperplane functional")
+
+
+def hyperplane_affine_perm(m: int, rng) -> VectorialFunction:
+    """A permutation of F_2^m that is affine on both cosets of a hyperplane:
+    (y', t) -> (A_t y', t) for random invertible A_0, A_1 on F_2^(m-1),
+    between two random affine bijections of F_2^m."""
+    low, top = (1 << (m - 1)) - 1, 1 << (m - 1)
+    halves = [random_invertible(m - 1, rng) for _ in range(2)]
+    inner, outer = random_invertible(m, rng), random_invertible(m, rng)
+    b_in, b_out = rng.randrange(1 << m), rng.randrange(1 << m)
     tab = []
-    for y in range(32):
-        rows = list(A) if y < 16 else list(AV)
-        tab.append(apply_linear(rows, y & 15) | (y & 16))
-    pi = VectorialFunction(5, np.array(tab))
-    assert is_permutation(pi)
-    W = witness_second_msubspace(pi, "hyperplane")
-    assert W.dim == 5
-    assert is_msubspace(mm_bent(pi, zero_function(5)), W)
+    for y in range(1 << m):
+        z = apply_linear(inner, y) ^ b_in
+        piece = apply_linear(halves[z >> (m - 1)], z & low) | (z & top)
+        tab.append(apply_linear(outer, piece) ^ b_out)
+    return VectorialFunction(m, np.array(tab))
+
+
+def test_witness_second_msubspace_hyperplane(rng):
+    for m in (4, 5, 6):
+        for _ in range(4):
+            pi = hyperplane_affine_perm(m, rng)
+            assert is_permutation(pi)
+            W = witness_second_msubspace(pi, "hyperplane")
+            assert W.dim == m
+            assert is_msubspace(mm_bent(pi, zero_function(m)), W)
+            assert W == reference_hyperplane_witness(pi)
+
+
+def test_witness_second_msubspace_hyperplane_on_permutations_of_f2_3():
+    # every 16th permutation of F_2^3 in itertools order: of these 2,520,
+    # 1,848 have a vanishing hyperplane (29,568 of all 40,320 do), and on
+    # each the closed form matches the search
+    found = 0
+    for perm in itertools.islice(itertools.permutations(range(8)), 0, None, 16):
+        pi = VectorialFunction(3, np.array(perm))
+        try:
+            W = witness_second_msubspace(pi, "hyperplane")
+        except PreconditionError:
+            continue
+        assert W == reference_hyperplane_witness(pi)
+        found += 1
+    assert found == 1848
 
 
 def test_witness_rejects_unknown_kind():
@@ -620,6 +660,36 @@ def test_corollary_dim2_witness_matches_reference(rng):
         assert witness == reference_dim2_witness(q, U, common)
         found += witness is not None
     assert found > 0
+
+
+def test_corollary_dim2_witness_needs_common_subspaces_inside_the_top(rng):
+    # special quadruples f4 = f1 + f2 + f3 of MM pieces x.pi_i(y) + h_i(y),
+    # each pi_i a fixture or a random shuffle: some share an
+    # (m-1)-subspace that is not inside the shared top subspace, and there
+    # the corollary gives no witness
+    perms = [fx.apn_perm_m3(), fx.apn_perm_m3_alt(), identity_map(3)]
+    outside = 0
+    for _ in range(200):
+        fs = []
+        for _ in range(3):
+            k = rng.randrange(4)
+            pi = perms[k] if k < 3 else VectorialFunction(3, random_permutation_table(3, rng))
+            fs.append(mm_bent(pi, random_function(3, rng)))
+        q = ConcatQuadruple(*fs, fs[0] ^ fs[1] ^ fs[2])
+        top = _common_vanishing_subspaces(q, 3)
+        if len(top) != 1:
+            continue
+        U = top[0]
+        common = _common_vanishing_subspaces(q, 2)
+        if all(U.contains(b) for V in common for b in V.basis):
+            continue
+        witness = _corollary_dim2_witness(q, U, common)
+        assert witness is None
+        assert witness == reference_dim2_witness(q, U, common)
+        outside += 1
+        if outside == 3:
+            break
+    assert outside == 3
 
 
 def test_mm_bent_rejects_h_on_the_wrong_variable_count():

@@ -34,6 +34,12 @@ def test_default_moduli_are_the_smallest_irreducibles():
             assert not is_irreducible(p)
 
 
+def test_constants_are_not_irreducible():
+    # 0 and 1 have no degree >= 1, so there is nothing to divide
+    assert not is_irreducible(0)
+    assert not is_irreducible(1)
+
+
 def test_field_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         Field(3, 0b1111)  # x^3 + x^2 + x + 1 = (x+1)(x^2+1)

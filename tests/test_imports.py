@@ -19,6 +19,9 @@ should reach must stop the run if one does, not return a quiet verdict.
 Every parameter of a package function or lambda is read before its body
 rebinds it, apart from a method's `self` or `cls` and the few kept on
 purpose (`KEPT_PARAMETERS`).
+
+Every field of a package dataclass is read as an attribute, or named in a
+string constant, somewhere in the package, the tests or perfbench/.
 """
 
 import ast
@@ -125,6 +128,62 @@ REFERENCED = referenced_names(p.read_text() for p in SCANNED)
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_no_unreferenced_definitions(path):
     assert unreferenced_definitions(path.read_text(), REFERENCED) == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def read_fields(sources) -> set[str]:
+    """Names read as an attribute or named in a string constant."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def unread_fields(source: str, read: set[str]) -> list[str]:
+    """Fields of a dataclass whose name is never read.  Fields are matched
+    by name alone, not by class, so a field that shares its name with an
+    attribute read elsewhere (such as `n`) passes unchecked."""
+    return [
+        f"line {field.lineno}: {node.name}.{field.target.id}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+
+
+def test_checker_flags_an_unread_dataclass_field():
+    source = (
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int\n    tag: str\n\n"
+        "@dataclass\nclass Box:\n    size: int\n    unused: int = 0\n\n"
+        "class Plain:\n    hidden: int\n\n"
+        "def use(p, b):\n    b.unused = p.left\n    return getattr(p, 'tag'), b.size\n"
+    )
+    assert unread_fields(source, read_fields([source])) == [
+        "line 6: Pair.right",
+        "line 12: Box.unused",
+    ]
+
+
+FIELDS_READ = read_fields(p.read_text() for p in SCANNED)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_every_dataclass_field_is_read(path):
+    assert unread_fields(path.read_text(), FIELDS_READ) == []
 
 
 def private_imports(source: str) -> list[str]:

@@ -58,7 +58,7 @@ from bentforge.psclass import (
     ps_candidates,
 )
 from bentforge.vectorial import VectorialFunction, identity_map
-from conftest import packed_words, random_function, random_permutation_table
+from conftest import packed_words, random_function, random_partial_spread, random_permutation_table
 
 
 def balanced_h3() -> BooleanFunction:
@@ -767,6 +767,25 @@ def test_ps_sharp_verdicts_of_the_four_ea_classes_n6(k):
     else:
         assert (w.shift, w.inner.subclass) == (0, subclass)
         assert _witness_holds(f, w)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("draw", range(3))
+def test_random_partial_spreads_are_found(n, draw):
+    # PS- functions from greedy random partial spreads, not only the
+    # Desarguesian ones of ps_ap: is_partial_spread rebuilds each, and the
+    # PS# sweep finds a witness after an EA disguise and on the disguise's
+    # dual, itself in PS#
+    rng = random.Random(1000 * n + draw)
+    f = random_partial_spread(n, rng)
+    assert is_bent(f)
+    assert algebraic_degree(f) == n // 2
+    w = is_partial_spread(f)
+    assert w is not None and w.reconstruct(n) == f
+    g = ea_disguise(f, rng)
+    w = is_in_ps_sharp(g)
+    assert w is not None and _witness_holds(g, w)
+    assert is_in_ps_sharp(dual(g)) is not None
 
 
 @pytest.mark.parametrize("name", [*PUBLISHED, "random-mm"])

@@ -60,7 +60,7 @@ def second_derivative_vanishes_vf(F: VectorialFunction, a: int, b: int) -> bool:
 
 
 def to_coordinate_anfs(F: VectorialFunction) -> str:
-    return "\n".join(format_anf(to_anf(c), var="y") for c in coordinates(F))
+    return "\n".join(format_anf(to_anf(c)).replace("x", "y") for c in coordinates(F))
 
 
 def test_from_coordinates_identity():
