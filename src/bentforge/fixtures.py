@@ -159,6 +159,8 @@ def to_paper_variables(f: BooleanFunction, varmap: tuple[int, ...]) -> BooleanFu
     """Relabel table variables so the ANF prints in the published z order."""
     if len(varmap) != f.n:
         raise ValueError("varmap length must equal the variable count")
+    if sorted(varmap) != list(range(f.n)):
+        raise ValueError(f"varmap must be a permutation of 0..{f.n - 1}")
     idx = np.arange(1 << f.n)
     src = np.zeros_like(idx)
     for j, mj in enumerate(varmap):

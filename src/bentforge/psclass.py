@@ -27,18 +27,18 @@ halves in reach and keeps the pairs whose spectrum, the sum and
 difference of the halves' spectra, reaches 2^m - 2.  u and b.r
 are linear in b, so the pass tabulates them, packed into one byte per
 cell, for the n unit vectors.
-The sweep takes aligned blocks of up to 8 shifts: one comparison on the
+The sweep takes aligned blocks of up to 16 shifts: one comparison on the
 block's XORed-up table gives all its hits, and one count of (shift, a,
 subclass) keys over the hits' coset points, which the pass stores with
-each cell, gives all its viable groups.
+each cell, gives all its viable groups, one clique-stage row per hit.
 The disjointness search then runs on the hit subspaces W, not on their
 complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the
 whole space iff (W1 + W2)-perp, the intersection of W1-perp and W2-perp, is
 0.  A partial spread of s subspaces covers s (2^m - 1) nonzero points, so
 first a coverage test ORs the packed point sets of each group's subspaces
 and drops every group whose union is smaller; in a sweep few groups pass.
-For those, each shift gets one disjointness matrix over the distinct rows
-of its groups; stacked, they let one batched matrix product apply the
+For those, each shift gets one disjointness matrix over the rows of its
+groups; stacked, they let one batched matrix product apply the
 degree bound to every group of the block, and only the few groups that
 pass it are searched, each on its sub-block.  The single-function PS test
 is the same stage with one group.
@@ -334,9 +334,9 @@ def _used(indices: np.ndarray, count: int):
 def _bounded_cliques(rows: np.ndarray, owner: np.ndarray, pairs, need: np.ndarray, n: int):
     """Clique stage: group g wants need[g] pairwise-disjoint subspaces among
     the subspace-index rows rows[i], (g, i) in the index arrays `pairs`.
-    Row i is of batch owner[i] (non-decreasing; in a sweep, shifts), a
-    batch lists a row once, and groups come in batch order, each with rows
-    of one batch.
+    Row i is of batch owner[i] (non-decreasing; in a sweep, shifts), and
+    groups come in batch order, each with distinct rows of one batch; a
+    batch may list a subspace twice (a sweep at n <= 4 does).
 
     First the coverage test: s pairwise-disjoint n/2-subspaces cover s
     (2^(n/2) - 1) nonzero points, so a group whose subspaces cover fewer
@@ -608,8 +608,8 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
 # a sweep's traced peak is 1.4 MiB with 8 (the cell pass's), 1.9 MiB with
-# 16, 9.6 MiB with one block of 128.
-_BLOCK = 8
+# 16, 3.1 MiB with 32 (no faster than 16), 9.6 MiB with one block of 128.
+_BLOCK = 16
 
 
 def _shift_blocks(n: int):
@@ -660,7 +660,11 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     rules out PS).  Every coset point gets the key (d, a, tag), and one
     count per key settles viability.  Returns (d, a, tag, need) per group,
     ascending in (d, a, tag), then the groups' rows, owners and pairs as
-    `_bounded_cliques` takes them, rows ascending in (d, row).
+    `_bounded_cliques` takes them: a row (w, d) per hit with a point in a
+    viable group, in hit order.  For bent f, Parseval on the cosets of W,
+    sum_r S_(W,r)(u)^2 = 2^n, with a cell's S^2 >= (2^m - 2)^2 > 2^n / 2 at
+    m >= 3, gives at n >= 6 one hit at most per (shift, W); at n <= 4 two
+    cosets of W may hit at one shift, and no group holds both.
     """
     n = f.n
     m = n // 2
@@ -671,18 +675,11 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     viable = counts.reshape(-1, 2) >= (1 << (m - 1)) + np.arange(2)
     viable = (viable & (phi == f.table[shifts, None]).reshape(-1, 1)).ravel()
     kept = np.flatnonzero(viable[keys])
-    hit = kept >> m
-    # a run of hits with one (d, W) is one row; the runs with a kept point
-    # are the rows of the groups
-    start = np.ones(len(w), dtype=bool)
-    start[1:] = (d[1:] != d[:-1]) | (w[1:] != w[:-1])
-    run = np.cumsum(start) - 1
-    used, row = _used(run[hit], np.count_nonzero(start))
-    firsts = np.flatnonzero(start)[used]
+    used, row = _used(kept >> m, len(w))
     pairs = np.cumsum(viable)[keys[kept]] - 1, row
     key = np.flatnonzero(viable)
     a, tag = (key >> 1) & ((1 << n) - 1), key & 1
-    return key >> (n + 1), a, tag, (1 << (m - 1)) + tag, w[firsts], d[firsts], pairs
+    return key >> (n + 1), a, tag, (1 << (m - 1)) + tag, w[used], d[used], pairs
 
 
 def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, lo: int, hi: int):
@@ -724,18 +721,19 @@ def is_in_ps_sharp(
     x -> f(x+b) + a.x + c, with c forced by the subclass.
 
     Returns the first witness in (b, a) order, or None after the exhaustive
-    sweep.  Shifts are taken in aligned blocks of up to 8 (see
+    sweep.  Shifts are taken in aligned blocks of up to 16 (see
     `_shift_blocks`).  `progress` is called with b, in order, for every
     shift that yields no witness, once the block holding that shift is
     done.  `jobs` and `resume` are accepted and ignored: they exist only
     for the call shape of `perfbench/tracer.py`, and go with the benchmark
     change of ROADMAP item 5.
     """
-    if not is_bent(f):
-        raise ValueError("PS# membership is defined for bent functions")
+    try:
+        dual_table = dual(f).table  # one WHT, which also tests bentness
+    except ValueError:
+        raise ValueError("PS# membership is defined for bent functions") from None
     n = f.n
     check_sweep_size(n)
-    dual_table = dual(f).table
     cells = _coset_cells(dual_table, n)
     for lo, hi in _shift_blocks(n):
         found = _sweep_block(f, cells, dual_table, lo, hi)

@@ -139,6 +139,17 @@ def test_to_paper_variables_rejects_a_varmap_of_the_wrong_length():
         fx.to_paper_variables(f, fx.CONCAT_VARMAP[:-1])
 
 
+def test_to_paper_variables_rejects_a_varmap_that_is_no_permutation():
+    # (0, 0, 1, .., 6) read variable 0 twice and dropped variable 7, which
+    # turned delta0_mix (weight 136) into a weight-128 function
+    f = fx.published_bent8("delta0_mix")
+    with pytest.raises(ValueError, match=r"varmap must be a permutation of 0\.\.7"):
+        fx.to_paper_variables(f, (0, 0, 1, 2, 3, 4, 5, 6))
+    for varmap in (fx.CONCAT_VARMAP, fx.DELTA0_MIX_VARMAP):
+        g = fx.to_paper_variables(f, varmap)
+        assert g.weight() == f.weight() == 136 and g != f
+
+
 def test_dual_rejects_non_bent():
     with pytest.raises(ValueError):
         dual(zero_function(4))

@@ -115,6 +115,12 @@ def test_is_partial_spread_rejects_non_bent():
         is_partial_spread(zero_function(4))
 
 
+@pytest.mark.parametrize("f", [zero_function(4), zero_function(5)], ids=["non-bent", "odd-n"])
+def test_ps_sharp_rejects_non_bent_input(f):
+    with pytest.raises(ValueError, match="^PS# membership is defined for bent functions$"):
+        is_in_ps_sharp(f)
+
+
 def test_quadratic_not_partial_spread_directly():
     f = mm_bent(identity_map(3), zero_function(3))
     assert is_partial_spread(f) is None
@@ -371,14 +377,24 @@ def csr_groups(need: np.ndarray, rows: np.ndarray, pairs):
     return rows[member[order]], bounds
 
 
-def split_block(lo: int, hi: int, hits, groups, count: int):
+def split_block(lo: int, hi: int, hits, groups, n: int):
     """Per shift b of a block, its (hits_minus, hits_plus) and (a, tag, need,
     rows, bounds) from the block pass's hits (d, w, block, tag) and groups,
-    after checking the groups' rows: ascending in (shift, row), each used,
-    and each only by groups of its own shift."""
+    after checking the groups' rows: one per hit with a point in a viable
+    group, in hit order, each used, each only by groups of its own shift,
+    and no subspace twice in a group.  At n >= 6 the rows are also strictly
+    ascending in (shift, row): a shift has at most one hit per subspace."""
     d, w, block, tag = hits
     gd, a, gtag, need, rows, owner, pairs = groups
-    assert np.all(np.diff(owner * count + rows) > 0)
+    count = len(_row_index(n)[0])
+    viable = np.zeros(((hi - lo) << n) * 2, dtype=bool)
+    viable[((gd << n) + a) * 2 + gtag] = True
+    points = _coset_points(n, w, block).astype(np.intp)
+    inside = viable[((d[:, None] << n) + points) * 2 + tag[:, None]].any(axis=1)
+    assert np.array_equal(rows, w[inside]) and np.array_equal(owner, d[inside])
+    listed = pairs[0] * count + rows[pairs[1]]
+    assert len(np.unique(listed)) == len(listed)
+    assert n < 6 or np.all(np.diff(owner * count + rows) > 0)
     assert np.array_equal(np.unique(pairs[1]), np.arange(len(rows)))
     assert np.array_equal(owner[pairs[1]], gd[pairs[0]])
     members, bounds = csr_groups(need, rows, pairs)
@@ -398,7 +414,7 @@ def block_pass(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray, b
         w = cells.w_idx[c]
         groups = _block_groups(f, dual_table, lo, hi, d, w, cells.points[c], tag)
         hits = d, w, cell_blocks(cells, f.n, c), tag
-        yield from split_block(lo, hi, hits, groups, len(_row_index(f.n)[0]))
+        yield from split_block(lo, hi, hits, groups, f.n)
 
 
 def assert_block_pass_matches(f: BooleanFunction, direct_shifts=()) -> None:
@@ -440,12 +456,13 @@ def test_block_pass_matches_per_shift_pass_n8(name):
 
 def test_block_groups_match_per_shift_grouping_on_random_hits():
     # shift lo + d has random hits on subspaces few[d] and few[d + 1], so one
-    # subspace closes the hits of a shift and opens those of the next
+    # subspace closes the hits of a shift and opens those of the next, and
+    # each on several cosets, so a shift lists a subspace more than once
     f = oracle_functions(4)[3]
     dual_table = dual(f).table
     count = len(_row_index(4)[0])
     rng = np.random.default_rng(4)
-    straddles = 0
+    straddles = repeats = 0
     for lo, hi in [(4, 8), (8, 12), (0, 1)]:
         for _ in range(40):
             few = np.sort(rng.choice(count, hi - lo + 1, replace=False))
@@ -456,15 +473,17 @@ def test_block_groups_match_per_shift_grouping_on_random_hits():
             hits = d, w, block, tag
             points = coset_table(4).reshape(-1, 4)[(w << 2) + block]
             groups = _block_groups(f, dual_table, lo, hi, d, w, points, tag)
-            for b, shift_hits, got in split_block(lo, hi, hits, groups, count):
+            rows, owner = groups[4:6]
+            repeats += np.count_nonzero((np.diff(owner) == 0) & (np.diff(rows) == 0))
+            for b, shift_hits, got in split_block(lo, hi, hits, groups, 4):
                 _, want = reference_shift_groups(f, None, dual_table, b, shift_hits)
                 for x, y in zip(got, want):
                     assert x.shape == y.shape and np.array_equal(x, y), b
-    assert straddles > 0
+    assert straddles > 0 and repeats > 0
 
 
 def test_shift_blocks_are_aligned_and_capped():
-    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 24), (24, 32)]
+    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 48)]
     assert list(_shift_blocks(6))[:7] == starts
     for n in (2, 4, 6, 8):
         blocks = list(_shift_blocks(n))
@@ -563,6 +582,39 @@ def test_coset_cells_match_per_point_reference(f):
     assert np.array_equal(cell_blocks(got, f.n), block)
 
 
+def parseval_inputs() -> list[BooleanFunction]:
+    """Bent inputs at n = 6 and 8: the oracle functions, seeded random MM
+    functions, the published three, their duals, disguises of both, and
+    plain and disguised ps_ap(4, h)."""
+    rng = random.Random(31)
+    n8 = [published_bent8(name) for name in PUBLISHED]
+    n8 += [dual(f) for f in n8]
+    n8 += [ea_disguise(f, rng) for f in n8]
+    n8 += [ps_ap4(), ea_disguise(ps_ap4(), rng)]
+    mm = [random_mm(m, rng) for m in (3, 3, 4, 4)]
+    return oracle_functions(6) + mm + [ea_disguise(f, rng) for f in mm] + n8
+
+
+def cell_pairs(f: BooleanFunction) -> np.ndarray:
+    """(w_idx, u) of every cell of the pass on f's dual, one key each."""
+    cells = _coset_cells(dual(f).table, f.n)
+    return cells.w_idx * (1 << f.n // 2) + cells.u
+
+
+def test_one_cell_per_subspace_and_u_on_bent_inputs():
+    # Parseval on f* restricted to the cosets of W: sum_r S_(W,r)(u)^2 = 2^n
+    # for bent f, and a cell has S^2 >= (2^m - 2)^2 > 2^n / 2 at m >= 3, so
+    # at n >= 6 one coset of W at most is a cell for each u, and a sweep
+    # shift has at most one hit per subspace
+    for f in parseval_inputs():
+        keys = cell_pairs(f)
+        assert len(keys) > 0 and len(np.unique(keys)) == len(keys), f.digest()
+    # at n = 4, (2^m - 2)^2 = 4 < 8: ps_ap(2, h) has two cells of one
+    # subspace with one u, so a shift may hit a subspace twice there
+    keys = cell_pairs(ps_ap(2, BooleanFunction(2, [0, 1, 1, 0])))
+    assert len(np.unique(keys)) < len(keys)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_half_words_match_per_point_packing(n):
     # both halves of every coset word of a random table, not only of the
@@ -637,10 +689,10 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m):
 def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built (the index, the cell pass's merge
     # schedule and the half-word spectra), a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 1.4 MiB with blocks of 8
-    # shifts (the cell pass's own peak), 1.9 MiB with 16, 9.6 MiB with one
-    # block of 128, since only the groups that pass the coverage test build
-    # the padded clique-stage arrays
+    # arrays, then one block's tables at a time: 1.9 MiB with blocks of 16
+    # shifts, against 1.4 MiB (the cell pass's own peak) with 8, 3.1 MiB
+    # with 32 and 9.6 MiB with one block of 128, since only the groups that
+    # pass the coverage test build the padded clique-stage arrays
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _row_index(8)
     _merge_schedule(8)
