@@ -225,8 +225,13 @@ def from_tt_hex(text: str) -> BooleanFunction:
     if not m:
         raise ValueError(f"not a truth-table literal: {text[:40]!r}")
     n = int(m.group(1))
-    raw = bytes.fromhex(m.group(2))
     need = max(1, (1 << n) // 8)
+    if len(m.group(2)) % 2:
+        raise ValueError(
+            f"odd number of hex digits: give two per byte, "
+            f"{2 * need} for the {need}-byte table of n={n}"
+        )
+    raw = bytes.fromhex(m.group(2))
     if len(raw) != need:
         raise ValueError(f"expected {need} bytes for n={n}, got {len(raw)}")
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")

@@ -164,7 +164,10 @@ def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
     profile = timed("profile", lambda: msubspace_profile(f))
     mm = None
     if bent:
-        mm = timed("mm_sharp", lambda: is_in_mm_sharp(f))
+        # Dillon's criterion: f is in MM# iff it has an n/2-dimensional
+        # M-subspace, so a profile that counts none settles it
+        settled = f.n >= 4 and profile.counts[f.n // 2] == 0
+        mm = timed("mm_sharp", lambda: None if settled else is_in_mm_sharp(f))
     ps = None
     if sharp:
         ps = timed("ps_sharp", lambda: is_in_ps_sharp(f))

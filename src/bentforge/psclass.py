@@ -31,6 +31,10 @@ The sweep takes aligned blocks of up to 16 shifts: one comparison on the
 block's XORed-up table gives all its hits, and one count of (shift, a,
 subclass) keys over the hits' coset points, which the pass stores with
 each cell, gives all its viable groups, one clique-stage row per hit.
+The same count prunes them (Knuth's fewest-candidates rule at depth 0):
+the cosets of a group that can pass the coverage test below cover all of
+Z, the points where f* + b.x + f(b) differs from the subclass tag, so the
+group shares a hit with the point of Z that the fewest hits hold.
 The disjointness search then runs on the hit subspaces W, not on their
 complements: two n/2-subspaces W1, W2 meet only in 0 iff W1 + W2 is the
 whole space iff (W1 + W2)-perp, the intersection of W1-perp and W2-perp, is
@@ -607,8 +611,8 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 1.4 MiB with 8 (the cell pass's), 1.9 MiB with
-# 16, 3.1 MiB with 32 (no faster than 16), 9.6 MiB with one block of 128.
+# a sweep's traced peak is 1.4 MiB with 8 (the cell pass's) or 16, 2.1 MiB
+# with 32 (5% faster than 16), 6.2 MiB with one block of 128.
 _BLOCK = 16
 
 
@@ -658,7 +662,22 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     in that coset of W.  A group is viable when it has at least
     need = 2^(m-1) + tag hits and phi[a] = f(b) (otherwise the weight of g
     rules out PS).  Every coset point gets the key (d, a, tag), and one
-    count per key settles viability.  Returns (d, a, tag, need) per group,
+    count per key settles viability.
+
+    Then a probe drops, before any pair is built, groups that provably
+    fail the coverage test of `_bounded_cliques`, most of them in a sweep.
+    With phi = f* + b.x, let Z = {x : phi(x) + f(b) != tag}.  f is bent,
+    so sum_x (-1)^phi(x) = 2^m (-1)^f(b) and |Z| = need (2^m - 1) + tag.
+    A hit of the group's tag whose coset C holds a has phi(a) = f(b) and
+    C \\ {a} inside Z, by the hit rule; the group's subspaces are its
+    cosets C_i moved by a, so their nonzero points are the union of the
+    C_i \\ {a} moved by a, and reach need (2^m - 1) only if the C_i cover
+    Z (Z \\ {a} with a, for PS+).  So the group needs a hit that holds a
+    and x*, the point of Z held by the fewest hits of its shift and tag
+    (the first on a tie), which the count has at key (d, x*, tag); when
+    none holds x*, no group of that shift and tag is left.
+
+    Returns (d, a, tag, need) per group,
     ascending in (d, a, tag), then the groups' rows, owners and pairs as
     `_bounded_cliques` takes them: a row (w, d) per hit with a point in a
     viable group, in hit order.  For bent f, Parseval on the cosets of W,
@@ -669,11 +688,20 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     n = f.n
     m = n // 2
     shifts = np.arange(lo, hi)
-    phi = dual_table ^ _parity_array(shifts[:, None] & np.arange(1 << n))
+    off = dual_table ^ _parity_array(shifts[:, None] & np.arange(1 << n)) ^ f.table[shifts, None]
     keys = (((d << (n + 1)) | tag)[:, None] | points.astype(np.intp) << 1).ravel()
-    counts = np.bincount(keys, minlength=(hi - lo) << (n + 1))
-    viable = counts.reshape(-1, 2) >= (1 << (m - 1)) + np.arange(2)
-    viable = (viable & (phi == f.table[shifts, None]).reshape(-1, 1)).ravel()
+    counts = np.bincount(keys, minlength=(hi - lo) << (n + 1)).reshape(hi - lo, 1 << n, 2)
+    viable = ((counts >= (1 << (m - 1)) + np.arange(2)) & (off == 0)[:, :, None]).ravel()
+    if viable.any():  # else the probe has no group to drop
+        # off = phi + f(b).  The probe's x* per (d, tag) is the point of
+        # Z = {x : off(x) != tag} in the fewest hits (2^32 marks a point
+        # outside Z), then the hits that hold it mark their keys
+        outside = (off[:, None] == np.arange(2)[:, None]).astype(np.intp) << 32
+        probe = (counts.transpose(0, 2, 1) | outside).argmin(axis=2).astype(points.dtype)
+        holders = np.flatnonzero(points == probe[d, tag][:, None]) >> m
+        held = np.zeros(viable.size, dtype=bool)
+        held[keys.reshape(len(d), -1)[holders]] = True
+        viable &= held
     kept = np.flatnonzero(viable[keys])
     used, row = _used(kept >> m, len(w))
     pairs = np.cumsum(viable)[keys[kept]] - 1, row

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bentforge.boolfun import BooleanFunction
+from bentforge.construct import mm_bent
+from bentforge.vectorial import VectorialFunction
 
 
 @pytest.fixture
@@ -26,9 +28,15 @@ def random_permutation_table(m: int, rng: random.Random) -> np.ndarray:
     return np.array(perm, dtype=np.int64)
 
 
-def random_partial_spread(n: int, rng: random.Random) -> BooleanFunction:
+def random_mm(m: int, rng: random.Random) -> BooleanFunction:
+    """x . pi(y) + h(y) for a shuffled permutation pi and a random h."""
+    return mm_bent(VectorialFunction(m, random_permutation_table(m, rng)), random_function(m, rng))
+
+
+def random_partial_spread(n: int, rng: random.Random, plus: bool = False) -> BooleanFunction:
     """A PS- bent function on n variables: the indicator, 0 left out, of
-    2^(n/2-1) random n/2-subspaces that pairwise meet only in 0.
+    2^(n/2-1) random n/2-subspaces that pairwise meet only in 0; with plus,
+    a PS+ one: 2^(n/2-1) + 1 subspaces, 0 included.
 
     Greedy: subspaces are spanned by random bases, 1,024 at a time, and a
     subspace is kept when it meets the kept ones only in 0.  After 64
@@ -44,13 +52,14 @@ def random_partial_spread(n: int, rng: random.Random) -> BooleanFunction:
                 elements = np.hstack([elements, elements ^ column])
             nonzero = elements[:, 1:]
             fresh = (nonzero != 0).all(axis=1)  # the basis is independent
-            while kept < 1 << (m - 1):
+            while kept < (1 << (m - 1)) + plus:
                 fresh &= ~covered[nonzero].any(axis=1)
                 if not fresh.any():
                     break
                 covered[nonzero[fresh.argmax()]] = True
                 kept += 1
             else:
+                covered[0] = plus
                 return BooleanFunction(n, covered)
 
 

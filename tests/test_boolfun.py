@@ -288,6 +288,12 @@ def test_tt_hex_rejects_malformed():
     for text in ("tt:n=2:ff", "tt:n=1:fe"):  # bits past the table's 2^n points
         with pytest.raises(ValueError, match="are set in a table"):
             from_tt_hex(text)
+    # an odd digit count, each digit valid hex, asks for whole bytes
+    odd = "^odd number of hex digits: give two per byte, "
+    cases = ("tt:n=2:8", "2 for the 1-byte"), ("tt:n=8:" + "0" * 63, "64 for the 32-byte")
+    for text, want in cases:
+        with pytest.raises(ValueError, match=odd + want):
+            from_tt_hex(text)
 
 
 def test_parse_anf_accepts_x_y_z():

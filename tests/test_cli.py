@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -5,11 +6,14 @@ import time
 
 import pytest
 
+from bentforge import cli
 from bentforge import fixtures as fx
-from bentforge.boolfun import from_tt_hex, to_tt_hex
+from bentforge.boolfun import BooleanFunction, dual, from_tt_hex, to_tt_hex, zero_function
 from bentforge.cli import main
-from bentforge.vectorial import to_vf_text
-from conftest import HYPERPLANE_VANISHES
+from bentforge.construct import mm_bent
+from bentforge.msub import is_in_mm_sharp
+from bentforge.vectorial import identity_map, to_vf_text
+from conftest import HYPERPLANE_VANISHES, random_mm
 
 
 def run_cli(capsys, *argv):
@@ -397,8 +401,9 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
         ([], "need --tt or --anf"),
         (["--anf", "x1 + + x2"], "empty term (at position 4)"),
         (["--tt", "tt:n=2:ff"], "bits at or above 2^2 are set in a table for n=2"),
+        (["--tt", "tt:n=2:8"], "odd number of hex digits: give two per byte, 2 for the 1-byte"),
     ],
-    ids=["anf-without-variables", "no-input", "anf-empty-term", "tt-padding-bits"],
+    ids=["anf-without-variables", "no-input", "anf-empty-term", "tt-padding-bits", "tt-odd-digits"],
 )
 def test_analyze_rejects_unusable_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "analyze", *argv)
@@ -411,6 +416,42 @@ def test_analyze_library_call_raises_on_unsupported_input():
 
     with pytest.raises(ValueError, match="PS# analysis needs a bent function on even n"):
         analyze(from_tt_hex("tt:n=4:0000"), sharp=True)
+
+
+def mm_sharp_inputs() -> list[BooleanFunction]:
+    """The published functions and their duals, seeded random MM functions
+    at m = 2, 3, 4, x.y at n = 4, 6, 8, and all eight bent functions at
+    n = 2."""
+    published = [fx.published_bent8(name) for name in fx.PUBLISHED]
+    rng = random.Random(34)
+    return [
+        *published,
+        *map(dual, published),
+        *(random_mm(m, rng) for m in (2, 3, 4) for _ in range(2)),
+        *(mm_bent(identity_map(m), zero_function(m)) for m in (2, 3, 4)),
+        *(BooleanFunction(2, t) for t in itertools.product((0, 1), repeat=4) if sum(t) % 2),
+    ]
+
+
+def test_analyze_mm_sharp_matches_dillon_search():
+    # analyze reads MM# off the profile when it counts no n/2-dimensional
+    # M-subspace, and otherwise searches as is_in_mm_sharp does
+    verdicts = set()
+    for f in mm_sharp_inputs():
+        want = is_in_mm_sharp(f)
+        assert cli.analyze(f).mm_sharp == want, f.digest()
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_analyze_settles_mm_sharp_of_published_functions_from_the_profile(monkeypatch):
+    def search(f):
+        raise AssertionError("is_in_mm_sharp called")
+
+    monkeypatch.setattr(cli, "is_in_mm_sharp", search)
+    for name in fx.PUBLISHED:
+        report = cli.analyze(fx.published_bent8(name))
+        assert report.mm_sharp is None and "mm_sharp" in report.timings
 
 
 def test_perm_check_vf_literal(capsys):

@@ -57,8 +57,13 @@ from bentforge.psclass import (
     ps_ap,
     ps_candidates,
 )
-from bentforge.vectorial import VectorialFunction, identity_map
-from conftest import packed_words, random_function, random_partial_spread, random_permutation_table
+from bentforge.vectorial import identity_map
+from conftest import (
+    packed_words,
+    random_function,
+    random_mm,
+    random_partial_spread,
+)
 
 
 def balanced_h3() -> BooleanFunction:
@@ -269,11 +274,6 @@ def coset_table(n: int) -> np.ndarray:
     return perm
 
 
-def random_mm(m: int, rng: random.Random) -> BooleanFunction:
-    """x . pi(y) + h(y) for a shuffled permutation pi and a random h."""
-    return mm_bent(VectorialFunction(m, random_permutation_table(m, rng)), random_function(m, rng))
-
-
 def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
     """f(A(x + b)) + a.x + c for a random invertible A and random b, a, c."""
     n = f.n
@@ -325,10 +325,15 @@ def cell_blocks(cells, n: int, c=slice(None)) -> np.ndarray:
     return np.argmax(at, axis=1)
 
 
-def reference_shift_groups(f: BooleanFunction, cells, dual_table: np.ndarray, b: int, hits=None):
+def reference_shift_groups(
+    f: BooleanFunction, cells, dual_table: np.ndarray, b: int, hits=None, probe=True
+):
     """The per-shift pass: the hits of shift b selected from the cells one
     shift at a time (or the given (hits_minus, hits_plus)), then its viable
-    (a, subclass) groups, ascending in (a, tag), tag 1 for PS_plus.
+    (a, subclass) groups, ascending in (a, tag), tag 1 for PS_plus.  With
+    probe, a group (a, t) is kept only if some hit of tag t holds both a
+    and x*, the point of Z_t = {x : phi(x) + f(b) != t} that the fewest
+    hits of tag t hold (the smallest such point on a tie).
 
     Returns ((phi, hits_minus, hits_plus), (a, tag, need, rows, bounds)):
     hits are (subspace index, coset block) pairs in row-major order whose
@@ -364,6 +369,14 @@ def reference_shift_groups(f: BooleanFunction, cells, dual_table: np.ndarray, b:
     a, tag = np.divmod(keys[starts], 2)
     need = (1 << (m - 1)) + tag
     viable = (sizes >= need) & (phi[a] == fb)
+    if probe:
+        cosets = [set(c) for c in points.tolist()]
+        for t in (0, 1):
+            tagged = [c for c, p in zip(cosets, plus) if p == t]
+            z = [x for x in range(1 << n) if phi[x] ^ fb != t]
+            x_star = min(z, key=lambda x: sum(x in c for c in tagged))
+            with_x_star = set().union(*(c for c in tagged if x_star in c))
+            viable &= (tag != t) | np.isin(a, list(with_x_star))
     bounds = np.concatenate([[0], np.cumsum(sizes[viable])])
     groups = a[viable], tag[viable], need[viable], rows[np.repeat(viable, sizes)], bounds
     return (phi, hits_minus, hits_plus), groups
@@ -452,6 +465,60 @@ def test_sweep_hits_match_direct_coset_count_n8():
 @pytest.mark.parametrize("name", ["transposed", "apn_family"])
 def test_block_pass_matches_per_shift_pass_n8(name):
     assert_block_pass_matches(published_bent8(name))
+
+
+def probe_inputs(n: int) -> list[BooleanFunction]:
+    """The oracle functions (the published ones and their duals at n = 8),
+    a random MM function and random PS- and PS+ functions."""
+    rng = random.Random(f"probe-{n}")
+    if n == 8:
+        published = [published_bent8(name) for name in PUBLISHED]
+        base = published + [dual(f) for f in published]
+    else:
+        base = oracle_functions(n)
+    spreads = [random_partial_spread(n, rng, plus) for plus in (False, True)]
+    return base + [random_mm(n // 2, rng), *spreads]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_probe_drops_only_groups_that_cannot_cover(n):
+    # The sweep's groups against the unpruned per-shift grouping.  Every
+    # group the sweep keeps is an unpruned group with the same rows; every
+    # group the probe drops has subspaces covering fewer than
+    # need (2^m - 1) nonzero points, so the coverage test drops it too.
+    # The groups of tag t lie in the cosets of the hits that hold x*, the
+    # point of Z_t the fewest hits hold: at most 2^m per such hit.  f is
+    # bent, so |Z_t| = need (2^m - 1) + t at every shift.
+    m = n // 2
+    nonzero = functools.cache(lambda row: frozenset(_midspace(n, row).elements()) - {0})
+    kept = dropped = 0
+    for f in probe_inputs(n):
+        dual_table = dual(f).table
+        cells = _coset_cells(dual_table, n)
+        for b, hits, groups in block_pass(f, cells, dual_table, _shift_blocks(n)):
+            (phi, *_), unpruned = reference_shift_groups(f, cells, dual_table, b, probe=False)
+            off = phi ^ f.table[b]
+            swept, want = ({
+                (int(a), int(t)): rows[bounds[g] : bounds[g + 1]].tolist()
+                for g, (a, t) in enumerate(zip(a, tag))
+            } for a, tag, _, rows, bounds in (groups, unpruned))
+            for key, rows in swept.items():
+                assert want.get(key) == rows, (f.digest(), b, key)
+            for (a, t), rows in want.items():
+                if (a, t) not in swept:
+                    cover = ((1 << (m - 1)) + t) * ((1 << m) - 1)
+                    union = frozenset().union(*map(nonzero, rows))
+                    assert len(union) < cover, (f.digest(), b, a, t)
+                    dropped += 1
+            for t, tagged in enumerate(hits):
+                z = off != t
+                assert np.count_nonzero(z) == ((1 << (m - 1)) + t) * ((1 << m) - 1) + t
+                cosets = coset_table(n)[tagged[:, :1], (tagged[:, 1:] << m) + np.arange(1 << m)]
+                fewest = np.bincount(cosets.ravel(), minlength=1 << n)[z].min()
+                assert sum(key[1] == t for key in swept) <= fewest << m, (f.digest(), b, t)
+            kept += len(swept)
+    # at n = 4 every unpruned group of these inputs covers, so none is dropped
+    assert kept > 0 and (dropped > 0) == (n > 4)
 
 
 def test_block_groups_match_per_shift_grouping_on_random_hits():
@@ -689,10 +756,11 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m):
 def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built (the index, the cell pass's merge
     # schedule and the half-word spectra), a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 1.9 MiB with blocks of 16
-    # shifts, against 1.4 MiB (the cell pass's own peak) with 8, 3.1 MiB
-    # with 32 and 9.6 MiB with one block of 128, since only the groups that
-    # pass the coverage test build the padded clique-stage arrays
+    # arrays, then one block's tables at a time: 1.4 MiB with blocks of 16
+    # shifts, as with 8 (the cell pass's own peak), against 2.1 MiB with 32
+    # and 6.2 MiB with one block of 128, since the probe keeps few groups
+    # (1.9 MiB with 16 without it) and only the groups that pass the
+    # coverage test build the padded clique-stage arrays
     g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
     _row_index(8)
     _merge_schedule(8)
@@ -825,15 +893,29 @@ def test_ps_sharp_verdicts_of_the_four_ea_classes_n6(k):
 @pytest.mark.parametrize("draw", range(3))
 def test_random_partial_spreads_are_found(n, draw):
     # PS- functions from greedy random partial spreads, not only the
-    # Desarguesian ones of ps_ap: is_partial_spread rebuilds each, and the
-    # PS# sweep finds a witness after an EA disguise and on the disguise's
-    # dual, itself in PS#
+    # Desarguesian ones of ps_ap
     rng = random.Random(1000 * n + draw)
-    f = random_partial_spread(n, rng)
+    assert_partial_spread_found(random_partial_spread(n, rng), "PS_minus", rng)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("draw", range(3))
+def test_random_plus_partial_spreads_are_found(n, draw):
+    # PS+ ones, 0 and 2^(n/2-1) + 1 random subspaces, where the sweep's
+    # probe prunes the most
+    rng = random.Random(2000 * n + draw)
+    assert_partial_spread_found(random_partial_spread(n, rng, plus=True), "PS_plus", rng)
+
+
+def assert_partial_spread_found(f: BooleanFunction, subclass: str, rng: random.Random) -> None:
+    """f is bent of degree n/2, is_partial_spread rebuilds it as subclass,
+    and the PS# sweep finds a witness after an EA disguise and on the
+    disguise's dual, itself in PS#."""
+    n = f.n
     assert is_bent(f)
     assert algebraic_degree(f) == n // 2
     w = is_partial_spread(f)
-    assert w is not None and w.reconstruct(n) == f
+    assert w is not None and w.subclass == subclass and w.reconstruct(n) == f
     g = ea_disguise(f, rng)
     w = is_in_ps_sharp(g)
     assert w is not None and _witness_holds(g, w)
@@ -1132,12 +1214,24 @@ def sweep_groups(f: BooleanFunction):
         yield lo, need, rows, owner, pairs
 
 
-def batched_and_reference_cliques(f: BooleanFunction):
-    """Per sweep block, the groups the clique stage yields with their
-    cliques (as rows), and the groups the per-group reference keeps by the
-    degree bound alone with theirs."""
+def unpruned_groups(f: BooleanFunction):
+    """Per shift b of f's sweep, b and its viable groups without the probe,
+    from the per-shift pass, as the clique stage takes them: (b, need,
+    rows, owner, pairs), each group with its own rows, in one batch."""
+    dual_table = dual(f).table
+    cells = _coset_cells(dual_table, f.n)
+    for b in range(1 << f.n):
+        _, (_, _, need, rows, bounds) = reference_shift_groups(f, cells, dual_table, b, probe=False)
+        group = np.repeat(np.arange(len(need)), np.diff(bounds))
+        yield b, need, rows, np.zeros(len(rows), dtype=np.intp), (group, np.arange(len(rows)))
+
+
+def batched_and_reference_cliques(f: BooleanFunction, groups=sweep_groups):
+    """Per sweep block (or per shift, for unpruned_groups), the groups the
+    clique stage yields with their cliques (as rows), and the groups the
+    per-group reference keeps by the degree bound alone with theirs."""
     total = 0
-    for lo, need, rows, owner, pairs in sweep_groups(f):
+    for lo, need, rows, owner, pairs in groups(f):
         members, bounds = csr_groups(need, rows, pairs)
         want = {}
         for g in range(len(need)):
@@ -1207,14 +1301,16 @@ def test_batched_degree_bound_matches_per_group_reference(n):
 
 @pytest.mark.parametrize("name, some_kept", [("delta0_mix", True), ("transposed", False)])
 def test_batched_degree_bound_matches_per_group_reference_n8(name, some_kept):
-    # the coverage test drops 6 of the 14 groups the degree bound keeps on
-    # this delta0_mix, none of them with a clique
+    # on this delta0_mix's unpruned groups the coverage test drops 6 of the
+    # 14 groups the degree bound keeps, none of them with a clique; the
+    # sweep's probe has already dropped those 6
     g = ea_disguise(published_bent8(name), random.Random(name))
-    kept = dropped = 0
-    for lo, got, want in batched_and_reference_cliques(g):
-        dropped += assert_cliques_match_reference(got, want, lo)
-        kept += len(got)
-    assert (kept, dropped) == ((8, 6) if some_kept else (0, 0))
+    for groups, want_dropped in ((unpruned_groups, 6), (sweep_groups, 0)):
+        kept = dropped = 0
+        for lo, got, want in batched_and_reference_cliques(g, groups):
+            dropped += assert_cliques_match_reference(got, want, lo)
+            kept += len(got)
+        assert (kept, dropped) == ((8, want_dropped) if some_kept else (0, 0))
 
 
 def nonzero_points(rows, n: int) -> np.ndarray:
@@ -1245,9 +1341,14 @@ def test_coverage_counts_the_union_of_group_subspaces(n):
 
 @pytest.mark.parametrize("name, passed, groups", [("delta0_mix", 24, 16241), ("transposed", 0, 22752)])
 def test_coverage_pass_counts_n8(name, passed, groups):
-    # the groups of a whole sweep whose subspaces can cover a partial spread
-    counts = np.zeros(2, dtype=np.intp)
-    for _, need, rows, _, pairs in sweep_groups(published_bent8(name)):
-        covered = _coverage(nonzero_points(rows, 8), pairs, len(need), 8)
-        counts += np.count_nonzero(covered >= need * ((1 << 4) - 1)), len(need)
-    assert counts.tolist() == [passed, groups]
+    # the groups of a whole sweep whose subspaces can cover a partial
+    # spread: as many among the unpruned groups as among the far fewer
+    # that the sweep's probe keeps
+    swept = {"delta0_mix": 2572, "transposed": 64}[name]
+    f = published_bent8(name)
+    for source, total in ((unpruned_groups, groups), (sweep_groups, swept)):
+        counts = np.zeros(2, dtype=np.intp)
+        for _, need, rows, _, pairs in source(f):
+            covered = _coverage(nonzero_points(rows, 8), pairs, len(need), 8)
+            counts += np.count_nonzero(covered >= need * ((1 << 4) - 1)), len(need)
+        assert counts.tolist() == [passed, total], source.__name__
