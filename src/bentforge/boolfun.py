@@ -141,19 +141,15 @@ def walsh_transform(f: BooleanFunction) -> np.ndarray:
 
 
 def is_bent(f: BooleanFunction) -> bool:
-    if f.n % 2:
-        return False
-    target = 1 << (f.n // 2)
-    return bool(np.all(np.abs(walsh_transform(f)) == target))
+    """|W_f| = 2^(n/2) everywhere.  For odd n the target 2^((n-1)/2) would
+    give sum W^2 = 2^(2n-1), against Parseval's 2^(2n), so none passes."""
+    return bool(np.all(np.abs(walsh_transform(f)) == 1 << f.n // 2))
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
     """The dual f* with W_f(u) = 2^(n/2) (-1)^(f*(u)); bent input only."""
-    if f.n % 2:
-        raise ValueError("dual is defined for bent functions only (odd n)")
     w = walsh_transform(f)
-    target = 1 << (f.n // 2)
-    if not np.all(np.abs(w) == target):
+    if np.any(np.abs(w) != 1 << f.n // 2):
         raise ValueError("dual is defined for bent functions only")
     return BooleanFunction(f.n, (w < 0).astype(np.uint8))
 
@@ -182,14 +178,15 @@ def linear_structures(f: BooleanFunction) -> set[int]:
 
 def _linear_structures(table: np.ndarray) -> set[int]:
     """All a (including 0) with D_a(table) constant, for Boolean and
-    vectorial tables alike."""
-    idx = np.arange(len(table))
-    out = set()
-    for a in range(len(table)):
-        d = table ^ table[idx ^ a]
-        if d.min() == d.max():
-            out.add(a)
-    return out
+    vectorial tables alike: for every output bit g, the WHT of W_g^2 (2^n
+    times the autocorrelation of g) is +-2^(2n) at a.  Exact in int64:
+    every partial sum of the butterfly is at most sum W_g^2 = 2^(2n)."""
+    n = len(table).bit_length() - 1
+    found = np.ones(len(table), dtype=bool)
+    for i in range(int(table.max()).bit_length()):
+        w = _wht_butterfly(1 - 2 * ((table >> i) & 1).astype(np.int64))
+        found &= np.abs(_wht_butterfly(w * w)) == 1 << 2 * n
+    return set(np.flatnonzero(found).tolist())
 
 
 def shift(f: BooleanFunction, b: int) -> BooleanFunction:

@@ -397,20 +397,16 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     Subspace-first refinement of the clique formulation: candidates are the
     n/2-subspaces contained in the support, and a partial spread is a
     pairwise-trivially-intersecting family of s of them whose union is the
-    support, 0 included exactly for PS+ (s is 2^(n/2-1), plus 1 for PS+).
+    support, 0 included exactly for PS+: s = 2^(n/2-1) + tag subspaces and
+    weight s (2^(n/2) - 1) + tag, tag = f(0), as in the sweep.
     """
     if not is_bent(f):
         raise ValueError("PS membership is defined for bent functions")
     n = f.n
-    if n > 8:
-        # the n = 10 candidate scan is ~10^8 subspaces; not desk-scale
-        raise ValueError("PS test supported for n <= 8")
-    m = n // 2
-    if f(0):
-        subclass, s, want_weight = "PS_plus", (1 << (m - 1)) + 1, (1 << (n - 1)) + (1 << (m - 1))
-    else:
-        subclass, s, want_weight = "PS_minus", 1 << (m - 1), (1 << (n - 1)) - (1 << (m - 1))
-    if f.weight() != want_weight:
+    check_sweep_size(n)
+    tag = f(0)
+    s = (1 << (n // 2 - 1)) + tag
+    if f.weight() != s * ((1 << n // 2) - 1) + tag:
         return None
     rows = np.array(ps_candidates(f), dtype=np.intp)
     owner = np.zeros(len(rows), dtype=np.intp)  # one batch, one group
@@ -418,6 +414,7 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     clique = dict(_bounded_cliques(rows, owner, pairs, np.array([s]), n)).get(0)
     if clique is None:
         return None
+    subclass = "PS_plus" if tag else "PS_minus"
     witness = PartialSpreadWitness(subclass, tuple(_midspace(n, r) for r in clique))
     if witness.reconstruct(n) != f:
         raise AssertionError(f"{subclass} witness does not rebuild f")
@@ -736,10 +733,10 @@ def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
 
 
 def check_sweep_size(n: int) -> None:
-    """Raise ValueError for a variable count the PS# sweep does not support."""
+    """Raise ValueError for a variable count the PS and PS# tests do not support."""
     if n > 8:
-        # the n = 10 table is ~10^8 subspaces; the sweep is not desk-scale
-        raise ValueError("PS# sweep supported for n <= 8")
+        # the n = 10 subspace index is ~10^8 subspaces; not desk-scale
+        raise ValueError("PS and PS# tests supported for n <= 8")
 
 
 def is_in_ps_sharp(

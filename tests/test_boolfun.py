@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -27,7 +28,8 @@ from bentforge.boolfun import (
     walsh_transform,
     zero_function,
 )
-from conftest import random_function
+from bentforge.gf2 import apply_linear, random_invertible
+from conftest import random_function, random_mm, random_permutation_table
 
 tables = st.integers(min_value=2, max_value=6).flatmap(
     lambda n: st.lists(
@@ -151,10 +153,39 @@ def test_to_paper_variables_rejects_a_varmap_that_is_no_permutation():
 
 
 def test_dual_rejects_non_bent():
-    with pytest.raises(ValueError):
-        dual(zero_function(4))
-    with pytest.raises(ValueError):
-        dual(zero_function(3))
+    for n in (3, 4):  # odd n fails the same check, with the same message
+        with pytest.raises(ValueError, match="^dual is defined for bent functions only$"):
+            dual(zero_function(n))
+
+
+def bentness_inputs() -> list[BooleanFunction]:
+    """Every table at n = 1, 2, 3, and seeded tables at n = 4..9: random
+    ones and, at even n, random MM bent functions."""
+    out = [
+        BooleanFunction(n, t) for n in (1, 2, 3) for t in itertools.product((0, 1), repeat=1 << n)
+    ]
+    rng = random.Random(35)
+    for n in range(4, 10):
+        out += [random_function(n, rng) for _ in range(8)]
+        if n % 2 == 0:
+            out += [random_mm(n // 2, rng) for _ in range(4)]
+    return out
+
+
+def test_is_bent_and_dual_match_the_definition_with_odd_n_excluded():
+    # Parseval keeps every odd n out of the one |W_f| = 2^(n/2) check
+    bent_seen = set()
+    for f in bentness_inputs():
+        w = walsh_transform(f)
+        bent = f.n % 2 == 0 and bool(np.all(np.abs(w) == 1 << (f.n // 2)))
+        assert is_bent(f) == bent
+        if bent:
+            assert dual(f) == BooleanFunction(f.n, (w < 0).astype(np.uint8))
+            bent_seen.add(f.n)
+        else:
+            with pytest.raises(ValueError, match="^dual is defined for bent functions only$"):
+                dual(f)
+    assert bent_seen == {2, 4, 6, 8}
 
 
 def test_derivative_in_zero_direction():
@@ -221,6 +252,57 @@ def test_span_closure_identity(rng):
         lhs = second_derivative(f, a ^ b, c)
         rhs = shift(second_derivative(f, a, c), b) ^ second_derivative(f, b, c)
         assert lhs == rhs
+
+
+def reference_linear_structures(table: np.ndarray) -> set[int]:
+    """All a with D_a(table) constant, testing one direction at a time."""
+    idx = np.arange(len(table))
+    out = set()
+    for a in range(len(table)):
+        d = table ^ table[idx ^ a]
+        if d.min() == d.max():
+            out.add(a)
+    return out
+
+
+def planted_structure(n: int, k: int, rng: random.Random) -> BooleanFunction:
+    """h(x_(k+1), .., x_n) + l.x after a random linear change of variables:
+    its linear structures hold a k-dimensional subspace."""
+    idx = np.arange(1 << n)
+    h = np.array([rng.randrange(2) for _ in range(1 << (n - k))], dtype=np.uint8)
+    base = h[idx >> k] ^ _parity_array(idx & rng.randrange(1 << n))
+    A = random_invertible(n, rng)
+    return BooleanFunction(n, base[[apply_linear(A, x) for x in range(1 << n)]])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_linear_structures_match_per_direction_reference(n):
+    rng = random.Random(n)
+    idx = np.arange(1 << n)
+    affine = BooleanFunction(n, _parity_array(idx & rng.randrange(1 << n)) ^ 1)
+    planted = [planted_structure(n, k, rng) for k in range(1, n + 1)]
+    for f in [random_function(n, rng), random_function(n, rng), affine, *planted]:
+        assert linear_structures(f) == reference_linear_structures(f.table)
+    assert linear_structures(affine) == set(range(1 << n))
+    for k, f in enumerate(planted, 1):
+        assert len(linear_structures(f)) >= 1 << k
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_vectorial_linear_structures_match_per_direction_reference(m):
+    from bentforge.gf2m import Field, power_map
+    from bentforge.verify import _lifted_permutation
+    from bentforge.vectorial import VectorialFunction, linear_structures_vf
+
+    rng = random.Random(100 + m)
+    maps = [VectorialFunction(m, random_permutation_table(m, rng)) for _ in range(2)]
+    maps += [_lifted_permutation(m, rng) for _ in range(2)]
+    if m >= 2:
+        fld = Field(m)
+        maps += [power_map(fld, d) for d in {1, 2, 3, (1 << m) - 2} if d <= (1 << m) - 2]
+    for F in maps:
+        assert linear_structures_vf(F) == reference_linear_structures(F.table)
+    assert all(len(linear_structures_vf(F)) > 1 for F in maps[2:4])
 
 
 def test_linear_structures_of_linear_function():

@@ -2,7 +2,9 @@ import itertools
 import json
 import random
 import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,39 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def readme_commands(section: str) -> list[str]:
+    """The `bentforge ...` lines of the code blocks of one README section."""
+    body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```\n(.*?)^```", body, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [line for line in lines if line.startswith("bentforge ")]
+
+
+@pytest.mark.parametrize(
+    "line",
+    readme_commands("CLI") + readme_commands("Reproducing the published examples"),
+    ids=lambda line: " ".join(line.split()[1:3]),
+)
+def test_readme_commands_parse(line):
+    # parsing reads no file: --tt, --pi and the like stay strings
+    argv = shlex.split(line, comments=True)[1:]
+    cli.build_parser().parse_args(argv)
+
+
+def test_readme_cli_block_shows_every_command_and_counts_the_claims():
+    import argparse
+
+    from bentforge.verify import CLAIMS
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {line.split()[1] for line in readme_commands("CLI")} == set(commands.choices)
+    assert re.search(r"\((\d+)\s+today\)", README).group(1) == str(len(CLAIMS))
 
 
 def test_analyze_quadratic(capsys):
@@ -63,7 +98,7 @@ def test_analyze_sharp_rejects_non_bent(capsys):
 @pytest.mark.parametrize(
     "n, anf, message",
     [
-        (10, None, "PS# sweep supported for n <= 8"),
+        (10, None, "PS and PS# tests supported for n <= 8"),
         (4, "x1*x2*x3 + x4", "PS# analysis needs a bent function on even n"),
     ],
     ids=["n10-bent", "even-n-not-bent"],
@@ -222,7 +257,7 @@ def test_psclass_fails_fast_above_n8(capsys):
     code, _, err = run_cli(capsys, "psclass", "--anf", anf)
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "PS test supported for n <= 8" in err
+    assert "PS and PS# tests supported for n <= 8" in err
 
 def test_construct_mm_and_concat(capsys, tmp_path):
     pi_file = tmp_path / "pi.anf"

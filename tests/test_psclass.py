@@ -70,8 +70,12 @@ def balanced_h3() -> BooleanFunction:
     return BooleanFunction(3, [0, 1, 1, 0, 1, 0, 1, 0])
 
 
+def balanced_h4() -> BooleanFunction:
+    return BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+
+
 def ps_ap4() -> BooleanFunction:
-    return ps_ap(4, BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]))
+    return ps_ap(4, balanced_h4())
 
 
 def test_ps_ap_is_ps_minus_bent():
@@ -274,8 +278,9 @@ def coset_table(n: int) -> np.ndarray:
     return perm
 
 
-def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
-    """f(A(x + b)) + a.x + c for a random invertible A and random b, a, c."""
+def ea_disguise(f: BooleanFunction, rng: random.Random, shifted: bool = True) -> BooleanFunction:
+    """f(A(x + b)) + a.x + c for a random invertible A and random b, a, c;
+    b = 0 unless shifted."""
     n = f.n
     while True:
         cols = [rng.randrange(1, 1 << n) for _ in range(n)]
@@ -286,7 +291,8 @@ def ea_disguise(f: BooleanFunction, rng: random.Random) -> BooleanFunction:
     for j, col in enumerate(cols):
         img ^= ((idx >> j) & 1) * col
     linear = BooleanFunction(n, f.table[img])
-    return _shifted_affine(linear, rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(2))
+    b = rng.randrange(1 << n) if shifted else 0
+    return _shifted_affine(linear, b, rng.randrange(1 << n), rng.randrange(2))
 
 
 def oracle_functions(n: int) -> list[BooleanFunction]:
@@ -295,10 +301,15 @@ def oracle_functions(n: int) -> list[BooleanFunction]:
     if n == 2:
         return [BooleanFunction(2, t) for t in itertools.product((0, 1), repeat=4) if sum(t) % 2]
     m = n // 2
-    h = balanced_h3() if m == 3 else BooleanFunction(2, [0, 1, 1, 0])
+    h = {2: BooleanFunction(2, [0, 1, 1, 0]), 3: balanced_h3(), 4: balanced_h4()}[m]
     base = [ps_ap(m, h), mm_bent(identity_map(m), zero_function(m))]
     rng = random.Random(n)
     return base + [ea_disguise(f, rng) for f in base for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_oracle_functions_are_bent(n):
+    assert all(is_bent(f) for f in oracle_functions(n))
 
 
 def direct_coset_hits(f: BooleanFunction, dual_table: np.ndarray, b: int):
@@ -841,13 +852,35 @@ def test_ps_sharp_block_edges_keep_first_witness_and_progress(shift, seed):
     assert seen == list(range(shift))
 
 
-def first_direct_witness(f: BooleanFunction):
-    """Smallest (b, a) with f(x + b) + a.x + c in PS for some c, tested directly."""
-    for b in range(1 << f.n):
-        for a in range(1 << f.n):
-            if any(is_partial_spread(_shifted_affine(f, b, a, c)) is not None for c in (0, 1)):
-                return b, a
+def direct_witnesses_at(f: BooleanFunction, b: int):
+    """The smallest a with f(x + b) + a.x + c in PS for some c, tested
+    directly, and the PS witness of each c that passes there; or None."""
+    for a in range(1 << f.n):
+        found = {}
+        for c in (0, 1):
+            w = is_partial_spread(_shifted_affine(f, b, a, c))
+            if w is not None:
+                found[c] = w
+        if found:
+            return a, found
     return None
+
+
+def first_direct_witness(f: BooleanFunction):
+    """Smallest (b, a) with f(x + b) + a.x + c in PS for some c, tested
+    directly, with the witness of each c that passes there."""
+    for b in range(1 << f.n):
+        got = direct_witnesses_at(f, b)
+        if got is not None:
+            return (b, *got)
+    return None
+
+
+def assert_dillon_degree(w: PartialSpreadWitness, n: int) -> None:
+    """A PS- witness rebuilds a function of degree n/2 (Dillon).  n = 2 is
+    exempt: every bent function there is quadratic."""
+    if w.subclass == "PS_minus" and n >= 4:
+        assert algebraic_degree(w.reconstruct(n)) == n // 2
 
 
 @pytest.mark.parametrize(
@@ -860,8 +893,24 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
     first = first_direct_witness(f)
     assert (w is None) == (first is None)
     if w is not None:
-        assert (w.shift, w.affine) == first
+        b, a, found = first
+        assert (w.shift, w.affine) == (b, a) and w.constant in found
         assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
+        for inner in (w.inner, *found.values()):
+            assert_dillon_degree(inner, f.n)
+
+
+@pytest.mark.parametrize("plus", [False, True], ids=["PS_minus", "PS_plus"])
+@pytest.mark.parametrize("draw", range(3))
+def test_ps_sharp_at_shift_zero_matches_direct_search_n6(plus, draw):
+    # f(Ax) + a.x + c with f in PS has a witness at b = 0, so the sweep
+    # stops there, at the first a that a direct test of all (a, c) finds
+    rng = random.Random(3000 + 1000 * plus + draw)
+    g = ea_disguise(random_partial_spread(6, rng, plus=plus), rng, shifted=False)
+    w = is_in_ps_sharp(g)
+    a, found = direct_witnesses_at(g, 0)
+    assert (w.shift, w.affine) == (0, a) and w.constant in found
+    assert _witness_holds(g, w)
 
 
 # One representative of each of the four EA classes of bent functions on 6
@@ -910,16 +959,21 @@ def test_random_plus_partial_spreads_are_found(n, draw):
 def assert_partial_spread_found(f: BooleanFunction, subclass: str, rng: random.Random) -> None:
     """f is bent of degree n/2, is_partial_spread rebuilds it as subclass,
     and the PS# sweep finds a witness after an EA disguise and on the
-    disguise's dual, itself in PS#."""
+    disguise's dual, itself in PS#; every PS- witness among them rebuilds
+    a function of degree n/2."""
     n = f.n
     assert is_bent(f)
     assert algebraic_degree(f) == n // 2
     w = is_partial_spread(f)
     assert w is not None and w.subclass == subclass and w.reconstruct(n) == f
+    assert_dillon_degree(w, n)
     g = ea_disguise(f, rng)
     w = is_in_ps_sharp(g)
     assert w is not None and _witness_holds(g, w)
-    assert is_in_ps_sharp(dual(g)) is not None
+    assert_dillon_degree(w.inner, n)
+    w = is_in_ps_sharp(dual(g))
+    assert w is not None
+    assert_dillon_degree(w.inner, n)
 
 
 @pytest.mark.parametrize("name", [*PUBLISHED, "random-mm"])
