@@ -148,10 +148,12 @@ def split_direction(a: int, n: int) -> tuple[int, int, int]:
 
 def dual_bent_condition(q: ConcatQuadruple) -> bool:
     """True iff f1* + f2* + f3* + f4* = 1; equivalent to concat4(q) bent."""
+    s = 0
     for i, f in enumerate(q.functions, 1):
-        if not is_bent(f):
-            raise ValueError(f"f{i} is not bent")
-    s = dual(q.f1).table ^ dual(q.f2).table ^ dual(q.f3).table ^ dual(q.f4).table
+        try:
+            s ^= dual(f).table
+        except ValueError:
+            raise ValueError(f"f{i} is not bent") from None
     return bool(s.min() == 1)
 
 

@@ -98,8 +98,7 @@ def derivative_vf(F: VectorialFunction, a: int) -> np.ndarray:
     return F.table ^ F.table[idx ^ a]
 
 
-# uint64 words per temporary of the pair tests (128 KiB); a chunk still
-# holds all the b of one a, which exceeds this only for n > 15.
+# uint64 words per temporary of the pair tests (128 KiB)
 _PAIR_CHUNK = 1 << 14
 
 
@@ -148,6 +147,8 @@ def vanishing_pair_adjacency(table: np.ndarray) -> list[int]:
     The first word screens every pair of a chunk; only the pairs it passes
     read the other words, one word row at a time.
     """
+    if len(table) > 1 << 14:
+        raise ValueError("vanishing-pair graph supported for n <= 14")
     d = _packed_derivatives(table)
     first, rest = d[0], d[1:]
     N = d.shape[1]

@@ -446,6 +446,14 @@ def test_analyze_rejects_unusable_input(capsys, argv, message):
     assert message in err
 
 
+def test_analyze_rejects_a_vanishing_pair_graph_above_n14(capsys):
+    # at n = 16 the graph's word arrays alone would take 1 GiB
+    tt = to_tt_hex(mm_bent(identity_map(8), zero_function(8)))
+    code, out, err = run_cli(capsys, "analyze", "--tt", tt)
+    assert code == 2 and out == ""
+    assert "vanishing-pair graph supported for n <= 14" in err
+
+
 def test_analyze_library_call_raises_on_unsupported_input():
     from bentforge.cli import analyze
 
@@ -538,7 +546,7 @@ VERIFY_PAPER_LINES = [
     "PASS gold-p2-and-extension-p1: Gold quintic P2 and extended permutation P1",
     "PASS p1-unique-msubspace-suite: unique canonical M-subspace for 10 random h at m=3 and m=4",
     "PASS linear-structure-witness-suite: 10 verified non-canonical witnesses",
-    "PASS concatenation-algebra: 200 dual-condition and 500 closed-form samples agree",
+    "PASS concatenation-algebra: dual condition and bentness agree on 100 bent and 100 non-bent quadruples",
     "PASS trace-cubic-bent: bent with the unique canonical M-subspace",
     "PASS delta0-mix-degree: degree 4",
     "PASS delta0-mix-dual-bent-condition: f1*+f2*+f3*+f4* = 1",

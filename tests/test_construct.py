@@ -135,6 +135,13 @@ def test_dual_bent_condition_rejects_non_bent(rng):
         dual_bent_condition(q)
 
 
+def test_dual_bent_condition_names_the_first_non_bent_piece(rng):
+    f = mm_bent(identity_map(3), random_function(3, rng))
+    q = ConcatQuadruple(f, f ^ 1, zero_function(6), random_function(6, rng))
+    with pytest.raises(ValueError, match="^f3 is not bent$"):
+        dual_bent_condition(q)
+
+
 def _equal_pieces_quadruple() -> ConcatQuadruple:
     f = mm_bent(identity_map(3), zero_function(3))
     return ConcatQuadruple(f, f, f, f)
@@ -169,7 +176,7 @@ def test_second_derivative_concat_inner_directions_only(rng):
 
 
 def test_second_derivative_concat_random(rng):
-    for _ in range(200):
+    for _ in range(500):
         q = ConcatQuadruple(*(random_function(4, rng) for _ in range(4)))
         a, b = rng.randrange(64), rng.randrange(64)
         assert second_derivative_concat(q, a, b) == second_derivative(concat4(q), a, b)
