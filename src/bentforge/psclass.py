@@ -27,10 +27,11 @@ halves in reach and keeps the pairs whose spectrum, the sum and
 difference of the halves' spectra, reaches 2^m - 2.  u and b.r
 are linear in b, so the pass tabulates them, packed into one byte per
 cell, for the n unit vectors.
-The sweep takes aligned blocks of up to 16 shifts: one comparison on the
-block's XORed-up table gives all its hits, and one count of (shift, a,
-subclass) keys over the hits' coset points, which the pass stores with
-each cell, gives all its viable groups, one clique-stage row per hit.
+The sweep takes aligned blocks of up to 32 shifts: one comparison on the
+block's XORed-up table, in place, gives all its hits, and one count of
+(shift, a, subclass) keys over the hits' coset points, which the pass
+stores with each cell, gives all its viable groups, one clique-stage row
+per hit.
 The same count prunes them (Knuth's fewest-candidates rule at depth 0):
 the cosets of a group that can pass the coverage test below cover all of
 Z, the points where f* + b.x + f(b) differs from the subclass tag, so the
@@ -314,7 +315,13 @@ def _coverage(points: np.ndarray, pairs, groups: int, n: int) -> np.ndarray:
     group, gather their rows' words, one OR per group reduces them, and the
     union's size is its popcount.
     """
-    words = np.bitwise_or.reduce(_point_words(n).take(points.T, axis=0), axis=0)
+    point_words = _point_words(n)
+    words = np.empty((len(points), point_words.shape[1]), dtype=np.uint64)
+    # the gather is (points per row, rows, words): 1,024 rows at a time keep
+    # it under 0.5 MiB at n = 8
+    for lo in range(0, len(points), 1 << 10):
+        rows = slice(lo, lo + (1 << 10))
+        np.bitwise_or.reduce(point_words.take(points[rows].T, axis=0), axis=0, out=words[rows])
     group, member = pairs
     # a stable sort of 8- or 16-bit keys is a radix sort
     order = np.argsort(group.astype(np.min_scalar_type(groups)), kind="stable")
@@ -463,9 +470,9 @@ class _CosetCells:
     holds each cell's coset, so the sweep reads a hit's points by its cell.
     """
 
-    w_idx: np.ndarray
+    w_idx: np.ndarray  # int32
     u: np.ndarray  # uint8
-    spectrum: np.ndarray  # S_{W,r}(u)
+    spectrum: np.ndarray  # S_{W,r}(u), int8
     unit: np.ndarray  # (n, cells): bit k is e_j.w_k, bit m is e_j.r, r the block's first point
     points: np.ndarray  # (cells, 2^m) uint8: the coset in basis-coordinate order, r first
 
@@ -580,7 +587,7 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     cell, u = np.divmod(np.flatnonzero(np.abs(spec) >= size - 2), size)
     keys = (row[cell] * size + block[cell]) * size + u
     order = np.argsort(keys)
-    spectrum = spec[cell, u].take(order).astype(np.int64)
+    spectrum = spec[cell, u].take(order)
     del spec, row, block, cell, u
     w_idx, block = np.divmod(keys[order], size * size)
     block, u = np.divmod(block, size)
@@ -594,7 +601,7 @@ def _coset_cells(dual_table: np.ndarray, n: int) -> _CosetCells:
     for k in range(m):
         unit |= spread.take(basis[:, k]) << k
     return _CosetCells(
-        w_idx=w_idx,
+        w_idx=w_idx.astype(np.int32),
         u=u.astype(np.uint8),
         spectrum=spectrum,
         unit=np.ascontiguousarray(unit.astype("<u8", copy=False)[:, None].view(np.uint8)[:, :n].T),
@@ -608,9 +615,10 @@ def _unit_xor(table: np.ndarray, b: int) -> np.ndarray:
 
 
 # Shifts per sweep block at most.  A block's tables grow with it: at n = 8
-# a sweep's traced peak is 1.4 MiB with 8 (the cell pass's) or 16, 2.1 MiB
-# with 32 (5% faster than 16), 6.2 MiB with one block of 128.
-_BLOCK = 16
+# an exhaustive sweep's traced peak is 1.4 MiB with 16, 1.8 MiB with 32
+# (4-6% faster than 16) and 6.2 MiB with one block of 128; 64 was slower
+# than 32.
+_BLOCK = 32
 
 
 def _shift_blocks(n: int):
@@ -620,7 +628,8 @@ def _shift_blocks(n: int):
     `_block_hits` needs to XOR its table up from lo.  The leading blocks
     stay small for early witnesses: on one ps_ap(4, h), shifts 0 .. 7 keep
     544 groups over 1,496 rows after the coverage test, and one block of 8
-    there takes the traced peak from 1.3 to 10.4 MiB."""
+    there takes the traced peak from 1.3 to 10.4 MiB.  At n = 8 there are
+    13 blocks: 0, 1, 2-3, 4-7, 8-15, 16-31, then seven of 32 shifts."""
     lo = 0
     while lo < 1 << n:
         hi = lo + min(lo & -lo or 1, _BLOCK)
@@ -643,10 +652,13 @@ def _block_hits(f: BooleanFunction, cells: _CosetCells, lo: int, hi: int):
     table = np.empty((hi - lo, len(cells.u)), dtype=np.uint8)
     table[0] = _unit_xor(cells.unit, lo)
     for j in range((hi - lo).bit_length() - 1):
-        table[1 << j : 2 << j] = table[: 1 << j] ^ cells.unit[j]
+        np.bitwise_xor(table[: 1 << j], cells.unit[j], out=table[1 << j : 2 << j])
     table ^= f.table[lo:hi, None] << (f.n // 2)
+    # the rule in place, so the block holds one table, not three
     mask, want, plus = cells.hit_rule
-    d, c = np.divmod(np.flatnonzero((table & mask) == want), len(cells.u))
+    table &= mask
+    hit = np.equal(table, want, out=table.view(bool))
+    d, c = np.divmod(np.flatnonzero(hit), len(cells.u))
     return d, c, plus[c]
 
 
@@ -686,7 +698,10 @@ def _block_groups(f: BooleanFunction, dual_table: np.ndarray, lo: int, hi: int, 
     m = n // 2
     shifts = np.arange(lo, hi)
     off = dual_table ^ _parity_array(shifts[:, None] & np.arange(1 << n)) ^ f.table[shifts, None]
-    keys = (((d << (n + 1)) | tag)[:, None] | points.astype(np.intp) << 1).ravel()
+    keys = points.astype(np.intp)  # one buffer, shifted and ORed in place
+    keys <<= 1
+    keys |= ((d << (n + 1)) | tag)[:, None]
+    keys = keys.ravel()
     counts = np.bincount(keys, minlength=(hi - lo) << (n + 1)).reshape(hi - lo, 1 << n, 2)
     viable = ((counts >= (1 << (m - 1)) + np.arange(2)) & (off == 0)[:, :, None]).ravel()
     if viable.any():  # else the probe has no group to drop
@@ -746,7 +761,7 @@ def is_in_ps_sharp(
     x -> f(x+b) + a.x + c, with c forced by the subclass.
 
     Returns the first witness in (b, a) order, or None after the exhaustive
-    sweep.  Shifts are taken in aligned blocks of up to 16 (see
+    sweep.  Shifts are taken in aligned blocks of up to 32 (see
     `_shift_blocks`).  `progress` is called with b, in order, for every
     shift that yields no witness, once the block holding that shift is
     done.  `jobs` and `resume` are accepted and ignored: they exist only

@@ -561,8 +561,10 @@ def test_block_groups_match_per_shift_grouping_on_random_hits():
 
 
 def test_shift_blocks_are_aligned_and_capped():
-    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 48)]
-    assert list(_shift_blocks(6))[:7] == starts
+    starts = [(0, 1), (1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 64)]
+    assert list(_shift_blocks(6)) == starts
+    # the six leading blocks, then seven of 32 shifts
+    assert list(_shift_blocks(8)) == starts + [(lo, lo + 32) for lo in range(64, 256, 32)]
     for n in (2, 4, 6, 8):
         blocks = list(_shift_blocks(n))
         assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
@@ -607,9 +609,9 @@ def reference_coset_cells(dual_table: np.ndarray, n: int):
     for k in range(m):
         unit |= ((basis[:, k] >> j) & 1) << k
     return _CosetCells(
-        w_idx=w_idx,
+        w_idx=w_idx.astype(np.int32),
         u=u.astype(np.uint8),
-        spectrum=spec[row, u].astype(np.int64),
+        spectrum=spec[row, u].astype(np.int8),
         unit=unit,
         points=perm.reshape(-1, size)[cosets[row]],
     ), block
@@ -767,22 +769,30 @@ def test_coset_wht_cold_build_matches_butterfly_in_small_memory(m):
 def test_ps_sharp_sweep_peak_memory_n8():
     # with the per-dimension tables built (the index, the cell pass's merge
     # schedule and the half-word spectra), a sweep holds the cell pass's
-    # arrays, then one block's tables at a time: 1.4 MiB with blocks of 16
-    # shifts, as with 8 (the cell pass's own peak), against 2.1 MiB with 32
-    # and 6.2 MiB with one block of 128, since the probe keeps few groups
-    # (1.9 MiB with 16 without it) and only the groups that pass the
+    # arrays, then one block's tables at a time.  With blocks of 32 shifts
+    # the exhaustive delta0_mix sweep peaks at 1.83 MiB (1.42 MiB with 16,
+    # 6.2 MiB with one block of 128), and a ps_ap4 disguise whose first
+    # witness is at shift 53, in the block 32 .. 63, at 1.32 MiB.  That
+    # holds because the block's hit table is compared in place, the group
+    # keys are built in one buffer, `_coverage` gathers 1,024 rows at a
+    # time, the probe keeps few groups and only the groups that pass the
     # coverage test build the padded clique-stage arrays
-    g = ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix"))
+    inputs = [
+        (ea_disguise(published_bent8("delta0_mix"), random.Random("delta0_mix")), None),
+        (ea_disguise(ps_ap4(), random.Random(29)), 53),
+    ]
     _row_index(8)
     _merge_schedule(8)
     _coset_wht(3)
-    tracemalloc.start()
-    try:
-        assert is_in_ps_sharp(g) is None
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20, peak
+    for g, shift in inputs:
+        tracemalloc.start()
+        try:
+            w = is_in_ps_sharp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (None if w is None else w.shift) == shift
+        assert peak < 2 << 20, (shift, peak)
 
 
 SWEEP_IMPORTS = """
@@ -835,10 +845,12 @@ def reference_first_witness(f: BooleanFunction):
     return None
 
 
-# seeds of ea_disguise(ps_ap4()) by the shift of their first witness: block
-# edges and the middle of the blocks [2, 3], [4..7], [8..15], [16..23], [48..55]
+# seeds of ea_disguise(ps_ap4()) by the shift of their first witness: the
+# edges of the blocks [2, 3], [4..7], [8..15], [16..31], [32..63] and
+# [64..95], and shifts inside [16..31] and [32..63]
 WITNESS_SHIFT_SEEDS = {
-    1: 89, 2: 39, 3: 436, 4: 523, 7: 44, 8: 81, 15: 136, 16: 133, 17: 82, 53: 29
+    1: 89, 2: 39, 3: 436, 4: 523, 7: 44, 8: 81, 15: 136, 16: 133, 17: 82, 31: 7, 32: 241,
+    53: 29, 63: 107, 64: 171,
 }
 
 
@@ -850,6 +862,63 @@ def test_ps_sharp_block_edges_keep_first_witness_and_progress(shift, seed):
     seen = []
     assert is_in_ps_sharp(g, progress=seen.append) == want
     assert seen == list(range(shift))
+
+
+def block_size_inputs() -> list[BooleanFunction]:
+    """The published functions, the WITNESS_SHIFT_SEEDS disguises and
+    seeded random MM functions at n = 6 and 8."""
+    rng = random.Random("block-size")
+    published = [published_bent8(name) for name in PUBLISHED]
+    disguises = [ea_disguise(ps_ap4(), random.Random(s)) for s in WITNESS_SHIFT_SEEDS.values()]
+    mm = [random_mm(m, rng) for m in (3, 3, 3, 4, 4)]
+    return published + disguises + mm + [ea_disguise(f, rng) for f in mm]
+
+
+def test_ps_sharp_independent_of_block_size(monkeypatch):
+    # the blocks only batch the shifts: the first witness and the shifts
+    # reported before it are the same however many shifts a block holds
+    results = {}
+    for block in (8, 16, 32):
+        monkeypatch.setattr(psclass, "_BLOCK", block)
+        got = []
+        for f in block_size_inputs():
+            seen = []
+            w = is_in_ps_sharp(f, progress=seen.append)
+            got.append((None if w is None else w.as_dict(), seen))
+        results[block] = got
+    assert results[8] == results[16] == results[32]
+    disguised = results[32][len(PUBLISHED) : len(PUBLISHED) + len(WITNESS_SHIFT_SEEDS)]
+    assert [w["shift"] for w, _ in disguised] == list(WITNESS_SHIFT_SEEDS)
+
+
+def hit_count_inputs() -> list[BooleanFunction]:
+    """Bent inputs: at n = 8 the published functions, random MM functions
+    and ps_ap4 disguises, at n = 6 random MM functions."""
+    rng = random.Random("hit-count")
+    n8 = [published_bent8(name) for name in PUBLISHED]
+    n8 += [ea_disguise(random_mm(4, rng), rng) for _ in range(5)]
+    n8 += [ea_disguise(ps_ap4(), rng) for _ in range(3)]
+    return n8 + [ea_disguise(random_mm(3, rng), rng) for _ in range(10)]
+
+
+@pytest.mark.parametrize("f", hit_count_inputs(), ids=lambda f: f"n{f.n}-{f.digest()[:8]}")
+def test_every_cell_hits_once_or_at_a_whole_coset_of_shifts(f):
+    # Restriction duality: f* is within distance 1 of affine on r + W
+    # exactly when f is on a coset of W-perp, and the cell hits at the
+    # shifts b where that coset may have its odd point, the one point
+    # where f differs from an affine function.  With |S| = 2^m - 2 the odd
+    # point is unique, so the cell hits at one shift; with |S| = 2^m, f is
+    # affine on the coset and each of its 2^(n-m) points is a hit shift
+    n, m = f.n, f.n // 2
+    cells = _coset_cells(dual(f).table, n)
+    hits = np.zeros(len(cells.u), dtype=np.intp)
+    for lo, hi in _shift_blocks(n):
+        _, c, tag = _block_hits(f, cells, lo, hi)
+        assert np.array_equal(tag, np.abs(cells.spectrum[c]) == 1 << m)
+        hits += np.bincount(c, minlength=len(hits))
+    size = np.abs(cells.spectrum.astype(np.intp))
+    assert np.all((size == (1 << m) - 2) | (size == 1 << m))
+    assert np.array_equal(hits, np.where(size == 1 << m, 1 << (n - m), 1))
 
 
 def direct_witnesses_at(f: BooleanFunction, b: int):
