@@ -30,7 +30,6 @@ from .construct import (
     extend_permutation,
     mm_bent,
     mm_bent_transposed,
-    second_derivative_concat,
     theorem53_certify,
     theorem55_construct,
     theorem57_check,

@@ -222,13 +222,15 @@ def _cmd_construct_mm(args) -> int:
 def _cmd_construct_concat(args) -> int:
     q = _load_quadruple(args)
     f = concat4(q)
+    try:
+        condition = dual_bent_condition(q)
+    except ValueError:  # some piece is not bent
+        condition = None
     _emit(
         {
             "tt": to_tt_hex(f),
             "is_bent": is_bent(f),
-            "dual_bent_condition": dual_bent_condition(q)
-            if all(is_bent(g) for g in q.functions)
-            else None,
+            "dual_bent_condition": condition,
             "anf": format_anf(to_anf(f)),
         }
     )
@@ -236,11 +238,7 @@ def _cmd_construct_concat(args) -> int:
 
 
 def _cmd_construct_extend_perm(args) -> int:
-    try:
-        ext = extend_permutation(load_vectorial(args.sigma1), load_vectorial(args.sigma2))
-    except PreconditionError as exc:
-        _emit({"error": str(exc), "witness": exc.witness.rows()})
-        return 2
+    ext = extend_permutation(load_vectorial(args.sigma1), load_vectorial(args.sigma2))
     _emit({"vf": to_vf_text(ext), "has_p1": has_p1(ext)[0]})
     return 0
 
@@ -250,12 +248,7 @@ def _cmd_construct_thm55(args) -> int:
     sigma = load_vectorial(args.sigma)
     h1 = load_boolean_source(args.h1, n=pi.m)
     h2 = load_boolean_source(args.h2, n=pi.m)
-    try:
-        res = theorem55_construct(pi, sigma, h1, h2)
-    except PreconditionError as exc:
-        witness = exc.witness.rows() if exc.witness else None
-        _emit({"error": str(exc), "witness": witness})
-        return 2
+    res = theorem55_construct(pi, sigma, h1, h2)
     _emit({"tt": to_tt_hex(res.function), "certificate": res.certificate.as_dict()})
     return 0
 
@@ -370,6 +363,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except PreconditionError as exc:
+        witness = None if exc.witness is None else exc.witness.rows()
+        _emit({"error": str(exc), "witness": witness})
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

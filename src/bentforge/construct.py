@@ -141,11 +141,6 @@ def restrictions(f: BooleanFunction) -> ConcatQuadruple:
     )
 
 
-def split_direction(a: int, n: int) -> tuple[int, int, int]:
-    """a = (a', a1, a2) per the concatenation layout."""
-    return a & ((1 << n) - 1), (a >> (n + 1)) & 1, (a >> n) & 1
-
-
 def dual_bent_condition(q: ConcatQuadruple) -> bool:
     """True iff f1* + f2* + f3* + f4* = 1; equivalent to concat4(q) bent."""
     s = 0
@@ -155,64 +150,6 @@ def dual_bent_condition(q: ConcatQuadruple) -> bool:
         except ValueError:
             raise ValueError(f"f{i} is not bent") from None
     return bool(s.min() == 1)
-
-
-def second_derivative_concat(q: ConcatQuadruple, a: int, b: int) -> BooleanFunction:
-    """Second derivative of the concatenation, assembled symbolically from
-    the four pieces (the closed-form expansion in a', a1, a2, b', b1, b2).
-
-    Intended to equal second_derivative(concat4(q), a, b); the direct table
-    computation stays the authority, this is the cross-check.
-    """
-    n = q.n
-    if (a >> (n + 2)) or (b >> (n + 2)):
-        raise ValueError("direction out of range")
-    ap, a1, a2 = split_direction(a, n)
-    bp, b1, b2 = split_direction(b, n)
-    idx = np.arange(1 << n)
-
-    t1, t2, t3, t4 = (f.table for f in q.functions)
-    f13 = t1 ^ t3
-    f12 = t1 ^ t2
-    f1234 = t1 ^ t2 ^ t3 ^ t4
-
-    def second(t):
-        return t ^ t[idx ^ ap] ^ t[idx ^ bp] ^ t[idx ^ ap ^ bp]
-
-    def d_shift(t, direction, shift_by):
-        d = t ^ t[idx ^ direction]
-        return d[idx ^ shift_by]
-
-    dd_f1 = second(t1)
-    dd_f13 = second(f13)
-    dd_f12 = second(f12)
-    dd_f1234 = second(f1234)
-
-    base = (
-        (a1 & 1) * d_shift(f13, bp, ap)
-        ^ (b1 & 1) * d_shift(f13, ap, bp)
-        ^ (a2 & 1) * d_shift(f12, bp, ap)
-        ^ (b2 & 1) * d_shift(f12, ap, bp)
-        ^ ((a1 & b2) ^ (b1 & a2)) * f1234[idx ^ ap ^ bp]
-    )
-    da_f1234 = d_shift(f1234, bp, ap)
-    db_f1234 = d_shift(f1234, ap, bp)
-
-    blocks = []
-    for y1 in (0, 1):
-        for y2 in (0, 1):
-            blk = (
-                dd_f1
-                ^ (y1 * dd_f13)
-                ^ (y2 * dd_f12)
-                ^ ((y1 & y2) * dd_f1234)
-                ^ base
-                ^ (((a1 & y2) ^ (a2 & y1) ^ (a1 & a2)) * da_f1234)
-                ^ (((b1 & y2) ^ (b2 & y1) ^ (b1 & b2)) * db_f1234)
-            )
-            blocks.append(blk)
-    # memory order is f(x,0,0), f(x,0,1), f(x,1,0), f(x,1,1)
-    return BooleanFunction(n + 2, np.concatenate(blocks))
 
 
 def witness_second_msubspace(pi: VectorialFunction, kind: str) -> Subspace:

@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from .boolfun import BooleanFunction, from_anf, parse_anf, zero_function
-from .construct import ConcatQuadruple, mm_bent, mm_bent_transposed
+from .construct import ConcatQuadruple, delta0, mm_bent, mm_bent_transposed
 from .gf2 import Subspace
 from .gf2m import Field
 from .vectorial import VectorialFunction, from_coordinate_anfs, identity_map
@@ -107,18 +107,12 @@ def published_bent8(name: str) -> BooleanFunction:
     return from_anf(parse_anf(_read(f"bent8_{name}.anf"), 8))
 
 
-def delta0_on_x(m: int) -> BooleanFunction:
-    """delta_0 of the x half: indicator of x = 0 as a function of (x, y)."""
-    idx = np.arange(1 << (2 * m))
-    return BooleanFunction(2 * m, (idx & ((1 << m) - 1) == 0).astype(np.uint8))
-
-
 def delta0_mix_quadruple() -> ConcatQuadruple:
     """f1 = x.y + d0(x), f2 = x.pi(y) + d0(x), f3 = x.y, f4 = x.pi(y) + 1."""
     pi = apn_perm_m3()
     xy = mm_bent(identity_map(3), zero_function(3))
     xpi = mm_bent(pi, zero_function(3))
-    d0x = delta0_on_x(3)
+    d0x = BooleanFunction(6, np.tile(delta0(3).table, 8))  # index x + 8y
     return ConcatQuadruple(xy ^ d0x, xpi ^ d0x, xy, xpi ^ 1)
 
 

@@ -285,6 +285,16 @@ def test_construct_concat_of_non_bent_pieces_has_no_dual_condition(capsys):
     assert data["dual_bent_condition"] is None and data["is_bent"] is False
 
 
+def test_construct_concat_names_no_dual_condition_when_one_piece_is_not_bent(capsys):
+    # f1, f2 and f4 are bent, f3 = 0 is not
+    bent = "x1*x2"
+    pieces = ["--f1", bent, "--f2", bent, "--f3", "0", "--f4", bent, "--n", "2"]
+    code, out, _ = run_cli(capsys, "construct", "concat", *pieces)
+    data = json.loads(out)
+    assert code == 0
+    assert data["dual_bent_condition"] is None and data["is_bent"] is False
+
+
 def test_construct_thm55(capsys):
     pi = "y2*y3 + y1 + y2 + y3\ny1*y2 + y1*y3 + y2\ny1*y2 + y3"
     code, out, _ = run_cli(
@@ -310,11 +320,17 @@ def test_construct_extend_perm(capsys):
     data = json.loads(out)
     assert data["has_p1"] is True
 
-    code, out, _ = run_cli(
+
+def test_construct_extend_perm_reports_a_failed_precondition(capsys):
+    ident = "y1\ny2\ny3"
+    code, out, err = run_cli(
         capsys, "construct", "extend-perm", "--sigma1", ident, "--sigma2", ident
     )
-    assert code == 2
-    assert "witness" in json.loads(out)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {
+        "error": "second derivatives of sigma1 and sigma2 agree on a 2-space",
+        "witness": ["100", "010"],
+    }
 
 
 PI3 = "gf2m:m=3,pow=3"
