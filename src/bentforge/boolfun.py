@@ -19,14 +19,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"n must be in 1..{MAX_DIM}, got {n}")
+
+
 class BooleanFunction:
     """A Boolean function given by its full truth table."""
 
     __slots__ = ("n", "table")
 
     def __init__(self, n: int, table) -> None:
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError(f"n must be in 1..{MAX_DIM}, got {n}")
+        _check_n(n)
         t = np.asarray(table, dtype=np.uint8)
         if t.shape != (1 << n,):
             raise ValueError(f"table length must be 2^{n}, got {t.shape}")
@@ -108,6 +112,7 @@ def to_anf(f: BooleanFunction) -> AnfPoly:
 
 
 def from_anf(poly: AnfPoly) -> BooleanFunction:
+    _check_n(poly.n)  # before the 2^n-entry table
     N = 1 << poly.n
     coeffs = np.zeros(N, dtype=np.uint8)
     for m in poly.monomials:

@@ -127,20 +127,6 @@ def concat4(q: ConcatQuadruple) -> BooleanFunction:
     )
 
 
-def restrictions(f: BooleanFunction) -> ConcatQuadruple:
-    """Inverse of concat4: the four restrictions in the top two variables."""
-    if f.n < 3:
-        raise ValueError("need at least 3 variables to split")
-    N = 1 << (f.n - 2)
-    t = f.table
-    return ConcatQuadruple(
-        BooleanFunction(f.n - 2, t[:N]),
-        BooleanFunction(f.n - 2, t[N : 2 * N]),
-        BooleanFunction(f.n - 2, t[2 * N : 3 * N]),
-        BooleanFunction(f.n - 2, t[3 * N :]),
-    )
-
-
 def dual_bent_condition(q: ConcatQuadruple) -> bool:
     """True iff f1* + f2* + f3* + f4* = 1; equivalent to concat4(q) bent."""
     s = 0
@@ -223,7 +209,7 @@ def _common_vanishing_subspaces(q: ConcatQuadruple, r: int) -> list[Subspace]:
     and sorted: the vanishing subspaces of the packed table f1 + 2 f2 +
     4 f3 + 8 f4, whose graph is the AND of the pieces' graphs."""
     packed = sum(f.table << i for i, f in enumerate(q.functions))
-    return vanishing_subspaces(vanishing_pair_adjacency(packed), q.n, r)
+    return vanishing_subspaces(vanishing_pair_adjacency(packed), r)
 
 
 def theorem53_certify(q: ConcatQuadruple) -> OutsideCertificate:
@@ -318,7 +304,7 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
     concat_bent = is_bent(f)
     adj = vanishing_pair_adjacency(f.table)
     pieces = [row & ((1 << (1 << n)) - 1) for row in adj[: 1 << n]]
-    shared_top = vanishing_subspaces(pieces, n, m)
+    shared_top = vanishing_subspaces(pieces, m)
     if len(shared_top) != 1:
         raise HypothesisError(
             "shared_subspace_not_unique",
@@ -326,7 +312,7 @@ def theorem57_check(q: ConcatQuadruple) -> OutsideCertificate:
         )
     U = shared_top[0]
 
-    common = vanishing_subspaces(pieces, n, m - 1)
+    common = vanishing_subspaces(pieces, m - 1)
     failures = []
     for V in common:
         vanish = -1  # bit v | c << n: condition c's sums vanish for every u in V

@@ -116,23 +116,17 @@ def delta0_mix_quadruple() -> ConcatQuadruple:
     return ConcatQuadruple(xy ^ d0x, xpi ^ d0x, xy, xpi ^ 1)
 
 
-def transposed_quadruple(as_published: bool = True) -> ConcatQuadruple:
-    """f1 = f2 = x.pi(y) + h1(y), f3 = y.sigma(x) + h2(x), f4 = f3 + 1.
+def transposed_quadruple() -> ConcatQuadruple:
+    """f1 = f2 = x.pi(y) + h1(y), f3 = y.pi(x) + h2(x) + 1, f4 = f3 + 1.
 
-    With as_published=True, uses the ingredients that reproduce the
-    published ANF string bit-exactly: sigma equal to pi and h2 without its
-    constant term.  The stated sigma/h2 (as_published=False) give a
-    different, also bent, concatenation.
-    """
+    These reproduce the published ANF string bit-exactly: sigma equal to pi
+    and h2 without its constant term.  The stated sigma = apn_perm_m3_alt
+    and h2 give a different, also bent, concatenation."""
     pi = apn_perm_m3()
     h1 = from_anf(parse_anf(_read("h1_transposed.anf"), 3))
     h2 = from_anf(parse_anf(_read("h2_transposed.anf"), 3))
-    if as_published:
-        sigma, h2_used = pi, h2 ^ 1
-    else:
-        sigma, h2_used = apn_perm_m3_alt(), h2
     f1 = mm_bent(pi, h1)
-    f3 = mm_bent_transposed(sigma, h2_used)
+    f3 = mm_bent_transposed(pi, h2 ^ 1)
     return ConcatQuadruple(f1, f1, f3, f3 ^ 1)
 
 
@@ -164,11 +158,8 @@ def to_paper_variables(f: BooleanFunction, varmap: tuple[int, ...]) -> BooleanFu
 
 def tr_xy3_bent() -> BooleanFunction:
     """f(x, y) = Tr(x y^3) on F_{2^3} x F_{2^3}: the 6-variable bent
-    function with a unique M-subspace (up to equivalence)."""
+    function with a unique M-subspace (up to equivalence).  As Tr(x c) =
+    x.(Tr(e_i c))_i, it is x.pi(y) with bit i of pi(y) = Tr(e_i y^3)."""
     fld = Field(3)
-    t = np.zeros(64, dtype=np.uint8)
-    for y in range(8):
-        c = fld.pow(y, 3)
-        for x in range(8):
-            t[x + (y << 3)] = fld.trace(fld.mul(x, c))
-    return BooleanFunction(6, t)
+    pi = [sum(fld.trace(fld.mul(1 << i, fld.pow(y, 3))) << i for i in range(3)) for y in range(8)]
+    return mm_bent(VectorialFunction(3, pi), zero_function(3))

@@ -57,7 +57,7 @@ def msubspaces(f: BooleanFunction, r: int) -> list[Subspace]:
     """All r-dimensional M-subspaces of f, canonical and sorted."""
     if not 2 <= r <= f.n:
         raise ValueError(f"need 2 <= r <= n, got r={r}")
-    return vanishing_subspaces(vanishing_pair_adjacency(f.table), f.n, r)
+    return vanishing_subspaces(vanishing_pair_adjacency(f.table), r)
 
 
 def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:

@@ -75,8 +75,9 @@ class PartialSpreadWitness:
     subclass: str  # "PS_plus" | "PS_minus"
     subspaces: tuple[Subspace, ...]
 
-    def reconstruct(self, n: int) -> BooleanFunction:
+    def reconstruct(self) -> BooleanFunction:
         """Indicator of the union of the subspaces, with 0 for PS_plus only."""
+        n = self.subspaces[0].n
         t = np.zeros(1 << n, dtype=np.uint8)
         for U in self.subspaces:
             t[U.elements()] = 1
@@ -423,7 +424,7 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
         return None
     subclass = "PS_plus" if tag else "PS_minus"
     witness = PartialSpreadWitness(subclass, tuple(_midspace(n, r) for r in clique))
-    if witness.reconstruct(n) != f:
+    if witness.reconstruct() != f:
         raise AssertionError(f"{subclass} witness does not rebuild f")
     return witness
 
@@ -438,7 +439,7 @@ def _shifted_affine(f: BooleanFunction, b: int, a: int, c: int) -> BooleanFuncti
 
 
 def _witness_holds(f: BooleanFunction, w: PsSharpWitness) -> bool:
-    return w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
+    return w.inner.reconstruct() == _shifted_affine(f, w.shift, w.affine, w.constant)
 
 
 @functools.cache

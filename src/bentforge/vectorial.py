@@ -216,12 +216,13 @@ def vanishing_subspaces_vf(F: VectorialFunction, r: int) -> list[Subspace]:
     """All r-dimensional S with D_a D_b F = 0_m for all a, b in S."""
     if not 1 <= r <= F.m:
         raise ValueError(f"need 1 <= r <= m, got r={r}")
-    return vanishing_subspaces(vanishing_pair_adjacency(F.table), F.m, r)
+    return vanishing_subspaces(vanishing_pair_adjacency(F.table), r)
 
 
-def vanishing_subspaces(adj: list[int], n: int, r: int) -> list[Subspace]:
-    """All r-dimensional S of F_2^n whose nonzero elements are pairwise
-    adjacent in the vanishing-pair graph adj, canonical and sorted by basis."""
+def vanishing_subspaces(adj: list[int], r: int) -> list[Subspace]:
+    """All r-dimensional S of F_2^n, 2^n = len(adj), whose nonzero elements
+    are pairwise adjacent in the graph adj, canonical and sorted by basis."""
+    n = len(adj).bit_length() - 1
     out = [span(list(gens), n) for gens in iter_clique_subspaces(adj, r)]
     return sorted(out, key=lambda s: s.basis)
 

@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import random
 import re
+import resource
 import shlex
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -470,6 +475,42 @@ def test_analyze_rejects_a_vanishing_pair_graph_above_n14(capsys):
     assert "vanishing-pair graph supported for n <= 14" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--anf", "x1", "--n", "27"],
+        ["perm-check", "p1", "--vf", "\n".join(f"x{j}" for j in range(1, 28))],
+    ],
+    ids=["anf", "coordinate-anfs"],
+)
+def test_anf_over_20_variables_is_rejected_before_its_table_is_built(capsys, argv):
+    # a 2^27-entry table takes 128 MiB; the size check comes before it
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: n must be in 1..20, got 27\n")
+    assert peak < 1 << 20
+
+
+def test_anf_on_34_variables_exits_2_under_an_address_space_cap():
+    # x34 asks for a 16 GiB table, so the CLI runs in a child process
+    # capped at 1.5 GB: a missing size check ends in a MemoryError there
+    cap = 1500 << 20
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "bentforge.cli", "analyze", "--anf", "x34"],
+        env=env,
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", "error: n must be in 1..20, got 34\n")
+
+
 def test_analyze_library_call_raises_on_unsupported_input():
     from bentforge.cli import analyze
 
@@ -595,7 +636,6 @@ def test_verify_paper_flags_tampered_fixture(capsys, monkeypatch):
         return type(f)(f.n, t)
 
     monkeypatch.setattr(verify.fx, "published_bent8", tampered)
-    failures = []
-    count = verify.run_claims(report=failures.append)
+    count = verify.run_claims()
     assert count > 0
-    assert any(line.startswith("FAIL") for line in failures)
+    assert any(line.startswith("FAIL") for line in capsys.readouterr().out.splitlines())

@@ -10,7 +10,9 @@ from bentforge.boolfun import (
     BooleanFunction,
     _parity_array,
     algebraic_degree,
+    from_anf,
     is_bent,
+    parse_anf,
     second_derivative,
     shift,
     zero_function,
@@ -26,7 +28,6 @@ from bentforge.construct import (
     extend_permutation,
     mm_bent,
     mm_bent_transposed,
-    restrictions,
     theorem53_certify,
     theorem55_construct,
     theorem57_check,
@@ -97,12 +98,10 @@ def test_concat4_collapse(rng):
 def test_concat4_restriction_identities(rng):
     q = ConcatQuadruple(*(random_function(3, rng) for _ in range(4)))
     f = concat4(q)
-    back = restrictions(f)
-    assert back == q
     # block k holds f(x, y1, y2) with y2 at bit n and y1 at bit n+1
     N = 1 << 3
-    assert np.array_equal(f.table[N : 2 * N], q.f2.table)
-    assert np.array_equal(f.table[2 * N : 3 * N], q.f3.table)
+    for k, piece in enumerate(q.functions):
+        assert np.array_equal(f.table[k * N : (k + 1) * N], piece.table)
 
 
 def test_concat_quadruple_rejects_mixed_sizes(rng):
@@ -390,11 +389,8 @@ def test_theorem55_outside_mm_sharp_n12():
 
 def test_theorem55_matches_example56():
     pi = fx.apn_perm_m3()
-    from bentforge.boolfun import from_anf, parse_anf
-    from bentforge.fixtures import _read
-
-    h1 = from_anf(parse_anf(_read("h1_transposed.anf"), 3))
-    h2 = from_anf(parse_anf(_read("h2_transposed.anf"), 3))
+    h1 = from_anf(parse_anf(fx._read("h1_transposed.anf"), 3))
+    h2 = from_anf(parse_anf(fx._read("h2_transposed.anf"), 3))
     res = theorem55_construct(pi, pi, h1, h2 ^ 1)
     assert res.certificate.verdict == "outside_mm_sharp"
     target = fx.published_bent8("transposed")
@@ -475,8 +471,13 @@ def seeded_quadruples(m: int, rng) -> list[ConcatQuadruple]:
 
 
 def test_common_vanishing_subspaces_match_filtered_search(rng):
-    quads = [fx.delta0_mix_quadruple(), fx.transposed_quadruple(), fx.apn_family_quadruple(),
-             fx.transposed_quadruple(False)]
+    # the transposed example with its stated ingredients, sigma =
+    # apn_perm_m3_alt and h2 with its constant term (fx.transposed_quadruple)
+    f1 = fx.transposed_quadruple().f1
+    h2 = from_anf(parse_anf(fx._read("h2_transposed.anf"), 3))
+    f3 = mm_bent_transposed(fx.apn_perm_m3_alt(), h2)
+    stated = ConcatQuadruple(f1, f1, f3, f3 ^ 1)
+    quads = [fx.delta0_mix_quadruple(), fx.transposed_quadruple(), fx.apn_family_quadruple(), stated]
     quads += seeded_quadruples(2, rng) + seeded_quadruples(3, rng)
     shared = 0
     for q in quads:
@@ -762,11 +763,6 @@ def test_corollary_dim2_witness_needs_common_subspaces_inside_the_top(rng):
 def test_mm_bent_rejects_h_on_the_wrong_variable_count():
     with pytest.raises(ValueError, match="h must be on 3 variables"):
         mm_bent(identity_map(3), zero_function(2))
-
-
-def test_restrictions_need_three_variables():
-    with pytest.raises(ValueError, match="need at least 3 variables to split"):
-        restrictions(zero_function(2))
 
 
 def test_witness_second_msubspace_rejects_a_non_permutation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bentforge import fixtures as fx
 from bentforge.boolfun import BooleanFunction
 from bentforge.gf2m import (
     Field,
@@ -132,6 +133,17 @@ def test_trace_component_is_linear_and_balanced():
         for y in range(16):
             assert vals[x ^ y] == vals[x] ^ vals[y]
     assert f.is_balanced()
+
+
+def test_tr_xy3_bent_is_the_trace_of_x_y3():
+    # the fixture builds Tr(x y^3) as x . pi(y); the trace itself is the oracle
+    fld = Field(3)
+    f = fx.tr_xy3_bent()
+    assert f.table.tolist() == [
+        fld.trace(fld.mul(x, fld.pow(y, 3))) for y in range(8) for x in range(8)  # index x + 8y
+    ]
+    # bit i of pi(y) is f at x = e_i
+    assert [sum(f(1 << i | y << 3) << i for i in range(3)) for y in range(8)] == [0, 1, 5, 2, 3, 6, 7, 4]
 
 
 def test_parse_field():

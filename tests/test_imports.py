@@ -22,11 +22,17 @@ purpose (`KEPT_PARAMETERS`).
 
 Every field of a package dataclass is read as an attribute, or named in a
 string constant, somewhere in the package, the tests or perfbench/.
+
+Every defaulted parameter of a package function is set, by position or by
+keyword, by some call in the package, apart from the few kept on purpose
+(`KEPT_DEFAULTS`): a default that no package caller overrides is a
+constant, or an option only a test turns.
 """
 
 import ast
 import fnmatch
 import io
+import math
 import tokenize
 from pathlib import Path
 
@@ -363,4 +369,90 @@ KEPT_PARAMETERS = [
 def test_every_parameter_is_read(path):
     found = unread_parameters(path.read_text())
     kept = [x for x in found if any(fnmatch.fnmatchcase(x.split(": ")[1], k) for k in KEPT_PARAMETERS)]
+    assert found == kept
+
+
+def calls_made(sources) -> dict[str, tuple[float, set[str]]]:
+    """Per called name, the most positional arguments one call passes
+    (infinite with `*args`) and the keywords calls pass (`**` for
+    `**kwargs`); `f(...)` and `x.f(...)` both call `f`."""
+    calls: dict[str, tuple[float, set[str]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            most, keywords = calls.get(name, (0, set()))
+            calls[name] = (
+                max(most, math.inf if starred else len(node.args)),
+                keywords | {k.arg or "**" for k in node.keywords},
+            )
+    return calls
+
+
+def unset_defaults(source: str, calls: dict[str, tuple[float, set[str]]]) -> list[str]:
+    """Defaulted parameters that no call in `calls` sets.  A function is
+    called by its name, `__init__` by its class's name, and a method's
+    positions skip `self` or `cls`; keyword-only parameters are set by
+    keyword alone."""
+    tree = ast.parse(source)
+    owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args][id(node) in owner :]
+        called = owner[id(node)] if node.name == "__init__" and id(node) in owner else node.name
+        most, keywords = calls.get(called, (0, set()))
+        first = len(positional) - len(args.defaults)
+        defaulted = [(p, i) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p, math.inf) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        found += [
+            (node.lineno, f"{node.name}({p.arg})")
+            for p, i in defaulted
+            if not (most > i or p.arg in keywords or "**" in keywords)
+        ]
+    return [f"line {line}: {where}" for line, where in sorted(found)]
+
+
+def test_checker_flags_a_default_no_call_sets():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a, b, c, d, e\n\n"
+        "class K:\n    def __init__(self, x, y=0, z=0):\n        self.v = x, y, z\n\n"
+        "    def m(self, w=1):\n        return w\n\n"
+        "def g(p=0, *, q=0):\n    return p, q\n\ndef h(r=0):\n    return r\n\n"
+        "f(0, 5, e=1)\nK(1, 2).m()\ng(*rest)\nh(**extra)\n"
+    )
+    assert unset_defaults(source, calls_made([source])) == [
+        "line 1: f(c)",
+        "line 1: f(d)",
+        "line 5: __init__(z)",
+        "line 8: m(w)",
+        "line 11: g(q)",
+    ]
+
+
+# defaulted parameters no package call sets, kept on purpose, as fnmatch
+# patterns of function(parameter)
+KEPT_DEFAULTS = [
+    # set by perfbench/tracer.py and the tests; jobs and resume go with the
+    # benchmark change of ROADMAP item 5a
+    "is_in_ps_sharp(jobs)",
+    "is_in_ps_sharp(resume)",
+    "is_in_ps_sharp(progress)",
+    # the console entry point, called without arguments
+    "main(argv)",
+]
+
+PACKAGE_CALLS = calls_made(p.read_text() for p in PACKAGE)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_every_default_is_set_by_a_package_call(path):
+    found = unset_defaults(path.read_text(), PACKAGE_CALLS)
+    kept = [x for x in found if any(fnmatch.fnmatchcase(x.split(": ")[1], k) for k in KEPT_DEFAULTS)]
     assert found == kept

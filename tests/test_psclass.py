@@ -100,7 +100,7 @@ def test_ps_ap_rejects_bad_h():
 def test_witness_soundness():
     f = ps_ap(3, balanced_h3())
     w = is_partial_spread(f)
-    assert w.reconstruct(6) == f
+    assert w.reconstruct() == f
     # pairwise trivial intersections
     for i, a in enumerate(w.subspaces):
         for b in w.subspaces[i + 1 :]:
@@ -116,7 +116,7 @@ def test_ps_plus_complement_control():
     # g = sum of indicators of the complementary spread lines
     assert w is not None
     assert w.subclass == "PS_plus"
-    assert w.reconstruct(6) == g
+    assert w.reconstruct() == g
 
 
 def test_is_partial_spread_rejects_non_bent():
@@ -173,7 +173,7 @@ def test_is_partial_spread_matches_the_union_definition(n, count, spread):
         assert (w is not None) == (f.table.tobytes() in want), f.table
         if w is not None:
             assert w.subclass == ("PS_plus" if f(0) else "PS_minus")
-            assert w.reconstruct(n) == f
+            assert w.reconstruct() == f
             found += 1
     assert (len(functions), found) == (count, spread)
 
@@ -181,7 +181,7 @@ def test_is_partial_spread_matches_the_union_definition(n, count, spread):
 def test_is_partial_spread_raises_when_a_witness_does_not_rebuild(monkeypatch):
     f = ps_ap(3, balanced_h3())
     rebuild = PartialSpreadWitness.reconstruct
-    monkeypatch.setattr(PartialSpreadWitness, "reconstruct", lambda self, n: rebuild(self, n) ^ 1)
+    monkeypatch.setattr(PartialSpreadWitness, "reconstruct", lambda self: rebuild(self) ^ 1)
     with pytest.raises(AssertionError, match="PS_minus witness does not rebuild f"):
         is_partial_spread(f)
 
@@ -205,7 +205,7 @@ def test_ps_sharp_finds_disguise():
     w = is_in_ps_sharp(g)
     assert w is not None
     moved = _shifted_affine(g, w.shift, w.affine, w.constant)
-    assert w.inner.reconstruct(6) == moved
+    assert w.inner.reconstruct() == moved
 
 
 def test_ps_sharp_consistency_audit(rng):
@@ -949,12 +949,19 @@ def assert_dillon_degree(w: PartialSpreadWitness, n: int) -> None:
     """A PS- witness rebuilds a function of degree n/2 (Dillon).  n = 2 is
     exempt: every bent function there is quadratic."""
     if w.subclass == "PS_minus" and n >= 4:
-        assert algebraic_degree(w.reconstruct(n)) == n // 2
+        assert algebraic_degree(w.reconstruct()) == n // 2
+
+
+def disguised_random_spreads_n6() -> list[BooleanFunction]:
+    """One PS- and one PS+ random partial spread on 6 variables, each
+    EA-disguised with a random shift."""
+    rng = random.Random(6)
+    return [ea_disguise(random_partial_spread(6, rng, plus=plus), rng) for plus in (False, True)]
 
 
 @pytest.mark.parametrize(
     "f",
-    oracle_functions(2) + oracle_functions(4) + oracle_functions(6),
+    oracle_functions(2) + oracle_functions(4) + oracle_functions(6) + disguised_random_spreads_n6(),
     ids=lambda f: f"n{f.n}-{f.digest()[:8]}",
 )
 def test_ps_sharp_matches_exhaustive_direct_tests(f):
@@ -964,7 +971,7 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
     if w is not None:
         b, a, found = first
         assert (w.shift, w.affine) == (b, a) and w.constant in found
-        assert w.inner.reconstruct(f.n) == _shifted_affine(f, w.shift, w.affine, w.constant)
+        assert w.inner.reconstruct() == _shifted_affine(f, w.shift, w.affine, w.constant)
         for inner in (w.inner, *found.values()):
             assert_dillon_degree(inner, f.n)
 
@@ -1034,7 +1041,7 @@ def assert_partial_spread_found(f: BooleanFunction, subclass: str, rng: random.R
     assert is_bent(f)
     assert algebraic_degree(f) == n // 2
     w = is_partial_spread(f)
-    assert w is not None and w.subclass == subclass and w.reconstruct(n) == f
+    assert w is not None and w.subclass == subclass and w.reconstruct() == f
     assert_dillon_degree(w, n)
     g = ea_disguise(f, rng)
     w = is_in_ps_sharp(g)
@@ -1233,7 +1240,7 @@ def test_ps_candidates_match_literal_clique_search(name):
     if name.startswith("ps-ap"):
         # the PS_ap control: accepted as PS- with a witness that rebuilds f
         assert witness is not None and witness.subclass == "PS_minus"
-        assert witness.reconstruct(f.n) == f
+        assert witness.reconstruct() == f
         assert set(witness.subspaces) <= {span(list(b), f.n) for b in literal}
     elif name == "mm-n6":
         assert witness is None
