@@ -251,6 +251,7 @@ class AnfParseError(ValueError):
 def parse_anf(text: str, n: int) -> AnfPoly:
     """Parse ANF text: monomials joined by '+', variables x1..xn / y / z,
     products with explicit '*', and the literal constant '1'."""
+    _check_n(n)
     masks: set[int] = set()
     pos = 0
     for chunk in text.split("+"):

@@ -40,7 +40,7 @@ from .construct import (
 )
 from .gf2 import Subspace
 from .msub import MSubspaceProfile, is_in_mm_sharp, msubspace_profile, msubspaces
-from .psclass import PsSharpWitness, check_sweep_size, is_in_ps_sharp, is_partial_spread
+from .psclass import PsSharpWitness, is_in_ps_sharp, is_partial_spread
 from .vectorial import (
     VectorialFunction,
     check_p2,
@@ -88,7 +88,7 @@ def load_boolean_source(source: str, n: int | None = None) -> BooleanFunction:
     text = _maybe_file(source).strip()
     if text.startswith("tt:"):
         return _sized(from_tt_hex(text), n)
-    return from_anf(parse_anf(text, n or _infer_n(text)))
+    return from_anf(parse_anf(text, _infer_n(text) if n is None else n))
 
 
 def _sized(f: BooleanFunction, n: int | None) -> BooleanFunction:
@@ -154,12 +154,11 @@ def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
         timings[stage] = int((time.perf_counter() - t0) * 1000)
         return out
 
-    bent = timed("bent", lambda: is_bent(f))
-    # reject an unsupported sweep before the profile and MM# stages
+    ps = None
     if sharp:
-        if not bent:
-            raise ValueError("PS# analysis needs a bent function on even n")
-        check_sweep_size(f.n)
+        # first, so the sweep rejects an unsupported input before the profile
+        ps = timed("ps_sharp", lambda: is_in_ps_sharp(f))
+    bent = timed("bent", lambda: is_bent(f))
     degree = timed("degree", lambda: algebraic_degree(f))
     profile = timed("profile", lambda: msubspace_profile(f))
     mm = None
@@ -168,9 +167,6 @@ def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
         # M-subspace, so a profile that counts none settles it
         settled = f.n >= 4 and profile.counts[f.n // 2] == 0
         mm = timed("mm_sharp", lambda: None if settled else is_in_mm_sharp(f))
-    ps = None
-    if sharp:
-        ps = timed("ps_sharp", lambda: is_in_ps_sharp(f))
     return ClassReport(
         f.n, bent, degree, f.weight(), profile, mm, ps, sharp, timings
     )
@@ -196,18 +192,8 @@ def _cmd_msub(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    f = load_boolean(args)
-    _emit(msubspace_profile(f).as_dict())
-    return 0
-
-
 def _cmd_psclass(args) -> int:
-    f = load_boolean(args)
-    if args.sharp:
-        w = is_in_ps_sharp(f)
-    else:
-        w = is_partial_spread(f)
+    w = is_partial_spread(load_boolean(args))
     _emit(None if w is None else w.as_dict())
     return 0
 
@@ -327,13 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_msub)
 
-    p = sub.add_parser("profile", help="M-subspace counts by dimension (JSON)")
-    _add_input_flags(p)
-    p.set_defaults(fn=_cmd_profile)
-
     p = sub.add_parser("psclass", help="partial spread membership")
     _add_input_flags(p)
-    p.add_argument("--sharp", action="store_true", help="sweep shifts and affine offsets")
     p.set_defaults(fn=_cmd_psclass)
 
     p = sub.add_parser("construct", help="run one of the generative recipes")

@@ -24,7 +24,9 @@ vanishing_pair_adjacency_quadratic = vanishing_pair_adjacency
 
 @dataclass(frozen=True)
 class MSubspaceProfile:
-    """Counts of r-dimensional M-subspaces for r = 2 .. n/2."""
+    """Counts of r-dimensional M-subspaces for r = 2 .. max(2, n/2): below
+    n = 4 the one entry counts 2-dimensional M-subspaces, so n = 1 gives
+    {2: 0}."""
 
     counts: dict[int, int]
 
@@ -61,7 +63,8 @@ def msubspaces(f: BooleanFunction, r: int) -> list[Subspace]:
 
 
 def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:
-    """Counts of M-subspaces for r = 2 .. n/2 (an EA-equivalence invariant)."""
+    """Counts of M-subspaces for r = 2 .. max(2, n/2) (an EA-equivalence
+    invariant)."""
     top = max(2, f.n // 2)
     counts = {r: 0 for r in range(2, top + 1)}
     adj = _adjacency(f)

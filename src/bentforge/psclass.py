@@ -161,7 +161,7 @@ def _row_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     minima[pivot_set[i], k] XOR entry c of `_span_rows(basis[i])`
     (`_coset_points`).  uint8 needs n <= 8.
     """
-    check_sweep_size(n)
+    _check_sweep_size(n)
     m = n // 2
     sets = _pivot_sets(n)
     sizes = [1 << sum(free) for _, _, free, _ in sets]
@@ -411,7 +411,7 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
     if not is_bent(f):
         raise ValueError("PS membership is defined for bent functions")
     n = f.n
-    check_sweep_size(n)
+    _check_sweep_size(n)
     tag = f(0)
     s = (1 << (n // 2 - 1)) + tag
     if f.weight() != s * ((1 << n // 2) - 1) + tag:
@@ -748,7 +748,7 @@ def _sweep_block(f: BooleanFunction, cells: _CosetCells, dual_table: np.ndarray,
     return None
 
 
-def check_sweep_size(n: int) -> None:
+def _check_sweep_size(n: int) -> None:
     """Raise ValueError for a variable count the PS and PS# tests do not support."""
     if n > 8:
         # the n = 10 subspace index is ~10^8 subspaces; not desk-scale
@@ -774,7 +774,7 @@ def is_in_ps_sharp(
     except ValueError:
         raise ValueError("PS# membership is defined for bent functions") from None
     n = f.n
-    check_sweep_size(n)
+    _check_sweep_size(n)
     cells = _coset_cells(dual_table, n)
     for lo, hi in _shift_blocks(n):
         found = _sweep_block(f, cells, dual_table, lo, hi)

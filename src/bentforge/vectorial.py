@@ -203,7 +203,8 @@ def vanishing_flats_count(F: VectorialFunction) -> int:
     for counts in _difference_counts(F):
         pairs = counts // 2  # unordered {x, x+a} pairs per value
         total += int((pairs * (pairs - 1) // 2).sum())
-    assert total % 3 == 0
+    if total % 3:
+        raise AssertionError(f"flat count {total} is not a multiple of 3")
     return total // 3
 
 

@@ -104,7 +104,7 @@ def test_analyze_sharp_rejects_non_bent(capsys):
     "n, anf, message",
     [
         (10, None, "PS and PS# tests supported for n <= 8"),
-        (4, "x1*x2*x3 + x4", "PS# analysis needs a bent function on even n"),
+        (4, "x1*x2*x3 + x4", "PS# membership is defined for bent functions"),
     ],
     ids=["n10-bent", "even-n-not-bent"],
 )
@@ -148,6 +148,8 @@ def test_truth_table_literal_longer_than_a_file_name():
     [
         pytest.param("analyze", "--jobs", id="analyze"),
         pytest.param("psclass", "--jobs", id="psclass"),
+        # analyze --sharp runs the PS# sweep
+        pytest.param("psclass", "--sharp", id="psclass-sharp"),
         pytest.param("verify-paper", "--jobs", id="verify-paper"),
         # removed with the PS# sweep's checkpoints
         pytest.param("analyze", "--resume", id="analyze-resume"),
@@ -163,21 +165,30 @@ def test_jobs_flag_is_rejected(capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_profile_is_not_a_command(capsys):
+    # the M-subspace profile is a field of the analyze report
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--anf", "x1*x2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+
 def test_anf_flag_accepts_tt_literal(capsys):
     tt = to_tt_hex(fx.published_bent8("transposed"))
-    _, by_anf, _ = run_cli(capsys, "profile", "--anf", tt)
-    _, by_tt, _ = run_cli(capsys, "profile", "--tt", tt)
-    assert json.loads(by_anf) == json.loads(by_tt) == {"2": 91, "3": 0, "4": 0}
+    _, by_anf, _ = run_cli(capsys, "analyze", "--anf", tt)
+    _, by_tt, _ = run_cli(capsys, "analyze", "--tt", tt)
+    profiles = [json.loads(out)["msubspace_profile"] for out in (by_anf, by_tt)]
+    assert profiles == [{"2": 91, "3": 0, "4": 0}] * 2
 
 
 @pytest.mark.parametrize("flag", ["--tt", "--anf"])
 def test_n_must_match_a_truth_table_literal(capsys, flag):
     tt = to_tt_hex(fx.published_bent8("transposed"))
-    code, out, err = run_cli(capsys, "profile", flag, tt, "--n", "6")
+    code, out, err = run_cli(capsys, "analyze", flag, tt, "--n", "6")
     assert (code, out) == (2, "")
     assert "n = 8" in err and "n = 6" in err
-    code, out, _ = run_cli(capsys, "profile", flag, tt, "--n", "8")
-    assert code == 0 and json.loads(out)["2"] == 91
+    code, out, _ = run_cli(capsys, "analyze", flag, tt, "--n", "8")
+    assert code == 0 and json.loads(out)["msubspace_profile"]["2"] == 91
 
 
 def test_analyze_parse_error_reports_position(capsys):
@@ -210,8 +221,8 @@ def test_msub_json(capsys):
 
 
 def test_profile_json(capsys):
-    code, out, _ = run_cli(capsys, "profile", "--anf", "x1*x2+x3*x4+x5*x6")
-    data = json.loads(out)
+    code, out, _ = run_cli(capsys, "analyze", "--anf", "x1*x2+x3*x4+x5*x6")
+    data = json.loads(out)["msubspace_profile"]
     assert data["3"] == 135
 
 
@@ -235,21 +246,21 @@ def test_psclass_prints_the_ps_plus_witness_on_two_variables(capsys):
     assert json.loads(out) == {"subclass": "PS_plus", "subspaces": [["01"], ["10"]]}
 
 
-def test_psclass_sharp_prints_the_sweep_witness(capsys):
+def test_analyze_sharp_prints_the_sweep_witness(capsys):
     from bentforge.psclass import is_in_ps_sharp, ps_ap
     from test_psclass import balanced_h3, ea_disguise
 
     g = ea_disguise(ps_ap(3, balanced_h3()), random.Random(3))
-    code, out, _ = run_cli(capsys, "psclass", "--tt", to_tt_hex(g), "--sharp")
+    code, out, _ = run_cli(capsys, "analyze", "--tt", to_tt_hex(g), "--sharp")
     assert code == 0
-    assert json.loads(out) == is_in_ps_sharp(g).as_dict()
+    assert json.loads(out)["ps_sharp"] == is_in_ps_sharp(g).as_dict()
 
 
-def test_psclass_sharp_prints_null_on_a_published_function(capsys):
+def test_analyze_sharp_prints_null_on_a_published_function(capsys):
     tt = to_tt_hex(fx.published_bent8("delta0_mix"))
-    code, out, _ = run_cli(capsys, "psclass", "--tt", tt, "--sharp")
+    code, out, _ = run_cli(capsys, "analyze", "--tt", tt, "--sharp")
     assert code == 0
-    assert out == "null\n"
+    assert json.loads(out)["ps_sharp"] is None
 
 
 def test_psclass_fails_fast_above_n8(capsys):
@@ -458,13 +469,25 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
         (["--anf", "x1 + + x2"], "empty term (at position 4)"),
         (["--tt", "tt:n=2:ff"], "bits at or above 2^2 are set in a table for n=2"),
         (["--tt", "tt:n=2:8"], "odd number of hex digits: give two per byte, 2 for the 1-byte"),
+        (["--anf", "x1", "--n", "0"], "n must be in 1..20, got 0\n"),
+        (["--anf", "x1", "--n", "-3"], "n must be in 1..20, got -3\n"),
+        (["--anf", "x1", "--n", "21"], "n must be in 1..20, got 21\n"),
     ],
-    ids=["anf-without-variables", "no-input", "anf-empty-term", "tt-padding-bits", "tt-odd-digits"],
+    ids=[
+        "anf-without-variables", "no-input", "anf-empty-term", "tt-padding-bits", "tt-odd-digits",
+        "anf-n-0", "anf-n-minus-3", "anf-n-21",
+    ],
 )
 def test_analyze_rejects_unusable_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "analyze", *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_certify_rejects_an_explicit_n_out_of_range(capsys):
+    pieces = ["--f1", "x1", "--f2", "x1", "--f3", "x1", "--f4", "x1", "--n", "0"]
+    code, out, err = run_cli(capsys, "certify", "thm53", *pieces)
+    assert (code, out, err) == (2, "", "error: n must be in 1..20, got 0\n")
 
 
 def test_analyze_rejects_a_vanishing_pair_graph_above_n14(capsys):
@@ -514,7 +537,7 @@ def test_anf_on_34_variables_exits_2_under_an_address_space_cap():
 def test_analyze_library_call_raises_on_unsupported_input():
     from bentforge.cli import analyze
 
-    with pytest.raises(ValueError, match="PS# analysis needs a bent function on even n"):
+    with pytest.raises(ValueError, match="PS# membership is defined for bent functions"):
         analyze(from_tt_hex("tt:n=4:0000"), sharp=True)
 
 

@@ -13,6 +13,10 @@ No package module names `SystemExit` or calls `sys.exit` outside its
 `if __name__ == "__main__"` guard: errors travel as exceptions, and only
 `cli.main` turns them into an exit code.
 
+No package module has an `assert` statement: `python -O` strips them, so
+an invariant that fails there would pass silently.  A package invariant
+raises `AssertionError` explicitly.
+
 A package statement marked `# unreachable` raises: a branch that no input
 should reach must stop the run if one does, not return a quiet verdict.
 
@@ -252,6 +256,27 @@ def test_checker_flags_an_exit_outside_the_main_guard():
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_package_has_one_error_channel(path):
     assert exit_paths(path.read_text()) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    return [
+        f"line {node.lineno}: {ast.unparse(node.test)}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_checker_flags_an_assert_statement():
+    source = (
+        "def f(x):\n    assert x > 0\n    if x % 2:\n        raise AssertionError(x)\n"
+        "    assert_ok = x\n    for y in range(x):\n        assert y != 3, 'three'\n"
+    )
+    assert assert_statements(source) == ["line 2: x > 0", "line 7: y != 3"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_has_no_assert_statement(path):
+    assert assert_statements(path.read_text()) == []
 
 
 def raises_only(node: ast.stmt) -> bool:
