@@ -248,34 +248,43 @@ class AnfParseError(ValueError):
         self.position = position
 
 
-def parse_anf(text: str, n: int) -> AnfPoly:
+def parse_anf(text: str, n: int | None = None) -> AnfPoly:
     """Parse ANF text: monomials joined by '+', variables x1..xn / y / z,
-    products with explicit '*', and the literal constant '1'."""
-    _check_n(n)
-    masks: set[int] = set()
+    products with explicit '*', and the literal constant '1'.  Without n,
+    n is the largest variable index."""
+    if n is not None:
+        _check_n(n)
+    terms: list[tuple[int, list[int]]] = []  # (position, indices); [] is the 1
     pos = 0
     for chunk in text.split("+"):
         term = chunk.strip()
         if not term:
             raise AnfParseError("empty term", pos)
-        mask = 0
-        if term == "0":  # the zero polynomial prints as a bare 0
-            pos += len(chunk) + 1
-            continue
         if term == "1":
-            masks ^= {0}
-        else:
+            terms.append((pos, []))
+        elif term != "0":  # the zero polynomial prints as a bare 0
+            js = []
             for factor in term.split("*"):
-                name = factor.strip()
-                m = _VAR_RE.match(name)
+                m = _VAR_RE.match(name := factor.strip())
                 if not m:
                     raise AnfParseError(f"bad factor {name!r}", pos + chunk.find(factor))
-                j = int(m.group(1))
-                if not 1 <= j <= n:
-                    raise AnfParseError(f"variable index {j} out of 1..{n}", pos)
-                mask |= 1 << (j - 1)
-            masks ^= {mask}
+                js.append(int(m.group(1)))
+            terms.append((pos, js))
         pos += len(chunk) + 1
+    if n is None:
+        indices = [j for _, js in terms for j in js]
+        if not indices:
+            raise ValueError("cannot infer the variable count; pass --n")
+        n = max(1, *indices)
+        _check_n(n)  # the range an explicit n is held to
+    masks: set[int] = set()
+    for at, js in terms:
+        mask = 0
+        for j in js:
+            if not 1 <= j <= n:
+                raise AnfParseError(f"variable index {j} out of 1..{n}", at)
+            mask |= 1 << (j - 1)
+        masks ^= {mask}
     return AnfPoly(n, frozenset(masks))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -67,28 +68,17 @@ def _maybe_file(text: str) -> str:
     return p.read_text() if is_file else text
 
 
-def _infer_n(anf_text: str) -> int:
-    import re
-
-    indices = [int(m) for m in re.findall(r"[xyz](\d+)", anf_text)]
-    if not indices:
-        raise ValueError("cannot infer the variable count; pass --n")
-    return max(indices)
-
-
 def load_boolean(args) -> BooleanFunction:
-    if args.tt:
+    if args.tt is not None:
         return _sized(from_tt_hex(_maybe_file(args.tt).strip()), args.n)
-    if args.anf:
-        return load_boolean_source(args.anf, args.n)
-    raise ValueError("need --tt or --anf")
+    return load_boolean_source(args.anf, args.n)
 
 
 def load_boolean_source(source: str, n: int | None = None) -> BooleanFunction:
     text = _maybe_file(source).strip()
     if text.startswith("tt:"):
         return _sized(from_tt_hex(text), n)
-    return from_anf(parse_anf(text, _infer_n(text) if n is None else n))
+    return from_anf(parse_anf(text, n))
 
 
 def _sized(f: BooleanFunction, n: int | None) -> BooleanFunction:
@@ -181,14 +171,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_msub(args) -> int:
     f = load_boolean(args)
-    subs = msubspaces(f, args.dim)
-    if args.json:
-        _emit({"dim": args.dim, "subspaces": [V.rows() for V in subs]})
-    else:
-        for V in subs:
-            print(V.to_text())
-            print()
-        print(f"# {len(subs)} subspaces of dimension {args.dim}")
+    _emit({"dim": args.dim, "subspaces": [V.rows() for V in msubspaces(f, args.dim)]})
     return 0
 
 
@@ -276,9 +259,10 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tt", help="truth table literal tt:n=..:<hex>, or a file holding one")
-    p.add_argument("--anf", help="ANF text (or a file): monomials joined by +, products with *")
-    p.add_argument("--n", type=int, help="variable count (ANF: default inferred; tt: must match)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--tt", help="truth table literal tt:n=..:<hex>, or a file holding one")
+    source.add_argument("--anf", help="ANF text (or a file): monomials joined by +, products with *")
+    p.add_argument("--n", type=int, help="variable count (ANF: default the largest variable index; tt: must match)")
 
 
 def _add_quadruple_flags(p: argparse.ArgumentParser) -> None:
@@ -310,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("msub", help="list M-subspaces of one dimension")
     _add_input_flags(p)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_msub)
 
     p = sub.add_parser("psclass", help="partial spread membership")
@@ -348,6 +331,13 @@ def main(argv=None) -> int:
         witness = None if exc.witness is None else exc.witness.rows()
         _emit({"error": str(exc), "witness": witness})
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone: point stdout at devnull, so the
+        # flush at exit of what is still buffered does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

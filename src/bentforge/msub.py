@@ -17,7 +17,7 @@ from .boolfun import BooleanFunction, is_bent, second_derivative
 from .gf2 import Subspace, span
 from .vectorial import iter_clique_subspaces, vanishing_pair_adjacency, vanishing_subspaces
 
-# Unused here, kept while perfbench/tracer.py looks them up (ROADMAP item 5).
+# Unused here, kept while perfbench/tracer.py looks them up (ROADMAP item 5a).
 algebraic_degree = boolfun.algebraic_degree
 vanishing_pair_adjacency_quadratic = vanishing_pair_adjacency
 

@@ -61,7 +61,7 @@ from . import gf2
 from .boolfun import BooleanFunction, _parity_array, _wht_butterfly, dual, is_bent
 from .gf2 import Subspace, orthogonal_complement, span
 
-# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5).
+# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5a).
 enumerate_subspaces = gf2.enumerate_subspaces
 
 # Prefix rows the cell pass joins at a time (`_coset_cells`).  At n = 8
@@ -767,7 +767,7 @@ def is_in_ps_sharp(
     shift that yields no witness, once the block holding that shift is
     done.  `jobs` and `resume` are accepted and ignored: they exist only
     for the call shape of `perfbench/tracer.py`, and go with the benchmark
-    change of ROADMAP item 5.
+    change of ROADMAP item 5a.
     """
     try:
         dual_table = dual(f).table  # one WHT, which also tests bentness

@@ -395,6 +395,40 @@ def test_parse_anf_rejects_out_of_range_variable():
         parse_anf("x5", 4)
 
 
+def test_parse_anf_without_n_takes_the_largest_variable_index():
+    assert parse_anf("x2*y5 + z3 + 1") == AnfPoly(5, frozenset({0b10010, 0b00100, 0}))
+    assert parse_anf("x1 + 0") == AnfPoly(1, frozenset({1}))
+    for text in ("1", "0", "1 + 0"):
+        with pytest.raises(ValueError, match="cannot infer the variable count"):
+            parse_anf(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0", "variable index 0 out of 1..1 (at position 0)"),
+        ("x3 + x0*x2", "variable index 0 out of 1..3 (at position 4)"),
+        ("x1 + w1", "bad factor 'w1' (at position 5)"),
+        ("", "empty term (at position 0)"),
+        ("x34", "n must be in 1..20, got 34"),
+    ],
+)
+def test_parse_anf_without_n_names_the_bad_input(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_anf(text)
+    assert str(exc.value) == message
+
+
+def test_parse_anf_with_n_keeps_it():
+    assert parse_anf("x1*x2", 4) == AnfPoly(4, frozenset({0b11}))
+    assert parse_anf("1", 3) == AnfPoly(3, frozenset({0}))
+    with pytest.raises(AnfParseError, match="variable index 3 out of 1..2"):
+        parse_anf("x1 + x3", 2)
+    for n in (0, -3, 21):
+        with pytest.raises(ValueError, match=f"n must be in 1..20, got {n}$"):
+            parse_anf("w1", n)
+
+
 def test_format_anf_canonical_order():
     poly = parse_anf("x1*x2 + x3 + 1 + x2", 3)
     assert format_anf(poly) == "1 + x2 + x3 + x1*x2"

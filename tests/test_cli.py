@@ -62,6 +62,54 @@ def test_readme_cli_block_shows_every_command_and_counts_the_claims():
     assert re.search(r"\((\d+)\s+today\)", README).group(1) == str(len(CLAIMS))
 
 
+def leaf_commands(parser) -> set[tuple[str, ...]]:
+    """Every command path of the parser; a positional with choices, like
+    certify's theorem, adds one path per choice."""
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {
+                (name, *rest) for name, p in action.choices.items() for rest in leaf_commands(p)
+            }
+        if not action.option_strings and action.choices:
+            return {(choice,) for choice in action.choices}
+    return {()}
+
+
+def contract_rows() -> dict[tuple[str, ...], list[list[str]]]:
+    """One or two invocations of every leaf command, on the bundled fixtures."""
+    tt = to_tt_hex(fx.published_bent8("delta0_mix"))
+    cube = to_vf_text(fx.apn_perm_m3())
+
+    def pieces(name):
+        make, _ = fx.QUADRUPLES[name]
+        return [x for i, f in enumerate(make().functions, 1) for x in (f"--f{i}", to_tt_hex(f))]
+
+    return {
+        ("analyze",): [["--tt", tt], ["--sharp", "--tt", tt]],
+        ("msub",): [["--tt", tt, "--dim", "2"]],
+        ("psclass",): [["--tt", tt]],
+        ("construct", "mm"): [["--pi", cube, "--h", "y1*y2"]],
+        ("construct", "concat"): [pieces("delta0_mix")],
+        ("construct", "extend-perm"): [["--sigma1", "y1\ny2\ny3", "--sigma2", cube]],
+        ("construct", "thm55"): [["--pi", PI3, "--sigma", cube, "--h1", "0", "--h2", "0"]],
+        ("certify", "thm53"): [pieces("delta0_mix")],
+        ("certify", "thm57"): [pieces("apn_family")],
+        **{("perm-check", prop): [["--vf", cube]] for prop in ("apn", "p1", "p2", "linstruct")},
+    }
+
+
+def test_every_command_but_verify_paper_prints_one_sorted_json_object(capsys):
+    rows = contract_rows()
+    assert set(rows) == leaf_commands(cli.build_parser()) - {("verify-paper",)}
+    for command, invocations in rows.items():
+        for argv in invocations:
+            code, out, err = run_cli(capsys, *command, *argv)
+            assert (code, err) == (0, ""), command
+            assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", command
+
+
 def test_analyze_quadratic(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--anf", "x1*x2 + x3*x4")
     assert code == 0
@@ -143,24 +191,31 @@ def test_truth_table_literal_longer_than_a_file_name():
     assert load_boolean_source(literal) == load_boolean_source("x1*x2 + x3*x4")
 
 
+ANALYZE = ["analyze", "--anf", "x1*x2"]
+PSCLASS = ["psclass", "--anf", "x1*x2"]
+
+
 @pytest.mark.parametrize(
-    "command, flag",
+    "argv, flag",
     [
-        pytest.param("analyze", "--jobs", id="analyze"),
-        pytest.param("psclass", "--jobs", id="psclass"),
+        # an input flag, so that argparse gets as far as the unknown flag
+        pytest.param(ANALYZE, "--jobs", id="analyze"),
+        pytest.param(PSCLASS, "--jobs", id="psclass"),
         # analyze --sharp runs the PS# sweep
-        pytest.param("psclass", "--sharp", id="psclass-sharp"),
-        pytest.param("verify-paper", "--jobs", id="verify-paper"),
+        pytest.param(PSCLASS, "--sharp", id="psclass-sharp"),
+        pytest.param(["verify-paper"], "--jobs", id="verify-paper"),
         # removed with the PS# sweep's checkpoints
-        pytest.param("analyze", "--resume", id="analyze-resume"),
-        pytest.param("psclass", "--resume", id="psclass-resume"),
+        pytest.param(ANALYZE, "--resume", id="analyze-resume"),
+        pytest.param(PSCLASS, "--resume", id="psclass-resume"),
         # verify-paper always runs the PS# sweeps
-        pytest.param("verify-paper", "--fast", id="verify-paper-fast"),
+        pytest.param(["verify-paper"], "--fast", id="verify-paper-fast"),
+        # msub always prints JSON
+        pytest.param(["msub", "--anf", "x1*x2", "--dim", "1"], "--json", id="msub-json"),
     ],
 )
-def test_jobs_flag_is_rejected(capsys, command, flag):
+def test_jobs_flag_is_rejected(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
-        main([command, flag, "x"])
+        main([*argv, flag, "x"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -209,15 +264,32 @@ def test_analyze_accepts_tt_literal(capsys):
 def test_msub_lists_bases(capsys):
     code, out, _ = run_cli(capsys, "msub", "--anf", "x1*x2+x3*x4+x5*x6", "--dim", "3")
     assert code == 0
-    assert "# 135 subspaces" in out
+    assert len(json.loads(out)["subspaces"]) == 135
 
 
 def test_msub_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "msub", "--anf", "x1*x2+x3*x4", "--dim", "2", "--json"
-    )
+    code, out, _ = run_cli(capsys, "msub", "--anf", "x1*x2+x3*x4", "--dim", "2")
     data = json.loads(out)
     assert len(data["subspaces"]) == 15
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # about 760 KB of JSON, more than a pipe buffer holds, so a write
+    # meets the closed pipe
+    tt = to_tt_hex(mm_bent(identity_map(4), zero_function(4)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bentforge.cli", "msub", "--tt", tt, "--dim", "3"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")
 
 
 def test_profile_json(capsys):
@@ -465,8 +537,10 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
     "argv, message",
     [
         (["--anf", "1"], "cannot infer the variable count"),
-        ([], "need --tt or --anf"),
         (["--anf", "x1 + + x2"], "empty term (at position 4)"),
+        (["--anf", "x0"], "variable index 0 out of 1..1"),
+        (["--anf", "w1"], "bad factor 'w1'"),
+        (["--anf", ""], "empty term (at position 0)"),
         (["--tt", "tt:n=2:ff"], "bits at or above 2^2 are set in a table for n=2"),
         (["--tt", "tt:n=2:8"], "odd number of hex digits: give two per byte, 2 for the 1-byte"),
         (["--anf", "x1", "--n", "0"], "n must be in 1..20, got 0\n"),
@@ -474,14 +548,29 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
         (["--anf", "x1", "--n", "21"], "n must be in 1..20, got 21\n"),
     ],
     ids=[
-        "anf-without-variables", "no-input", "anf-empty-term", "tt-padding-bits", "tt-odd-digits",
-        "anf-n-0", "anf-n-minus-3", "anf-n-21",
+        "anf-without-variables", "anf-empty-term", "anf-x0", "anf-bad-factor", "anf-empty",
+        "tt-padding-bits", "tt-odd-digits", "anf-n-0", "anf-n-minus-3", "anf-n-21",
     ],
 )
 def test_analyze_rejects_unusable_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "analyze", *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "one of the arguments --tt --anf is required"),
+        (["--tt", "tt:n=2:08", "--anf", "x1"], "argument --anf: not allowed with argument --tt"),
+    ],
+    ids=["no-input", "both-inputs"],
+)
+def test_analyze_takes_exactly_one_input_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_certify_rejects_an_explicit_n_out_of_range(capsys):
