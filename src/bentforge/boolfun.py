@@ -194,14 +194,30 @@ def _linear_structures(table: np.ndarray) -> set[int]:
     return set(np.flatnonzero(found).tolist())
 
 
-def shift(f: BooleanFunction, b: int) -> BooleanFunction:
-    """x -> f(x+b)."""
-    idx = np.arange(1 << f.n)
-    return BooleanFunction(f.n, f.table[idx ^ b])
-
-
 def _parity_array(x: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(x) & 1).astype(np.uint8)
+
+
+def linear_images(rows: list[int], n: int) -> np.ndarray:
+    """A.x for all 2^n points x, indexed by x, for the matrix A with the
+    given rows (as `gf2.random_invertible` returns them): bit i of A.x is
+    the parity of rows[i] & x."""
+    idx = np.arange(1 << n)
+    image = np.zeros(1 << n, dtype=np.int64)
+    for i, row in enumerate(rows):
+        image |= _parity_array(idx & row).astype(np.int64) << i
+    return image
+
+
+def ea_image(f: BooleanFunction, rows: list[int] | None = None, b: int = 0, a: int = 0,
+             c: int = 0) -> BooleanFunction:
+    """The EA image x -> f(A(x + b)) + a.x + c, with A given by its rows as
+    in `linear_images`; rows=None is the identity and builds no image."""
+    idx = np.arange(1 << f.n)
+    points = idx ^ b
+    if rows is not None:
+        points = linear_images(rows, f.n)[points]
+    return BooleanFunction(f.n, f.table[points] ^ _parity_array(idx & a) ^ (c & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +243,7 @@ def from_tt_hex(text: str) -> BooleanFunction:
     if not m:
         raise ValueError(f"not a truth-table literal: {text[:40]!r}")
     n = int(m.group(1))
+    _check_n(n)  # before the table is sized
     need = max(1, (1 << n) // 8)
     if len(m.group(2)) % 2:
         raise ValueError(

@@ -98,13 +98,9 @@ def load_vectorial(source: str) -> VectorialFunction:
     if text.startswith("vf:"):
         return from_vf_text(text)
     if text.startswith("gf2m:"):
-        # power map over a field: gf2m:m=<m>[,mod=<hexmask>],pow=<d>
-        from .gf2m import parse_field, power_map
+        from .gf2m import parse_power_map
 
-        spec, sep, power = text.rpartition(",pow=")
-        if not (sep and power.isdecimal()):
-            raise ValueError("field input needs a ,pow=<d> suffix for the power map")
-        return power_map(parse_field(spec), int(power))
+        return parse_power_map(text)
     return from_coordinate_anfs(text)
 
 

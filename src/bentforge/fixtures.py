@@ -29,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from .boolfun import BooleanFunction, from_anf, parse_anf, zero_function
+from .boolfun import BooleanFunction, ea_image, from_anf, parse_anf, zero_function
 from .construct import ConcatQuadruple, delta0, mm_bent, mm_bent_transposed
 from .gf2 import Subspace
 from .gf2m import Field
@@ -149,11 +149,10 @@ def to_paper_variables(f: BooleanFunction, varmap: tuple[int, ...]) -> BooleanFu
         raise ValueError("varmap length must equal the variable count")
     if sorted(varmap) != list(range(f.n)):
         raise ValueError(f"varmap must be a permutation of 0..{f.n - 1}")
-    idx = np.arange(1 << f.n)
-    src = np.zeros_like(idx)
+    rows = [0] * f.n  # bit varmap[j] of A.x is bit j of x
     for j, mj in enumerate(varmap):
-        src |= ((idx >> j) & 1) << mj
-    return BooleanFunction(f.n, f.table[src])
+        rows[mj] = 1 << j
+    return ea_image(f, rows)
 
 
 def tr_xy3_bent() -> BooleanFunction:

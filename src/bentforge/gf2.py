@@ -75,10 +75,6 @@ class Subspace:
             for b in reversed(self.basis)
         ]
 
-    def to_text(self) -> str:
-        """The rows, one per line."""
-        return "\n".join(self.rows())
-
     @classmethod
     def from_text(cls, text: str) -> "Subspace":
         rows = [line.strip() for line in text.splitlines() if line.strip()]
@@ -179,11 +175,3 @@ def random_invertible(n: int, rng) -> list[int]:
         rows = [rng.randrange(1, 1 << n) for _ in range(n)]
         if len(rref(rows)) == n:
             return rows
-
-
-def apply_linear(rows: list[int], v: int) -> int:
-    """Image of v under the linear map whose rows act by dot products."""
-    out = 0
-    for i, row in enumerate(rows):
-        out |= dot(row, v) << i
-    return out

@@ -146,11 +146,13 @@ def power_map(field: Field, d: int):
 _FIELD_RE = re.compile(r"^gf2m:m=(\d+)(?:,mod=([0-9a-fA-F]+))?$")
 
 
-def parse_field(spec: str) -> Field:
-    """Parse "gf2m:m=<m>[,mod=<hexmask>]"."""
+def parse_power_map(text: str):
+    """Parse "gf2m:m=<m>[,mod=<hexmask>],pow=<d>" into x -> x^d."""
+    spec, sep, power = text.strip().rpartition(",pow=")
+    if not (sep and power.isdecimal()):
+        raise ValueError("field input needs a ,pow=<d> suffix for the power map")
     m = _FIELD_RE.match(spec.strip())
     if not m:
         raise ValueError(f"bad field spec {spec!r}")
-    deg = int(m.group(1))
     mod = int(m.group(2), 16) if m.group(2) else None
-    return Field(deg, mod)
+    return power_map(Field(int(m.group(1)), mod), int(power))

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .boolfun import BooleanFunction, _parity_array, _wht_butterfly, dual, is_bent
+from .boolfun import BooleanFunction, _parity_array, _wht_butterfly, dual, ea_image, is_bent
 from .gf2 import Subspace, orthogonal_complement, span
 
 # Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5a).
@@ -433,13 +433,8 @@ def is_partial_spread(f: BooleanFunction) -> PartialSpreadWitness | None:
 # PS# sweep
 # ---------------------------------------------------------------------------
 
-def _shifted_affine(f: BooleanFunction, b: int, a: int, c: int) -> BooleanFunction:
-    idx = np.arange(1 << f.n)
-    return BooleanFunction(f.n, f.table[idx ^ b] ^ _parity_array(idx & a) ^ (c & 1))
-
-
 def _witness_holds(f: BooleanFunction, w: PsSharpWitness) -> bool:
-    return w.inner.reconstruct() == _shifted_affine(f, w.shift, w.affine, w.constant)
+    return w.inner.reconstruct() == ea_image(f, None, w.shift, w.affine, w.constant)
 
 
 @functools.cache

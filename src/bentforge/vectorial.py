@@ -26,14 +26,18 @@ from .boolfun import (
 from .gf2 import Subspace, orthogonal_complement, span
 
 
+def _check_m(m: int) -> None:
+    if not 1 <= m <= gf2.MAX_DIM:
+        raise ValueError(f"m must be in 1..{gf2.MAX_DIM}, got {m}")
+
+
 class VectorialFunction:
     """A map F_2^m -> F_2^m stored as a value table."""
 
     __slots__ = ("m", "table")
 
     def __init__(self, m: int, table) -> None:
-        if not 1 <= m <= gf2.MAX_DIM:
-            raise ValueError(f"m must be in 1..{gf2.MAX_DIM}, got {m}")
+        _check_m(m)
         t = np.asarray(table, dtype=np.int64)
         if t.shape != (1 << m,):
             raise ValueError(f"table length must be 2^{m}")
@@ -343,6 +347,7 @@ def from_vf_text(text: str) -> VectorialFunction:
     if not m:
         raise ValueError(f"not a vectorial-function literal: {text[:40]!r}")
     deg = int(m.group(1))
+    _check_m(deg)  # before the 2^m count below
     vals = [int(v, 16) for v in m.group(2).split()]
     if len(vals) != 1 << deg:
         raise ValueError(f"expected {1 << deg} values, got {len(vals)}")

@@ -20,6 +20,7 @@ from .boolfun import (
     algebraic_degree,
     dual,
     is_bent,
+    linear_images,
     zero_function,
 )
 from .construct import (
@@ -32,7 +33,7 @@ from .construct import (
     theorem57_check,
     witness_second_msubspace,
 )
-from .gf2 import apply_linear, random_invertible
+from .gf2 import random_invertible
 from .gf2m import Field, power_map
 from .msub import canonical_msubspace, is_in_mm_sharp, is_msubspace, msubspaces
 from .psclass import is_in_ps_sharp
@@ -203,12 +204,11 @@ def _lifted_permutation(m: int, rng: random.Random) -> VectorialFunction:
     rng.shuffle(low)
     table = [low[y & (half - 1)] | (y & half) for y in range(1 << m)]
     # conjugate by random invertible maps to vary where the structure sits
-    A = random_invertible(m, rng)
-    B = random_invertible(m, rng)
-    conj = [0] * (1 << m)
-    for y in range(1 << m):
-        conj[apply_linear(A, y)] = apply_linear(B, table[y])
-    return VectorialFunction(m, np.array(conj))
+    A = linear_images(random_invertible(m, rng), m)
+    B = linear_images(random_invertible(m, rng), m)
+    conj = np.zeros(1 << m, dtype=np.int64)
+    conj[A] = B[table]
+    return VectorialFunction(m, conj)
 
 
 def _claim_prop21_witnesses():

@@ -15,20 +15,21 @@ from bentforge.boolfun import (
     algebraic_degree,
     derivative,
     dual,
+    ea_image,
     format_anf,
     from_anf,
     from_tt_hex,
     is_bent,
+    linear_images,
     linear_structures,
     parse_anf,
     second_derivative,
-    shift,
     to_anf,
     to_tt_hex,
     walsh_transform,
     zero_function,
 )
-from bentforge.gf2 import apply_linear, random_invertible
+from bentforge.gf2 import random_invertible
 from conftest import random_function, random_mm, random_permutation_table
 
 tables = st.integers(min_value=2, max_value=6).flatmap(
@@ -250,8 +251,56 @@ def test_span_closure_identity(rng):
         f = random_function(5, rng)
         a, b, c = (rng.randrange(32) for _ in range(3))
         lhs = second_derivative(f, a ^ b, c)
-        rhs = shift(second_derivative(f, a, c), b) ^ second_derivative(f, b, c)
+        rhs = ea_image(second_derivative(f, a, c), b=b) ^ second_derivative(f, b, c)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_linear_images_match_per_point_parity(n):
+    rng = random.Random(n)
+    singular = [rng.randrange(1 << n) for _ in range(n - 1)]
+    singular.insert(rng.randrange(n), 0)  # a zero row
+    for rows in (random_invertible(n, rng), singular, [0] * n):
+        expect = [sum(((row & x).bit_count() & 1) << i for i, row in enumerate(rows))
+                  for x in range(1 << n)]
+        assert linear_images(rows, n).tolist() == expect
+    assert linear_images([1 << i for i in range(n)], n).tolist() == list(range(1 << n))
+
+
+def test_ea_image_without_rows_shifts_and_adds_an_affine_function(rng):
+    for n in range(1, 9):
+        f = random_function(n, rng)
+        b, a, c = rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(2)
+        idx = np.arange(1 << n)
+        expect = f.table[idx ^ b] ^ _parity_array(idx & a) ^ c
+        assert np.array_equal(ea_image(f, None, b, a, c).table, expect)
+        assert ea_image(f) == f
+
+
+def transposed_image(rows: list[int], v: int) -> int:
+    """A^T v: the sum of the rows of A picked by the bits of v."""
+    out = 0
+    for k, row in enumerate(rows):
+        out ^= row * ((v >> k) & 1)
+    return out
+
+
+def test_ea_image_of_an_ea_image_is_one_ea_image(rng):
+    # g(x) = f(A1(y + b1)) + a1.y + c1 at y = A2(x + b2), plus a2.x + c2, is
+    # f(A1 A2 (x + b)) + a.x + c with A2 b' = b1, b = b2 + b',
+    # a = A2^T a1 + a2 and c = a1.(A2 b2) + c1 + c2
+    for n in range(1, 9):
+        f = random_function(n, rng)
+        r1, r2 = random_invertible(n, rng), random_invertible(n, rng)
+        b_pre, b2, a1, a2 = (rng.randrange(1 << n) for _ in range(4))
+        c1, c2 = rng.randrange(2), rng.randrange(2)
+        images2 = linear_images(r2, n)
+        b1 = int(images2[b_pre])
+        g = ea_image(ea_image(f, r1, b1, a1, c1), r2, b2, a2, c2)
+        product = [transposed_image(r2, row) for row in r1]  # row i of A1 A2
+        a = transposed_image(r2, a1) ^ a2
+        c = (a1 & int(images2[b2])).bit_count() & 1 ^ c1 ^ c2
+        assert g == ea_image(f, product, b2 ^ b_pre, a, c)
 
 
 def reference_linear_structures(table: np.ndarray) -> set[int]:
@@ -272,7 +321,7 @@ def planted_structure(n: int, k: int, rng: random.Random) -> BooleanFunction:
     h = np.array([rng.randrange(2) for _ in range(1 << (n - k))], dtype=np.uint8)
     base = h[idx >> k] ^ _parity_array(idx & rng.randrange(1 << n))
     A = random_invertible(n, rng)
-    return BooleanFunction(n, base[[apply_linear(A, x) for x in range(1 << n)]])
+    return BooleanFunction(n, base[linear_images(A, n)])
 
 
 @pytest.mark.parametrize("n", range(1, 13))

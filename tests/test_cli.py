@@ -543,13 +543,16 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
         (["--anf", ""], "empty term (at position 0)"),
         (["--tt", "tt:n=2:ff"], "bits at or above 2^2 are set in a table for n=2"),
         (["--tt", "tt:n=2:8"], "odd number of hex digits: give two per byte, 2 for the 1-byte"),
+        (["--tt", "tt:n=21:00"], "n must be in 1..20, got 21\n"),
+        (["--tt", "tt:n=200:00"], "n must be in 1..20, got 200\n"),
         (["--anf", "x1", "--n", "0"], "n must be in 1..20, got 0\n"),
         (["--anf", "x1", "--n", "-3"], "n must be in 1..20, got -3\n"),
         (["--anf", "x1", "--n", "21"], "n must be in 1..20, got 21\n"),
     ],
     ids=[
         "anf-without-variables", "anf-empty-term", "anf-x0", "anf-bad-factor", "anf-empty",
-        "tt-padding-bits", "tt-odd-digits", "anf-n-0", "anf-n-minus-3", "anf-n-21",
+        "tt-padding-bits", "tt-odd-digits", "tt-n-21", "tt-n-200",
+        "anf-n-0", "anf-n-minus-3", "anf-n-21",
     ],
 )
 def test_analyze_rejects_unusable_input(capsys, argv, message):
@@ -684,6 +687,14 @@ def test_perm_check_rejects_a_malformed_vf_literal(capsys):
     code, out, err = run_cli(capsys, "perm-check", "apn", "--vf", "vf:m=3:zz")
     assert code == 2 and out == ""
     assert "not a vectorial-function literal" in err
+
+
+@pytest.mark.parametrize("m", [21, 99])
+def test_perm_check_rejects_an_out_of_range_vf_literal(capsys, m):
+    # checked before the 2^m value count is formed
+    code, out, err = run_cli(capsys, "perm-check", "apn", "--vf", f"vf:m={m}:0")
+    assert code == 2 and out == ""
+    assert f"m must be in 1..20, got {m}\n" in err
 
 
 def test_perm_check_field_without_power_names_the_suffix(capsys):

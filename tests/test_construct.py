@@ -10,11 +10,12 @@ from bentforge.boolfun import (
     BooleanFunction,
     _parity_array,
     algebraic_degree,
+    ea_image,
     from_anf,
     is_bent,
+    linear_images,
     parse_anf,
     second_derivative,
-    shift,
     zero_function,
 )
 from bentforge.construct import (
@@ -33,7 +34,7 @@ from bentforge.construct import (
     theorem57_check,
     witness_second_msubspace,
 )
-from bentforge.gf2 import Subspace, apply_linear, orthogonal_complement, random_invertible, span
+from bentforge.gf2 import Subspace, orthogonal_complement, random_invertible, span
 from bentforge.gf2m import Field, power_map
 from bentforge.msub import (
     canonical_msubspace,
@@ -275,12 +276,10 @@ def hyperplane_affine_perm(m: int, rng) -> VectorialFunction:
     halves = [random_invertible(m - 1, rng) for _ in range(2)]
     inner, outer = random_invertible(m, rng), random_invertible(m, rng)
     b_in, b_out = rng.randrange(1 << m), rng.randrange(1 << m)
-    tab = []
-    for y in range(1 << m):
-        z = apply_linear(inner, y) ^ b_in
-        piece = apply_linear(halves[z >> (m - 1)], z & low) | (z & top)
-        tab.append(apply_linear(outer, piece) ^ b_out)
-    return VectorialFunction(m, np.array(tab))
+    z = linear_images(inner, m) ^ b_in
+    pieces = np.stack([linear_images(half, m - 1) for half in halves])
+    piece = pieces[z >> (m - 1), z & low] | (z & top)
+    return VectorialFunction(m, linear_images(outer, m)[piece] ^ b_out)
 
 
 def test_witness_second_msubspace_hyperplane(rng):
@@ -533,7 +532,7 @@ def apn_family_variants(rng, count: int) -> list[ConcatQuadruple]:
         cs = [rng.randrange(2) for _ in range(3)]
         cs.append(cs[0] ^ cs[1] ^ cs[2])
         out.append(
-            ConcatQuadruple(*(shift(f, t) ^ c for f, t, c in zip(base.functions, ts, cs)))
+            ConcatQuadruple(*(ea_image(f, b=t, c=c) for f, t, c in zip(base.functions, ts, cs)))
         )
     return out
 
@@ -636,7 +635,7 @@ def special_quadruples(rng) -> list[ConcatQuadruple]:
     random point, with f4 = f1 + f2 + f3: theorem 5.7 runs its corollary."""
     out = []
     for _ in range(6):
-        fs = [shift(mm_bent(fx.apn_perm_m3(), random_function(3, rng)), rng.randrange(64))
+        fs = [ea_image(mm_bent(fx.apn_perm_m3(), random_function(3, rng)), b=rng.randrange(64))
               for _ in range(3)]
         out.append(ConcatQuadruple(*fs, fs[0] ^ fs[1] ^ fs[2]))
     return out
@@ -649,13 +648,13 @@ def test_pair_graph_matches_derivative_reference(rng):
     for n in range(2, 7):
         fa = random_function(n, rng)
         t = rng.randrange(1 << n)
-        pairs = [(fa, random_function(n, rng)), (fa, fa), (fa, shift(fa, t) ^ 1)]
+        pairs = [(fa, random_function(n, rng)), (fa, fa), (fa, ea_image(fa, b=t, c=1))]
         if n % 2 == 0:
             # MM pieces with one pi: both D_(a,0) are a.pi(y) up to a shift
             m = n // 2
             pi = VectorialFunction(m, random_permutation_table(m, rng))
             g, h = (mm_bent(pi, random_function(m, rng)) for _ in range(2))
-            pairs.append((g, shift(h, rng.randrange(1 << n))))
+            pairs.append((g, ea_image(h, b=rng.randrange(1 << n))))
         for ga, gb in pairs:
             adj = vanishing_pair_adjacency(np.concatenate([ga.table, gb.table]))
             for u in range(1, 1 << n):

@@ -9,7 +9,7 @@ from bentforge.gf2m import (
     Field,
     default_modulus,
     is_irreducible,
-    parse_field,
+    parse_power_map,
     power_map,
 )
 from bentforge.vectorial import is_permutation
@@ -146,15 +146,16 @@ def test_tr_xy3_bent_is_the_trace_of_x_y3():
     assert [sum(f(1 << i | y << 3) << i for i in range(3)) for y in range(8)] == [0, 1, 5, 2, 3, 6, 7, 4]
 
 
-def test_parse_field():
-    fld = parse_field("gf2m:m=3")
-    assert fld.m == 3 and fld.modulus == 0b1011
-    fld2 = parse_field("gf2m:m=3,mod=b")
-    assert fld2 == fld
+def test_parse_power_map():
+    cube = power_map(Field(3), 3).table.tolist()
+    assert parse_power_map("gf2m:m=3,pow=3").table.tolist() == cube
+    assert parse_power_map("gf2m:m=3,mod=b,pow=3").table.tolist() == cube
+    with pytest.raises(ValueError, match="bad field spec 'gf2m:m='"):
+        parse_power_map("gf2m:m=,pow=3")
     with pytest.raises(ValueError):
-        parse_field("gf2m:m=")
-    with pytest.raises(ValueError):
-        parse_field("gf2m:m=3,mod=f")  # reducible
+        parse_power_map("gf2m:m=3,mod=f,pow=3")  # reducible
+    with pytest.raises(ValueError, match="needs a ,pow=<d> suffix"):
+        parse_power_map("gf2m:m=3")
 
 
 def test_zero_has_no_inverse():

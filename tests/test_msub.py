@@ -6,15 +6,15 @@ import pytest
 from bentforge import fixtures as fx
 from bentforge.boolfun import (
     BooleanFunction,
-    _parity_array,
     dual,
+    ea_image,
     from_anf,
+    linear_images,
     parse_anf,
     zero_function,
 )
 from bentforge.construct import delta0, mm_bent, mm_bent_transposed, theorem55_construct
 from bentforge.gf2 import (
-    apply_linear,
     enumerate_subspaces,
     gaussian_binomial,
     random_invertible,
@@ -36,13 +36,6 @@ from bentforge.psclass import (
 from bentforge.vectorial import VectorialFunction, has_p1, identity_map, linear_structures_vf
 from conftest import packed_words, random_function, random_permutation_table
 from test_psclass import coset_table
-
-
-def ea_image(f: BooleanFunction, A: list[int], b=0, a=0, c=0) -> BooleanFunction:
-    """x -> f(A(x + b)) + a.x + c."""
-    idx = np.arange(1 << f.n)
-    moved = np.array([apply_linear(A, x ^ b) for x in range(1 << f.n)])
-    return BooleanFunction(f.n, f.table[moved] ^ _parity_array(idx & a) ^ c)
 
 
 def xy_bent(m: int) -> BooleanFunction:
@@ -212,7 +205,7 @@ def test_prop33_delta0_unique_iff_no_linear_structures(rng):
     lin = random_invertible(4, rng)
     cases = [
         (4, _lift(random_permutation_table(3, rng), 4)),
-        (4, VectorialFunction(4, np.array([apply_linear(lin, y) for y in range(16)]))),
+        (4, VectorialFunction(4, linear_images(lin, 4))),
         (5, fx.perm_two_msubspaces()),
         (5, power_map(Field(5), 3)),
         (5, _lift(random_permutation_table(4, rng), 5)),

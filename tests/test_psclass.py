@@ -16,13 +16,13 @@ from bentforge.boolfun import (
     _parity_array,
     algebraic_degree,
     dual,
+    ea_image,
     is_bent,
     zero_function,
 )
 from bentforge.construct import mm_bent
 from bentforge.fixtures import PUBLISHED, published_bent8
 from bentforge.gf2 import (
-    apply_linear,
     enumerate_subspaces,
     intersect,
     orthogonal_complement,
@@ -46,7 +46,6 @@ from bentforge.psclass import (
     _pivot_sets,
     _row_index,
     _shift_blocks,
-    _shifted_affine,
     _span_rows,
     _unit_xor,
     _witness_holds,
@@ -201,10 +200,10 @@ def test_ps_sharp_identity_offset():
 
 def test_ps_sharp_finds_disguise():
     f = ps_ap(3, balanced_h3())
-    g = _shifted_affine(f, 0b100101, 0b010011, 1)
+    g = ea_image(f, None, 0b100101, 0b010011, 1)
     w = is_in_ps_sharp(g)
     assert w is not None
-    moved = _shifted_affine(g, w.shift, w.affine, w.constant)
+    moved = ea_image(g, None, w.shift, w.affine, w.constant)
     assert w.inner.reconstruct() == moved
 
 
@@ -215,7 +214,7 @@ def test_ps_sharp_consistency_audit(rng):
     assert result is None
     for _ in range(100):
         b, a, c = rng.randrange(64), rng.randrange(64), rng.randrange(2)
-        g = _shifted_affine(f, b, a, c)
+        g = ea_image(f, None, b, a, c)
         assert is_partial_spread(g) is None
 
 
@@ -224,8 +223,7 @@ def test_ps_sharp_progress_reports_every_shift_before_the_witness():
     rng = random.Random(3)
     f = ps_ap4()
     A = random_invertible(8, rng)
-    linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
-    g = _shifted_affine(linear, rng.randrange(1, 8), rng.randrange(256), rng.randrange(2))
+    g = ea_image(f, A, rng.randrange(1, 8), rng.randrange(256), rng.randrange(2))
     plain = is_in_ps_sharp(g)
     assert plain is not None and plain.shift > 0
     seen = []
@@ -286,13 +284,10 @@ def ea_disguise(f: BooleanFunction, rng: random.Random, shifted: bool = True) ->
         cols = [rng.randrange(1, 1 << n) for _ in range(n)]
         if span(cols, n).dim == n:
             break
-    idx = np.arange(1 << n)
-    img = np.zeros(1 << n, dtype=np.int64)
-    for j, col in enumerate(cols):
-        img ^= ((idx >> j) & 1) * col
-    linear = BooleanFunction(n, f.table[img])
+    # A has the drawn vectors as columns; ea_image takes its rows
+    rows = [sum((col >> i & 1) << j for j, col in enumerate(cols)) for i in range(n)]
     b = rng.randrange(1 << n) if shifted else 0
-    return _shifted_affine(linear, b, rng.randrange(1 << n), rng.randrange(2))
+    return ea_image(f, rows, b, rng.randrange(1 << n), rng.randrange(2))
 
 
 def oracle_functions(n: int) -> list[BooleanFunction]:
@@ -927,7 +922,7 @@ def direct_witnesses_at(f: BooleanFunction, b: int):
     for a in range(1 << f.n):
         found = {}
         for c in (0, 1):
-            w = is_partial_spread(_shifted_affine(f, b, a, c))
+            w = is_partial_spread(ea_image(f, None, b, a, c))
             if w is not None:
                 found[c] = w
         if found:
@@ -971,7 +966,7 @@ def test_ps_sharp_matches_exhaustive_direct_tests(f):
     if w is not None:
         b, a, found = first
         assert (w.shift, w.affine) == (b, a) and w.constant in found
-        assert w.inner.reconstruct() == _shifted_affine(f, w.shift, w.affine, w.constant)
+        assert w.inner.reconstruct() == ea_image(f, None, w.shift, w.affine, w.constant)
         for inner in (w.inner, *found.values()):
             assert_dillon_degree(inner, f.n)
 
@@ -1060,7 +1055,7 @@ def test_ps_sharp_verdict_invariant_under_duality_and_linear_maps(name):
     # and 128 groups reach branch and bound.
     f = random_mm(4, random.Random(6)) if name == "random-mm" else published_bent8(name)
     A = random_invertible(8, random.Random(8))
-    linear = BooleanFunction(8, f.table[[apply_linear(A, x) for x in range(256)]])
+    linear = ea_image(f, A)
     verdict = is_in_ps_sharp(f) is not None
     assert (is_in_ps_sharp(dual(f)) is not None) == verdict
     assert (is_in_ps_sharp(linear) is not None) == verdict

@@ -11,13 +11,13 @@ from bentforge.boolfun import (
     _wht_butterfly,
     format_anf,
     from_anf,
+    linear_images,
     parse_anf,
     to_anf,
     zero_function,
 )
 from bentforge.construct import mm_bent, theorem55_construct
 from bentforge.gf2 import (
-    apply_linear,
     enumerate_subspaces,
     orthogonal_complement,
     random_invertible,
@@ -99,7 +99,7 @@ def test_apn_examples():
 
 
 def test_vanishing_flats_of_linear_map_on_f23():
-    lin = VectorialFunction(3, np.array([apply_linear([0b011, 0b110, 0b101], x) for x in range(8)]))
+    lin = VectorialFunction(3, linear_images([0b011, 0b110, 0b101], 3))
     assert vanishing_flats_count(lin) == 14
 
 
@@ -283,7 +283,7 @@ def test_adjacency_relabels_under_linear_maps(n):
     else:
         table = mm_bent(power_map(Field(m), 5), random_function(m, rng)).table
     A = random_invertible(n, rng)
-    image = np.array([apply_linear(A, x) for x in range(1 << n)])
+    image = linear_images(A, n)
     graph = adjacency_matrix(vanishing_pair_adjacency(table))
     assert graph.sum() >= 1000
     relabelled = adjacency_matrix(vanishing_pair_adjacency(table[image]))
@@ -441,12 +441,11 @@ def test_p1_iff_apn_for_quadratic_permutations(rng):
     for F in seeds:
         assert algebraic_degree_vf(F) == 2
         for _ in range(3):
-            A = random_invertible(5, rng)
-            B = random_invertible(5, rng)
-            table = [0] * 32
-            for y in range(32):
-                table[apply_linear(A, y)] = apply_linear(B, int(F.table[y]))
-            G = VectorialFunction(5, np.array(table))
+            A = linear_images(random_invertible(5, rng), 5)
+            B = linear_images(random_invertible(5, rng), 5)
+            table = np.zeros(32, dtype=np.int64)
+            table[A] = B[F.table]
+            G = VectorialFunction(5, table)
             assert is_permutation(G)
             assert has_p1(G)[0] == is_apn(G)
 
