@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import msub
 from .boolfun import (
     BooleanFunction,
     algebraic_degree,
@@ -40,7 +41,7 @@ from .construct import (
     theorem57_check,
 )
 from .gf2 import Subspace
-from .msub import MSubspaceProfile, is_in_mm_sharp, msubspace_profile, msubspaces
+from .msub import MSubspaceProfile, msubspace_profile, msubspaces
 from .psclass import PsSharpWitness, is_in_ps_sharp, is_partial_spread
 from .vectorial import (
     VectorialFunction,
@@ -53,6 +54,9 @@ from .vectorial import (
     linear_structures_vf,
     to_vf_text,
 )
+
+# Unused here, kept while perfbench/tracer.py looks it up (ROADMAP item 5a).
+is_in_mm_sharp = msub.is_in_mm_sharp
 
 
 def _emit(obj) -> None:
@@ -147,12 +151,9 @@ def analyze(f: BooleanFunction, sharp: bool = False) -> ClassReport:
     bent = timed("bent", lambda: is_bent(f))
     degree = timed("degree", lambda: algebraic_degree(f))
     profile = timed("profile", lambda: msubspace_profile(f))
-    mm = None
-    if bent:
-        # Dillon's criterion: f is in MM# iff it has an n/2-dimensional
-        # M-subspace, so a profile that counts none settles it
-        settled = f.n >= 4 and profile.counts[f.n // 2] == 0
-        mm = timed("mm_sharp", lambda: None if settled else is_in_mm_sharp(f))
+    # Dillon's criterion: a bent f is in MM# iff it has an n/2-dimensional
+    # M-subspace, and the profile's walk keeps the first it meets
+    mm = profile.witness if bent else None
     return ClassReport(
         f.n, bent, degree, f.weight(), profile, mm, ps, sharp, timings
     )

@@ -257,6 +257,8 @@ def theorem55_construct(
     if pi.m != sigma.m:
         raise ValueError("pi and sigma must act on the same dimension")
     m = pi.m
+    if m < 3:
+        raise ValueError(f"Theorem 5.5 needs m >= 3 (n = 2m + 2 >= 8), got m = {m}")
     ok, witness = has_p1(pi)
     if not ok:
         raise PreconditionError("pi fails P1", witness=witness)

@@ -14,11 +14,6 @@ from typing import Iterator
 MAX_DIM = 20
 
 
-def dot(a: int, b: int) -> int:
-    """Dot product a.b over GF(2)."""
-    return (a & b).bit_count() & 1
-
-
 def _check_dim(n: int) -> None:
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {n}")

@@ -10,7 +10,6 @@ by dimension is invariant under extended-affine equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import boolfun
 from .boolfun import BooleanFunction, is_bent, second_derivative
@@ -26,9 +25,11 @@ vanishing_pair_adjacency_quadratic = vanishing_pair_adjacency
 class MSubspaceProfile:
     """Counts of r-dimensional M-subspaces for r = 2 .. max(2, n/2): below
     n = 4 the one entry counts 2-dimensional M-subspaces, so n = 1 gives
-    {2: 0}."""
+    {2: 0}.  witness is the first (n // 2)-dimensional M-subspace in
+    canonical search order, the one `is_in_mm_sharp` returns, or None."""
 
     counts: dict[int, int]
+    witness: Subspace | None
 
     def as_dict(self) -> dict[str, int]:
         return {str(r): self.counts[r] for r in sorted(self.counts)}
@@ -50,11 +51,6 @@ def is_msubspace(f: BooleanFunction, V: Subspace) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
-def _adjacency(f: BooleanFunction) -> list[int]:
-    return vanishing_pair_adjacency(f.table)
-
-
 def msubspaces(f: BooleanFunction, r: int) -> list[Subspace]:
     """All r-dimensional M-subspaces of f, canonical and sorted."""
     if not 2 <= r <= f.n:
@@ -64,13 +60,19 @@ def msubspaces(f: BooleanFunction, r: int) -> list[Subspace]:
 
 def msubspace_profile(f: BooleanFunction) -> MSubspaceProfile:
     """Counts of M-subspaces for r = 2 .. max(2, n/2) (an EA-equivalence
-    invariant)."""
-    top = max(2, f.n // 2)
+    invariant) and the first (n // 2)-dimensional one, from one walk; below
+    n = 4 it starts at dimension 1, where n = 2 has its witness."""
+    half = f.n // 2
+    top = max(2, half)
     counts = {r: 0 for r in range(2, top + 1)}
-    adj = _adjacency(f)
-    for gens in iter_clique_subspaces(adj, 2, top):
-        counts[len(gens)] += 1
-    return MSubspaceProfile(counts)
+    witness = None
+    adj = vanishing_pair_adjacency(f.table)
+    for gens in iter_clique_subspaces(adj, max(1, min(2, half)), top):
+        if len(gens) >= 2:
+            counts[len(gens)] += 1
+        if witness is None and len(gens) == half:
+            witness = span(list(gens), f.n)
+    return MSubspaceProfile(counts, witness)
 
 
 def is_in_mm_sharp(f: BooleanFunction) -> Subspace | None:
@@ -80,7 +82,7 @@ def is_in_mm_sharp(f: BooleanFunction) -> Subspace | None:
     """
     if not is_bent(f):
         raise ValueError("MM# membership is defined for bent functions")
-    adj = _adjacency(f)
+    adj = vanishing_pair_adjacency(f.table)
     for gens in iter_clique_subspaces(adj, f.n // 2):
         return span(list(gens), f.n)
     return None

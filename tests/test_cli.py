@@ -143,6 +143,12 @@ def test_analyze_sharp_small(capsys):
     assert "ps_sharp" in report
 
 
+def test_analyze_times_each_stage(capsys):
+    for flags, extra in (((), set()), (("--sharp",), {"ps_sharp"})):
+        _, out, _ = run_cli(capsys, "analyze", "--anf", "x1*x2+x3*x4", *flags)
+        assert set(json.loads(out)["timings"]) == {"bent", "degree", "profile"} | extra
+
+
 def test_analyze_sharp_rejects_non_bent(capsys):
     code, out, err = run_cli(capsys, "analyze", "--anf", "x1*x2*x3", "--sharp")
     assert code != 0
@@ -533,6 +539,16 @@ def test_construct_thm55_reports_a_failed_precondition(capsys, pi, message):
     assert json.loads(out) == {"error": message, "witness": ["100", "001"]}
 
 
+@pytest.mark.parametrize("m, pi", [(1, "vf:m=1:0 1"), (2, "vf:m=2:0 1 3 2")], ids=["m1", "m2"])
+def test_construct_thm55_rejects_m_below_3_before_any_graph(capsys, m, pi):
+    # at m = 1 the sigma check asked for 2-dimensional subspaces of F_2^1;
+    # at m = 2 every permutation is affine and fails P1
+    argv = ["--pi", pi, "--sigma", pi, "--h1", "0", "--h2", "0"]
+    code, out, err = run_cli(capsys, "construct", "thm55", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: Theorem 5.5 needs m >= 3 (n = 2m + 2 >= 8), got m = {m}\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -649,8 +665,8 @@ def mm_sharp_inputs() -> list[BooleanFunction]:
 
 
 def test_analyze_mm_sharp_matches_dillon_search():
-    # analyze reads MM# off the profile when it counts no n/2-dimensional
-    # M-subspace, and otherwise searches as is_in_mm_sharp does
+    # analyze takes MM# from the profile's walk, whose first n/2-dimensional
+    # M-subspace is the one the early-exit search returns
     verdicts = set()
     for f in mm_sharp_inputs():
         want = is_in_mm_sharp(f)
@@ -663,10 +679,10 @@ def test_analyze_settles_mm_sharp_of_published_functions_from_the_profile(monkey
     def search(f):
         raise AssertionError("is_in_mm_sharp called")
 
+    wants = [(f, is_in_mm_sharp(f)) for f in mm_sharp_inputs()]
     monkeypatch.setattr(cli, "is_in_mm_sharp", search)
-    for name in fx.PUBLISHED:
-        report = cli.analyze(fx.published_bent8(name))
-        assert report.mm_sharp is None and "mm_sharp" in report.timings
+    for f, want in wants:
+        assert cli.analyze(f).mm_sharp == want, f.digest()
 
 
 def test_perm_check_vf_literal(capsys):

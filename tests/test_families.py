@@ -1,12 +1,13 @@
-"""The monomial bent functions Tr(a x^d) on GF(2^8), modulus 0x11b: the
-Gold, Dillon and Kasami exponents.  They are not results of the paper but
-a second set of inputs with known MM# and PS# verdicts (ROADMAP item 16)."""
+"""Bent functions on GF(2^8), modulus 0x11b: the monomials Tr(a x^d) with
+the Gold, Dillon and Kasami exponents, and the Niho binomial
+Tr_1^4(x^17) + Tr_1^8(x^46).  They are not results of the paper but a
+second set of inputs with known MM# and PS# verdicts (ROADMAP item 16)."""
 
 import random
 
 import pytest
 
-from bentforge.boolfun import BooleanFunction, algebraic_degree, ea_image, is_bent
+from bentforge.boolfun import BooleanFunction, algebraic_degree, dual, ea_image, is_bent
 from bentforge.gf2 import random_invertible
 from bentforge.gf2m import Field
 from bentforge.msub import is_in_mm_sharp, is_msubspace, msubspace_profile
@@ -48,3 +49,33 @@ def test_monomial_bent_verdicts(d, a, degree, profile, in_mm, subclass, witness)
         assert w is not None and w.inner.subclass == subclass and _witness_holds(g, w)
         if g is f:
             assert (w.shift, w.affine, w.constant) == witness
+
+
+def niho_binomial() -> BooleanFunction:
+    """x -> Tr_1^4(x^17) + Tr(x^46), the Niho bent binomial with s = 3,
+    b = 1; x^17 lies in GF(16), where Tr_1^4(y) = y + y^2 + y^4 + y^8."""
+    field = Field(8)
+    assert field.modulus == 0x11B
+
+    def subfield_trace(y: int) -> int:
+        t = 0
+        for i in range(4):
+            t ^= field.pow(y, 1 << i)
+        assert t in (0, 1)
+        return t
+
+    table = [subfield_trace(field.pow(x, 17)) ^ field.trace(field.pow(x, 46)) for x in range(256)]
+    return BooleanFunction(8, table)
+
+
+def test_niho_binomial_is_outside_mm_sharp_and_ps_sharp():
+    f = niho_binomial()
+    rng = random.Random(41)
+    A = random_invertible(8, rng)
+    disguised = ea_image(f, A, rng.randrange(256), rng.randrange(256), rng.randrange(2))
+    assert len({f, dual(f), disguised}) == 3
+    for g in (f, dual(f), disguised):
+        assert is_bent(g) and algebraic_degree(g) == 4
+        assert msubspace_profile(g).counts == ZERO_PROFILE
+        assert is_in_mm_sharp(g) is None
+        assert is_in_ps_sharp(g) is None

@@ -31,6 +31,11 @@ Every defaulted parameter of a package function is set, by position or by
 keyword, by some call in the package, apart from the few kept on purpose
 (`KEPT_DEFAULTS`): a default that no package caller overrides is a
 constant, or an option only a test turns.
+
+Every package function under `functools.cache` or `lru_cache` takes only
+`int`-annotated parameters: a cache keyed by a dimension holds one table
+per n, while one keyed by a truth table keeps inputs alive and serves a
+repeated input from memory.
 """
 
 import ast
@@ -481,3 +486,50 @@ def test_every_default_is_set_by_a_package_call(path):
     found = unset_defaults(path.read_text(), PACKAGE_CALLS)
     kept = [x for x in found if any(fnmatch.fnmatchcase(x.split(": ")[1], k) for k in KEPT_DEFAULTS)]
     assert found == kept
+
+
+def is_cache_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in ("cache", "lru_cache")
+
+
+def non_int_cache_keys(source: str) -> list[str]:
+    """Parameters of `cache` or `lru_cache` functions not annotated `int`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not any(is_cache_decorator(d) for d in node.decorator_list):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        found += [
+            f"line {node.lineno}: {node.name}({p.arg})"
+            for p in params
+            if p is not None and not (isinstance(p.annotation, ast.Name) and p.annotation.id == "int")
+        ]
+    return found
+
+
+def test_checker_flags_a_cache_keyed_by_a_non_int():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@functools.cache\ndef rows(n: int) -> list:\n    return []\n\n"
+        "@lru_cache(maxsize=1)\ndef graph(f: BooleanFunction) -> list:\n    return []\n\n"
+        "@functools.lru_cache\ndef pair(n: int, table, *, k: int = 0):\n    return n\n\n"
+        "@cache\ndef cells(m: 'int', *rest: int):\n    return m\n\n"
+        "class Box:\n    @functools.cached_property\n    def size(self) -> int:\n        return 0\n\n"
+        "def plain(f: BooleanFunction):\n    return f\n"
+    )
+    assert non_int_cache_keys(source) == [
+        "line 9: graph(f)",
+        "line 13: pair(table)",
+        "line 17: cells(m)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_caches_are_keyed_by_dimensions(path):
+    assert non_int_cache_keys(path.read_text()) == []
