@@ -1,11 +1,16 @@
+import functools
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from bentforge.boolfun import BooleanFunction
+from bentforge.boolfun import BooleanFunction, ea_image, zero_function
 from bentforge.construct import mm_bent
-from bentforge.vectorial import VectorialFunction
+from bentforge.gf2 import span
+from bentforge.gf2m import Field
+from bentforge.psclass import _pivot_sets, _span_rows, ps_ap
+from bentforge.vectorial import VectorialFunction, identity_map
 
 
 @pytest.fixture
@@ -69,3 +74,83 @@ def packed_words(values: np.ndarray) -> np.ndarray:
     words = np.packbits(values, axis=1, bitorder="little")
     size = values.shape[1]
     return words[:, 0] if size < 8 else words.view(f"<u{size // 8}")[:, 0]
+
+
+def balanced_h3() -> BooleanFunction:
+    return BooleanFunction(3, [0, 1, 1, 0, 1, 0, 1, 0])
+
+
+def balanced_h4() -> BooleanFunction:
+    return BooleanFunction(4, [0, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+
+
+@functools.cache
+def coset_table(n: int) -> np.ndarray:
+    """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace,
+    built per pivot set; the per-point table that the oracles read whole
+    rows of (51 MB at n = 8, which is why the package keeps only bases).
+
+    Rows go in `_pivot_sets` order: exactly `enumerate_subspaces` order.
+    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
+    block 0 is the subspace and entry 2^j is basis vector j.  Block k is
+    the coset with the k-th smallest minimum: the basis is in RREF, so a
+    coset's minimum is its point that is zero on every pivot, and these
+    minima are the pivot set's `minima`.
+    """
+    m = n // 2
+    sets = _pivot_sets(n)
+    sizes = [1 << sum(free) for _, _, free, _ in sets]
+    perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
+    start = 0
+    for (pivots, minima, free, _), size in zip(sets, sizes):
+        digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
+        bases = minima[digits.T] | np.array([1 << p for p in pivots], dtype=np.uint8)
+        np.bitwise_xor(
+            minima[:, None],
+            _span_rows(bases)[:, None, :],
+            out=perm[start : start + size].reshape(size, 1 << (n - m), 1 << m),
+        )
+        start += size
+    return perm
+
+
+def ea_disguise(f: BooleanFunction, rng: random.Random, shifted: bool = True) -> BooleanFunction:
+    """f(A(x + b)) + a.x + c for a random invertible A and random b, a, c;
+    b = 0 unless shifted."""
+    n = f.n
+    while True:
+        cols = [rng.randrange(1, 1 << n) for _ in range(n)]
+        if span(cols, n).dim == n:
+            break
+    # A has the drawn vectors as columns; ea_image takes its rows
+    rows = [sum((col >> i & 1) << j for j, col in enumerate(cols)) for i in range(n)]
+    b = rng.randrange(1 << n) if shifted else 0
+    return ea_image(f, rows, b, rng.randrange(1 << n), rng.randrange(2))
+
+
+def oracle_functions(n: int) -> list[BooleanFunction]:
+    """PS_ap and quadratic MM on n variables, and three EA disguises of each;
+    at n = 2, all eight bent functions (the odd-weight tables)."""
+    if n == 2:
+        return [BooleanFunction(2, t) for t in itertools.product((0, 1), repeat=4) if sum(t) % 2]
+    m = n // 2
+    h = {2: BooleanFunction(2, [0, 1, 1, 0]), 3: balanced_h3(), 4: balanced_h4()}[m]
+    base = [ps_ap(m, h), mm_bent(identity_map(m), zero_function(m))]
+    rng = random.Random(n)
+    return base + [ea_disguise(f, rng) for f in base for _ in range(3)]
+
+
+def niho_binomial() -> BooleanFunction:
+    """x -> Tr_1^4(x^17) + Tr(x^46) on GF(2^8), modulus 0x11b: the Niho bent
+    binomial with s = 3, b = 1; x^17 lies in GF(16), where
+    Tr_1^4(y) = y + y^2 + y^4 + y^8."""
+    field = Field(8)
+    assert field.modulus == 0x11B
+
+    def subfield_trace(y: int) -> int:
+        t = y ^ field.pow(y, 2) ^ field.pow(y, 4) ^ field.pow(y, 8)
+        assert t in (0, 1)
+        return t
+
+    table = [subfield_trace(field.pow(x, 17)) ^ field.trace(field.pow(x, 46)) for x in range(256)]
+    return BooleanFunction(8, table)

@@ -20,7 +20,7 @@ from bentforge.cli import main
 from bentforge.construct import mm_bent
 from bentforge.msub import is_in_mm_sharp
 from bentforge.vectorial import identity_map, to_vf_text
-from conftest import HYPERPLANE_VANISHES, random_mm
+from conftest import HYPERPLANE_VANISHES, balanced_h3, ea_disguise, random_mm
 
 
 def run_cli(capsys, *argv):
@@ -326,7 +326,6 @@ def test_psclass_prints_the_ps_plus_witness_on_two_variables(capsys):
 
 def test_analyze_sharp_prints_the_sweep_witness(capsys):
     from bentforge.psclass import is_in_ps_sharp, ps_ap
-    from test_psclass import balanced_h3, ea_disguise
 
     g = ea_disguise(ps_ap(3, balanced_h3()), random.Random(3))
     code, out, _ = run_cli(capsys, "analyze", "--tt", to_tt_hex(g), "--sharp")

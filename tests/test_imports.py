@@ -9,6 +9,9 @@ as a name, or appears as an attribute, a string constant or a
 `from ... import` name, anywhere in the package, the tests or perfbench/
 (strings cover the tracer's (module, attribute) tables and `__all__`).
 
+No file under `tests/` imports a `test_*` module, at any depth: test
+modules share helpers only through `tests/conftest.py`.
+
 No package module names `SystemExit` or calls `sys.exit` outside its
 `if __name__ == "__main__"` guard: errors travel as exceptions, and only
 `cli.main` turns them into an exit code.
@@ -79,6 +82,52 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def is_test_module(name: str) -> bool:
+    return any(part.startswith("test_") for part in name.split("."))
+
+
+def imports_of_test_modules(source: str) -> list[str]:
+    """The `test_*` modules imported at any depth, one entry per module.  A
+    `test_*` name that `from ... import` takes counts as one, since
+    `from tests import test_x` imports the module `tests.test_x`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [module] if is_test_module(module) else [
+                f"{module.rstrip('.')}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if is_test_module(name)]
+    return found
+
+
+def test_checker_flags_an_import_of_a_test_module():
+    source = (
+        "import test_a\nimport tests.test_b as b, os\nfrom conftest import rng, test_ids\n"
+        "from tests import test_c, util\n\ndef test_d():\n    from .test_e import f, g\n"
+    )
+    assert imports_of_test_modules(source) == [
+        "line 1: test_a",
+        "line 2: tests.test_b",
+        "line 3: conftest.test_ids",
+        "line 4: tests.test_c",
+        "line 7: .test_e",
+    ]
+
+
+def test_tests_share_helpers_only_through_conftest():
+    found = [
+        f"{path.relative_to(ROOT)} {hit}"
+        for path in sorted(ROOT.glob("tests/*.py"))
+        for hit in imports_of_test_modules(path.read_text())
+    ]
+    assert found == []
 
 
 def referenced_names(sources) -> set[str]:

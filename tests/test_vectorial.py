@@ -48,8 +48,7 @@ from bentforge.vectorial import (
     vanishing_pair_adjacency,
     vanishing_subspaces_vf,
 )
-from conftest import HYPERPLANE_VANISHES, random_function, random_permutation_table
-from test_psclass import oracle_functions
+from conftest import HYPERPLANE_VANISHES, oracle_functions, random_function, random_permutation_table
 
 
 def second_derivative_vanishes_vf(F: VectorialFunction, a: int, b: int) -> bool:
