@@ -9,7 +9,7 @@ from bentforge.boolfun import BooleanFunction, ea_image, zero_function
 from bentforge.construct import mm_bent
 from bentforge.gf2 import span
 from bentforge.gf2m import Field
-from bentforge.psclass import _pivot_sets, _span_rows, ps_ap
+from bentforge.psclass import _coset_points, _row_index, ps_ap
 from bentforge.vectorial import VectorialFunction, identity_map
 
 
@@ -87,30 +87,22 @@ def balanced_h4() -> BooleanFunction:
 @functools.cache
 def coset_table(n: int) -> np.ndarray:
     """Row i: the 2^n points grouped into cosets of the i-th n/2-subspace,
-    built per pivot set; the per-point table that the oracles read whole
+    from `_coset_points`; the per-point table that the oracles read whole
     rows of (51 MB at n = 8, which is why the package keeps only bases).
 
-    Rows go in `_pivot_sets` order: exactly `enumerate_subspaces` order.
-    Each block of 2^(n/2) entries is a coset in basis-coordinate order, so
-    block 0 is the subspace and entry 2^j is basis vector j.  Block k is
-    the coset with the k-th smallest minimum: the basis is in RREF, so a
-    coset's minimum is its point that is zero on every pivot, and these
-    minima are the pivot set's `minima`.
+    Rows go in `_row_index` order: exactly `enumerate_subspaces` order.
+    Block k of 2^(n/2) entries is the index's coset block k, in
+    basis-coordinate order, so block 0 is the subspace and entry 2^j is
+    basis vector j.  Built 4,096 rows at a time, so the build holds about
+    2 MiB beyond the table.
     """
-    m = n // 2
-    sets = _pivot_sets(n)
-    sizes = [1 << sum(free) for _, _, free, _ in sets]
-    perm = np.empty((sum(sizes), 1 << n), dtype=np.uint8)
-    start = 0
-    for (pivots, minima, free, _), size in zip(sets, sizes):
-        digits = np.indices([1 << f for f in free], dtype=np.uint8).reshape(m, size)
-        bases = minima[digits.T] | np.array([1 << p for p in pivots], dtype=np.uint8)
-        np.bitwise_xor(
-            minima[:, None],
-            _span_rows(bases)[:, None, :],
-            out=perm[start : start + size].reshape(size, 1 << (n - m), 1 << m),
-        )
-        start += size
+    count = len(_row_index(n)[0])
+    blocks = np.arange(1 << (n - n // 2))
+    perm = np.empty((count, 1 << n), dtype=np.uint8)
+    for lo in range(0, count, 1 << 12):
+        rows = np.arange(lo, min(lo + (1 << 12), count))
+        points = _coset_points(n, np.repeat(rows, len(blocks)), np.tile(blocks, len(rows)))
+        perm[rows] = points.reshape(len(rows), 1 << n)
     return perm
 
 

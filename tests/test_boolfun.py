@@ -69,6 +69,15 @@ def test_to_anf_examples():
     assert to_anf(BooleanFunction(2, [0, 0, 0, 1])).monomials == {0b11}
 
 
+def test_equal_functions_hash_equal_and_print_their_size():
+    f = from_anf(parse_anf("x1*x2 + x3 + 1", 3))
+    g = BooleanFunction(3, [1, 1, 1, 0, 0, 0, 0, 1])
+    assert f == g and f is not g and hash(f) == hash(g)
+    assert len({f, g, f ^ 1}) == 2
+    assert repr(f) == "BooleanFunction(n=3, weight=4)"
+    assert str(to_anf(f)) == "1 + x3 + x1*x2"
+
+
 @given(tables)
 @settings(max_examples=50)
 def test_anf_round_trip(bits):

@@ -78,7 +78,7 @@ def leaf_commands(parser) -> set[tuple[str, ...]]:
 
 
 def contract_rows() -> dict[tuple[str, ...], list[list[str]]]:
-    """One or two invocations of every leaf command, on the bundled fixtures."""
+    """A few invocations of every leaf command, on the bundled fixtures."""
     tt = to_tt_hex(fx.published_bent8("delta0_mix"))
     cube = to_vf_text(fx.apn_perm_m3())
 
@@ -87,7 +87,7 @@ def contract_rows() -> dict[tuple[str, ...], list[list[str]]]:
         return [x for i, f in enumerate(make().functions, 1) for x in (f"--f{i}", to_tt_hex(f))]
 
     return {
-        ("analyze",): [["--tt", tt], ["--sharp", "--tt", tt]],
+        ("analyze",): [["--tt", tt], ["--sharp", "--tt", tt], ["--anf", "x1*x2 + x3*x4"]],
         ("msub",): [["--tt", tt, "--dim", "2"]],
         ("psclass",): [["--tt", tt]],
         ("construct", "mm"): [["--pi", cube, "--h", "y1*y2"]],
@@ -122,12 +122,6 @@ def test_analyze_quadratic(capsys):
     assert "ps_sharp" not in report  # no --sharp flag
 
 
-def test_analyze_json_round_trips_byte_identical(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--anf", "x1*x2 + x3*x4")
-    parsed = json.loads(out)
-    assert json.dumps(parsed, sort_keys=True, indent=2) == out.strip()
-
-
 def test_analyze_reproducible_apart_from_timings(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--anf", "x1*x2+x3*x4")
     _, out2, _ = run_cli(capsys, "analyze", "--anf", "x1*x2+x3*x4")
@@ -135,12 +129,6 @@ def test_analyze_reproducible_apart_from_timings(capsys):
     r1.pop("timings")
     r2.pop("timings")
     assert r1 == r2
-
-
-def test_analyze_sharp_small(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--anf", "x1*x2+x3*x4", "--sharp")
-    report = json.loads(out)
-    assert "ps_sharp" in report
 
 
 def test_analyze_times_each_stage(capsys):

@@ -102,6 +102,10 @@ def test_enumerate_counts(n, r, count):
     assert sum(1 for _ in enumerate_subspaces(n, r)) == count
 
 
+def test_gaussian_binomial_is_zero_outside_0_to_n():
+    assert gaussian_binomial(4, -1) == gaussian_binomial(4, 5) == 0
+
+
 def test_enumerate_exhaustive_against_gaussian_binomial():
     # every dimension pair up to n = 8, distinct canonical bases throughout
     for n in range(1, 9):

@@ -46,6 +46,13 @@ def test_field_rejects_reducible_modulus():
         Field(3, 0b1111)  # x^3 + x^2 + x + 1 = (x+1)(x^2+1)
 
 
+def test_fields_are_equal_iff_degree_and_modulus_are():
+    assert Field(4) == Field(4, 0x13) and hash(Field(4)) == hash(Field(4, 0x13))
+    assert Field(4) != Field(4, 0x19) and Field(4) != Field(5)
+    assert len({Field(4), Field(4, 0x13), Field(4, 0x19)}) == 2
+    assert repr(Field(4, 0x19)) == "Field(m=4, modulus=0x19)"
+
+
 @pytest.mark.parametrize(
     "m, modulus",
     [(1, None), (17, None), (3, 0b10011)],

@@ -33,7 +33,9 @@ string constant, somewhere in the package, the tests or perfbench/.
 Every defaulted parameter of a package function is set, by position or by
 keyword, by some call in the package, apart from the few kept on purpose
 (`KEPT_DEFAULTS`): a default that no package caller overrides is a
-constant, or an option only a test turns.
+constant, or an option only a test turns.  Every pattern of both
+exemption lists still matches a finding, so an exemption goes with the
+parameter it names.
 
 Every package function under `functools.cache` or `lru_cache` takes only
 `int`-annotated parameters: a cache keyed by a dimension holds one table
@@ -433,6 +435,11 @@ def test_checker_flags_an_unread_parameter():
     ]
 
 
+def matches(finding: str, pattern: str) -> bool:
+    """Whether an exemption pattern names a finding's function(parameter)."""
+    return fnmatch.fnmatchcase(finding.split(": ")[1], pattern)
+
+
 # unread parameters kept on purpose, as fnmatch patterns of function(parameter)
 KEPT_PARAMETERS = [
     # argparse dispatches every subcommand handler as fn(args)
@@ -447,7 +454,7 @@ KEPT_PARAMETERS = [
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_every_parameter_is_read(path):
     found = unread_parameters(path.read_text())
-    kept = [x for x in found if any(fnmatch.fnmatchcase(x.split(": ")[1], k) for k in KEPT_PARAMETERS)]
+    kept = [x for x in found if any(matches(x, k) for k in KEPT_PARAMETERS)]
     assert found == kept
 
 
@@ -533,8 +540,30 @@ PACKAGE_CALLS = calls_made(p.read_text() for p in PACKAGE)
 @pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
 def test_every_default_is_set_by_a_package_call(path):
     found = unset_defaults(path.read_text(), PACKAGE_CALLS)
-    kept = [x for x in found if any(fnmatch.fnmatchcase(x.split(": ")[1], k) for k in KEPT_DEFAULTS)]
+    kept = [x for x in found if any(matches(x, k) for k in KEPT_DEFAULTS)]
     assert found == kept
+
+
+def stale_patterns(patterns: list[str], found: list[str]) -> list[str]:
+    """The exemption patterns that match none of the findings."""
+    return [k for k in patterns if not any(matches(x, k) for x in found)]
+
+
+def test_checker_flags_a_stale_exemption():
+    found = ["line 3: _cmd_run(args)", "line 9: solve(jobs)"]
+    assert stale_patterns(["_cmd_*(args)", "solve(jobs)", "solve(resume)"], found) == ["solve(resume)"]
+
+
+@pytest.mark.parametrize(
+    "patterns, check",
+    [
+        pytest.param(KEPT_PARAMETERS, unread_parameters, id="KEPT_PARAMETERS"),
+        pytest.param(KEPT_DEFAULTS, lambda source: unset_defaults(source, PACKAGE_CALLS), id="KEPT_DEFAULTS"),
+    ],
+)
+def test_every_exemption_still_matches_a_finding(patterns, check):
+    # an exemption outlives its reason once the parameter it names is gone
+    assert stale_patterns(patterns, [x for p in PACKAGE for x in check(p.read_text())]) == []
 
 
 def is_cache_decorator(node: ast.expr) -> bool:

@@ -40,12 +40,12 @@ from bentforge.psclass import (
     _coset_wht,
     _coverage,
     _CosetCells,
+    _disjoint_clique,
     _half_words,
     _merge_schedule,
     _midspace,
     _row_index,
     _shift_blocks,
-    _span_rows,
     _unit_xor,
     _witness_holds,
     PartialSpreadWitness,
@@ -1017,27 +1017,16 @@ def reference_coset_table(n: int, step: int = 1) -> np.ndarray:
     return (firsts[:, :, None] ^ elems[:, None, :]).reshape(len(basis), 1 << n).astype(np.uint8)
 
 
-def derived_coset_table(n: int, rows: np.ndarray) -> np.ndarray:
-    """The given rows of the coset table, every block, from `_coset_points`."""
-    blocks = 1 << (n - n // 2)
-    got = _coset_points(n, np.repeat(rows, blocks), np.tile(np.arange(blocks), len(rows)))
-    return got.reshape(len(rows), 1 << n)
-
-
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_coset_table_matches_min_representative_reference(n):
-    # the points the index derives, and the test-side table the oracles read
-    want = reference_coset_table(n)
-    got = derived_coset_table(n, np.arange(len(_row_index(n)[0])))
-    assert got.dtype == np.uint8
-    assert got.tobytes() == want.tobytes()
-    assert coset_table(n).tobytes() == want.tobytes()
+    # the test-side table the oracles read, every block from `_coset_points`
+    table = coset_table(n)
+    assert table.dtype == np.uint8
+    assert table.tobytes() == reference_coset_table(n).tobytes()
 
 
 def test_coset_table_matches_reference_on_sampled_rows_n8():
-    want = reference_coset_table(8, step=97)
-    assert np.array_equal(derived_coset_table(8, np.arange(0, len(_row_index(8)[0]), 97)), want)
-    assert np.array_equal(coset_table(8)[::97], want)
+    assert np.array_equal(coset_table(8)[::97], reference_coset_table(8, step=97))
 
 
 def test_coset_table_bases_follow_enumeration_order_n8():
@@ -1233,8 +1222,9 @@ def test_disjoint_clique_matches_brute_force(n, lists):
 
 def reference_group_clique(rows, n: int, s: int):
     """The clique stage of one group on its own: membership and Gram matrix
-    of its rows, the degree bound, then branch and bound.  Returns (kept by
-    the bound, first clique or None)."""
+    of its rows and the degree bound, then the package's branch and bound,
+    whose oracle is `test_disjoint_clique_matches_brute_force`.  Returns
+    (kept by the bound, first clique or None)."""
     L = len(rows)
     if L < s:
         return False, None
@@ -1243,24 +1233,7 @@ def reference_group_clique(rows, n: int, s: int):
     disjoint = members @ members.T == 0
     if np.count_nonzero(disjoint.sum(axis=1) >= s - 1) < s:
         return False, None
-    nbr = [int.from_bytes(r, "little") for r in np.packbits(disjoint, axis=1, bitorder="little")]
-
-    def grow(chosen, allowed):
-        if len(chosen) == s:
-            return chosen
-        if len(chosen) + allowed.bit_count() < s:
-            return None
-        c = allowed
-        while c:
-            low = c & -c
-            i = low.bit_length() - 1
-            c ^= low
-            got = grow(chosen + [i], c & nbr[i])
-            if got is not None:
-                return got
-        return None
-
-    return True, grow([], (1 << L) - 1)
+    return True, _disjoint_clique(disjoint, s)
 
 
 def sweep_groups(f: BooleanFunction):
@@ -1375,11 +1348,6 @@ def test_batched_degree_bound_matches_per_group_reference_n8(name, some_kept):
         assert (kept, dropped) == ((8, want_dropped) if some_kept else (0, 0))
 
 
-def nonzero_points(rows, n: int) -> np.ndarray:
-    """The nonzero points of the given subspace-index rows, one row each."""
-    return _span_rows(_row_index(n)[0][rows])[:, 1:]
-
-
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_coverage_counts_the_union_of_group_subspaces(n):
     # seeded groups of index rows, pairs in shuffled order, with empty and
@@ -1392,7 +1360,7 @@ def test_coverage_counts_the_union_of_group_subspaces(n):
     listed = [(g, i) for g, members in enumerate(lists) for i in members]
     rng.shuffle(listed)
     group, member = (np.array(x, dtype=np.intp) for x in zip(*listed))
-    got = _coverage(nonzero_points(rows, n), (group, member), len(lists), n)
+    got = _coverage(coset_table(n)[rows, 1 : 1 << n // 2], (group, member), len(lists), n)
     want = [
         len({e for i in members for e in _midspace(n, int(rows[i])).elements() if e})
         for members in lists
@@ -1411,6 +1379,6 @@ def test_coverage_pass_counts_n8(name, passed, groups):
     for source, total in ((unpruned_groups, groups), (sweep_groups, swept)):
         counts = np.zeros(2, dtype=np.intp)
         for _, need, rows, _, pairs in source(f):
-            covered = _coverage(nonzero_points(rows, 8), pairs, len(need), 8)
+            covered = _coverage(coset_table(8)[rows, 1:16], pairs, len(need), 8)
             counts += np.count_nonzero(covered >= need * ((1 << 4) - 1)), len(need)
         assert counts.tolist() == [passed, total], source.__name__

@@ -72,6 +72,15 @@ def test_from_coordinates_round_trip():
     assert from_coordinates(coordinates(pi)) == pi
 
 
+def test_equal_maps_hash_equal_and_evaluate_by_table():
+    F = VectorialFunction(2, [0, 2, 3, 1])
+    G = VectorialFunction(2, np.array([0, 2, 3, 1]))
+    assert [F(y) for y in range(4)] == [0, 2, 3, 1]
+    assert F == G and hash(F) == hash(G)
+    assert len({F, G, identity_map(2)}) == 2
+    assert repr(F) == "VectorialFunction(m=2)"
+
+
 def test_fixture_permutations_are_permutations():
     for p in (fx.apn_perm_m3(), fx.apn_perm_m3_alt(), fx.perm_two_msubspaces(),
               fx.perm_p2_dim2(), fx.perm_p2_dim3()):
